@@ -9,7 +9,9 @@
 #include "fault/fault_injector.hpp"
 #include "mem/header_fifo.hpp"
 #include "mem/memory_system.hpp"
+#include "profile/cycle_profiler.hpp"
 #include "sim/abort.hpp"
+#include "sim/clock_observer.hpp"
 #include "telemetry/telemetry_bus.hpp"
 
 namespace hwgc {
@@ -22,33 +24,19 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   const std::uint32_t n = cfg_.coprocessor.num_cores;
   if (n == 0) throw std::invalid_argument("coprocessor needs >= 1 core");
 
-  SyncBlock sb(n, fault);
-  MemorySystem mem(cfg_.memory, n, fault);
-  HeaderFifo fifo(cfg_.coprocessor.header_fifo_capacity);
-  GcContext ctx{sb, mem, fifo, heap_, cfg_.coprocessor, telemetry, profiler};
-  // A fresh attribution per attempt: an aborted attempt's partial profile
-  // is wiped by the next begin_collection, so only the attempt that
-  // completes survives in the profiler.
-  if (profiler != nullptr) profiler->begin_collection(n);
+  // Every attached sink subscribes to one event stream: `obs` is null, the
+  // only sink, or a fan-out over all of them.
+  ClockFanout fanout;
+  ClockObserver* const obs =
+      fanout.over({trace, schedule_trace, telemetry, profiler});
 
-  std::uint32_t sig_graywords_series = 0;
-  if (telemetry != nullptr) {
-    if (!telemetry->enabled()) telemetry->enable();
-    telemetry->begin_collection("collection (" + std::to_string(n) +
-                                " cores)");
-    // Intern the main tracks in canonical order so exports list the
-    // coprocessor first, then the cores, then the shared locks —
-    // independent of which module happens to publish first.
-    (void)telemetry->track("coprocessor");
-    for (CoreId id = 0; id < n; ++id) (void)telemetry->core_track(id);
-    (void)telemetry->track(to_string(SbLock::kScan));
-    (void)telemetry->track(to_string(SbLock::kFree));
-    sig_graywords_series = telemetry->counter_series("gray_words");
-    sb.attach_telemetry(telemetry);
-    fifo.attach_telemetry(telemetry);
-    mem.attach_telemetry(telemetry);
-    telemetry->begin_cycle(0);
-    telemetry->phase(GcPhase::kRootEvacuation);
+  SyncBlock sb(n, fault, obs);
+  MemorySystem mem(cfg_.memory, n, fault, obs);
+  HeaderFifo fifo(cfg_.coprocessor.header_fifo_capacity, obs);
+  GcContext ctx{sb, mem, fifo, heap_, cfg_.coprocessor};
+  if (obs != nullptr) {
+    obs->on_collection_begin(n);
+    obs->on_phase(GcPhase::kRootEvacuation);
   }
 
   const Addr tospace_base = heap_.layout().tospace_base();
@@ -74,46 +62,28 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   Cycle now = 0;
   const std::uint64_t start_gen = sb.barrier_generation();
 
-  // Monitoring framework (Section VI-A): sample on change only, so the
-  // ring stays useful for long cycles.
-  std::uint16_t sig_scan = 0, sig_free = 0, sig_gray = 0, sig_busy = 0;
-  std::uint64_t prev_scan = ~0ULL, prev_free = ~0ULL, prev_busy = ~0ULL;
-  if (trace != nullptr) {
-    sig_scan = trace->register_signal("scan");
-    sig_free = trace->register_signal("free");
-    sig_gray = trace->register_signal("gray_words");
-    sig_busy = trace->register_signal("busy_cores");
-    if (!trace->enabled()) trace->enable();
-  }
-
   // Done bookkeeping: kDone is absorbing, so a per-core flag plus a count
   // replaces the every-cycle all-cores scan, and (fault-free) lets the
-  // step and signature loops skip finished cores entirely.
+  // step loop skip finished cores entirely.
   std::vector<std::uint8_t> core_done(n, 0);
   std::uint32_t done_count = 0;
 
-  // Clock loop: memory retires/accepts first, then cores step in the order
-  // the schedule policy picks. The default fixed order realizes the SB's
-  // static-priority arbitration and its same-cycle lock hand-off; the
-  // other policies explore alternative interleavings (src/fuzz/).
-  // Watchdog activity monitor: per-core progress signature and the cycle it
-  // last changed, so an expiry can localize the core that stopped making
-  // progress (a fail-stopped core misses its clock and freezes; a merely
-  // stalled or idle core still accrues stall/idle cycles).
-  std::vector<Cycle> last_sig(n, 0), last_change(n, 0);
+  // Watchdog activity monitor: the last cycle each core was clocked (work,
+  // idle spin or stall all count), so an expiry can localize the core that
+  // stopped making progress — a fail-stopped core misses its clock.
+  std::vector<Cycle> last_change(n, 0);
 
   bool cores_halted = false;
   Cycle halted_at = 0;
-  bool tel_in_scan_phase = false;
-  std::uint64_t tel_prev_gray = ~0ULL;
+  bool in_scan_phase = false;
+  bool worklist_empty = false;  // Table I condition of the last cycle
 
   // Watchdog expiry (shared by the ticked path and the fast-forward jump
   // to the budget boundary). Localize a suspect before aborting. First
   // preference: a ScanState bit that reads busy while the core's
   // architectural bit is clear (stuck-at-1 fault). Second: the unfinished
-  // core whose activity signature has been frozen the longest — a core
-  // that missed its clock for an eighth of the whole budget is
-  // fail-stopped, not slow.
+  // core that has missed its clock the longest — a core that missed it
+  // for an eighth of the whole budget is fail-stopped, not slow.
   const auto watchdog_abort = [&]() {
     CoreId suspect = kNoCore;
     for (CoreId c = 0; c < n && suspect == kNoCore; ++c) {
@@ -140,20 +110,35 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
                           suspect, now);
   };
 
+  // Done and progress bookkeeping, from each core's record of cycle `at`.
+  const auto note_progress = [&](Cycle at) {
+    for (CoreId c = 0; c < n; ++c) {
+      if (core_done[c] == 0 && cores[c].done()) {
+        core_done[c] = 1;
+        ++done_count;
+      }
+      if (cores[c].cycle().activity != CoreActivity::kOff) last_change[c] = at;
+    }
+  };
+
+  // The cycle just observed repeats k more times: the per-core counters,
+  // the Table-I counter and every subscriber fold it in bulk.
+  const auto absorb = [&](Cycle k) {
+    stats.fast_forwarded_cycles += k;
+    for (GcCore& core : cores) core.absorb(k);
+    if (worklist_empty) stats.worklist_empty_cycles += k;
+    if (obs != nullptr) obs->absorb(k);
+  };
+
   // Event-driven fast-forward (DESIGN.md §13): when every component is
-  // quiescent — memory ticks are pure waiting, every core's next steps are
-  // exact repetitions with precomputable effects — jump the clock to the
+  // quiescent — memory ticks are pure waiting, every core's next steps
+  // repeat its record of the cycle just observed — jump the clock to the
   // next event (memory completion, fault boundary or watchdog budget)
-  // instead of ticking, and apply the skipped cycles' counter increments
-  // in bulk. Restricted to the fixed-priority schedule (the other policies
-  // mutate per-cycle state in order()) and to runs without a telemetry bus
-  // (the bus records per-cycle activity). SignalTrace and ScheduleTrace
-  // stay bit-identical: no traced signal changes during a quiescent window
-  // and the schedule ring is replayed via record_repeated().
-  const bool ff_active =
-      cfg_.coprocessor.fast_forward && telemetry == nullptr && fixed_order;
-  std::vector<GcCore::FfPoll> ff_class(n);
-  std::vector<StallClass> ff_prof_cls(profiler != nullptr ? n : 0);
+  // instead of ticking, and absorb the skipped cycles. Restricted to the
+  // fixed-priority schedule: the other policies mutate per-cycle state in
+  // order().
+  const bool ff_active = cfg_.coprocessor.fast_forward && fixed_order;
+  std::vector<GcCore::FfPoll> polls(n);
   const auto try_fast_forward = [&]() -> Cycle {
     // Memory gate: nothing acceptable queued, no completion due this cycle.
     if (!mem.ff_quiescent()) return 0;
@@ -170,104 +155,55 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     }
     if (target <= now) return 0;
 
-    if (!cores_halted) {
-      // Classify every core; any kFail vetoes the jump. An injected fate
-      // (fail-stop, latched stall window) overrides the state machine,
-      // exactly as core_fate() does before step().
-      bool all_idle_steady = true;
-      for (CoreId c = 0; c < n && all_idle_steady; ++c) {
-        all_idle_steady = !sb.busy_raw(c) &&
-                          (fault == nullptr || !fault->stuck_busy_steady(c));
-      }
-      for (CoreId c = 0; c < n; ++c) {
-        GcCore::FfPoll p;
-        const CoreFate fate =
-            fault != nullptr ? fault->steady_fate(c, now) : CoreFate::kRun;
-        if (fate == CoreFate::kStopped) {
-          p.kind = GcCore::FfPoll::Kind::kSkip;
-        } else if (fate == CoreFate::kStall) {
-          p.kind = GcCore::FfPoll::Kind::kStall;
-          p.reason = StallReason::kFault;
-        } else {
-          p = cores[c].ff_poll();
-          if (p.kind == GcCore::FfPoll::Kind::kIdle && all_idle_steady &&
-              sb.stripes_idle()) {
-            return 0;  // the spin ends: this core observes termination now
-          }
-          if (p.kind == GcCore::FfPoll::Kind::kFail &&
-              p.if_suppressed != StallReason::kNone && fault != nullptr &&
-              fault->lock_suppressed_steady(
-                  p.if_suppressed == StallReason::kScanLock ? LockKind::kScan
-                                                            : LockKind::kFree,
-                  now)) {
-            p.kind = GcCore::FfPoll::Kind::kStall;
-            p.reason = p.if_suppressed;
-          }
-          if (p.kind == GcCore::FfPoll::Kind::kFail) return 0;
+    if (cores_halted) {
+      // The halting cycle clocked the cores; only a drain cycle repeats.
+      return now - 1 == halted_at ? 0 : target - now;
+    }
+    // Every core must be steady, repeating its record of the last cycle.
+    // An injected fate (fail-stop, latched stall window) overrides the
+    // state machine, exactly as core_fate() does before step().
+    bool all_idle_steady = true;
+    for (CoreId c = 0; c < n && all_idle_steady; ++c) {
+      all_idle_steady = !sb.busy_raw(c) &&
+                        (fault == nullptr || !fault->stuck_busy_steady(c));
+    }
+    for (CoreId c = 0; c < n; ++c) {
+      GcCore::FfPoll& p = polls[c];
+      const CoreFate fate =
+          fault != nullptr ? fault->steady_fate(c, now) : CoreFate::kRun;
+      if (fate != CoreFate::kRun) {
+        p = GcCore::FfPoll{};
+        p.steady = true;  // fail-stopped: kOff
+        if (fate == CoreFate::kStall) {
+          p.cycle = {CoreActivity::kStall, StallReason::kFault};
         }
-        ff_class[c] = p;
-      }
-      // A lock waiter is steady only while the holder is: the holder must
-      // itself be stalled (memory wait, fault stall) or fail-stopped.
-      for (CoreId c = 0; c < n; ++c) {
-        const GcCore::FfPoll& p = ff_class[c];
-        if (p.kind == GcCore::FfPoll::Kind::kStall && p.blocker != kNoCore) {
-          const auto bk = ff_class[p.blocker].kind;
-          if (bk != GcCore::FfPoll::Kind::kStall &&
-              bk != GcCore::FfPoll::Kind::kSkip) {
-            return 0;
-          }
+      } else {
+        p = cores[c].ff_poll();
+        if (p.cycle.activity == CoreActivity::kIdle && all_idle_steady &&
+            sb.stripes_idle()) {
+          return 0;  // the spin ends: this core observes termination now
         }
+        if (!p.steady && p.if_suppressed != StallReason::kNone &&
+            fault != nullptr &&
+            fault->lock_suppressed_steady(
+                p.if_suppressed == StallReason::kScanLock ? LockKind::kScan
+                                                          : LockKind::kFree,
+                now)) {
+          p.steady = true;
+          p.cycle = {CoreActivity::kStall, p.if_suppressed};
+        }
+      }
+      if (!p.steady || p.cycle != cores[c].cycle()) return 0;
+    }
+    // A lock waiter is steady only while the holder is: the holder must
+    // itself be stalled (memory wait, fault stall) or fail-stopped.
+    for (const GcCore::FfPoll& p : polls) {
+      if (p.blocker != kNoCore &&
+          polls[p.blocker].cycle.activity == CoreActivity::kIdle) {
+        return 0;
       }
     }
-
-    // Commit the jump: apply k skipped cycles' effects in bulk.
-    const Cycle k = target - now;
-    if (!cores_halted) {
-      for (CoreId c = 0; c < n; ++c) {
-        const GcCore::FfPoll& p = ff_class[c];
-        switch (p.kind) {
-          case GcCore::FfPoll::Kind::kStall:
-            cores[c].ff_absorb_stall(p.reason, k);
-            break;
-          case GcCore::FfPoll::Kind::kIdle:
-            cores[c].ff_absorb_idle(k);
-            break;
-          default:
-            continue;  // kSkip: counters frozen, signature unchanged
-        }
-        last_sig[c] = cores[c].activity_signature();
-        last_change[c] = target - 1;
-      }
-      if (sb.barrier_generation() > start_gen && sb.worklist_empty()) {
-        stats.worklist_empty_cycles += k;
-      }
-      if (schedule_trace != nullptr) {
-        schedule_trace->record_repeated(now, k, step_order);
-      }
-      if (profiler != nullptr) {
-        // The per-core classes are constant across the quiescent window,
-        // so absorbing k copies of this snapshot reproduces the ticked
-        // run's attribution (and its binding stream) exactly.
-        for (CoreId c = 0; c < n; ++c) {
-          switch (ff_class[c].kind) {
-            case GcCore::FfPoll::Kind::kStall:
-              ff_prof_cls[c] = class_of(ff_class[c].reason);
-              break;
-            case GcCore::FfPoll::Kind::kIdle:
-              ff_prof_cls[c] = StallClass::kWorklistStarved;
-              break;
-            default:  // kSkip: done core misses its clock
-              ff_prof_cls[c] = StallClass::kIdleDeconfigured;
-              break;
-          }
-        }
-        profiler->absorb(ff_prof_cls, k);
-      }
-    } else if (profiler != nullptr) {
-      profiler->absorb_drain(k);
-    }
-    return k;
+    return target - now;
   };
 
   try {
@@ -275,7 +211,9 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     if (ff_active) {
       const Cycle skipped = try_fast_forward();
       if (skipped > 0) {
+        absorb(skipped);
         now += skipped;
+        note_progress(now - 1);
         if (now >= cfg_.coprocessor.watchdog_cycles) {
           // Mirror the ticked run exactly: its last begin_clock() before
           // the expiry was for the final (here: skipped) cycle, and the
@@ -285,82 +223,55 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
         }
       }
     }
-    if (telemetry != nullptr) telemetry->begin_cycle(now);
+    if (!cores_halted && !fixed_order) policy->order(now, sb, step_order);
+    if (obs != nullptr) {
+      obs->on_cycle_begin(now, cores_halted ? nullptr : &step_order);
+    }
     if (fault != nullptr) fault->begin_clock(now);
     mem.tick(now);
     if (!cores_halted) {
       sb.begin_cycle();
-      if (!fixed_order) policy->order(now, sb, step_order);
-      if (schedule_trace != nullptr) schedule_trace->record(now, step_order);
       for (CoreId c : step_order) {
+        GcCore& core = cores[c];
         if (fault != nullptr) {
           const CoreFate fate = fault->core_fate(c, sb.holds_free(c));
-          if (fate == CoreFate::kStopped) continue;  // fail-stop: no clock
-          if (fate == CoreFate::kStall) {
-            cores[c].note_fault_stall();
-            continue;
+          if (fate == CoreFate::kStopped) {
+            core.miss_clock();  // fail-stop: no clock
+          } else if (fate == CoreFate::kStall) {
+            core.note_fault_stall();
+          } else {
+            core.step(now);
           }
         } else if (core_done[c] != 0) {
-          continue;  // fault-free: a finished core's step is a no-op
+          core.miss_clock();  // fault-free: a finished core's step is a no-op
+        } else {
+          core.step(now);
         }
-        cores[c].step(now);
+        if (obs != nullptr) obs->on_core_cycle(c, core.cycle());
       }
-      for (CoreId c = 0; c < n; ++c) {
-        if (core_done[c] != 0) {
-          if (fault == nullptr) continue;  // signature frozen once done
-        } else if (cores[c].done()) {
-          core_done[c] = 1;
-          ++done_count;
-        }
-        const Cycle sig = cores[c].activity_signature();
-        if (sig != last_sig[c]) {
-          last_sig[c] = sig;
-          last_change[c] = now;
-        }
-      }
+      note_progress(now);
       cores_halted = done_count == n;
-      if (cores_halted) halted_at = now;
-      if (telemetry != nullptr) {
-        if (!tel_in_scan_phase && sb.barrier_generation() > start_gen) {
-          tel_in_scan_phase = true;
-          telemetry->phase(GcPhase::kParallelScan);
-        }
-        if (cores_halted) telemetry->phase(GcPhase::kDrain);
-        const std::uint64_t gray = sb.free() - sb.scan();
-        if (gray != tel_prev_gray) {
-          tel_prev_gray = gray;
-          telemetry->counter_sample(sig_graywords_series, gray);
-        }
-      }
       // Table I: cycles during which the worklist is empty. Counted over
       // the parallel scan phase (after the start barrier released).
-      if (!cores_halted && sb.barrier_generation() > start_gen &&
-          sb.worklist_empty()) {
-        ++stats.worklist_empty_cycles;
+      const bool scanning = sb.barrier_generation() > start_gen;
+      worklist_empty = !cores_halted && scanning && sb.worklist_empty();
+      if (worklist_empty) ++stats.worklist_empty_cycles;
+      if (obs != nullptr) {
+        if (!in_scan_phase && scanning) {
+          in_scan_phase = true;
+          obs->on_phase(GcPhase::kParallelScan);
+        }
+        if (cores_halted) obs->on_phase(GcPhase::kDrain);
+        obs->on_cycle_end(
+            {now, false, sb.scan(), sb.free(), sb.busy_count()});
       }
-      if (trace != nullptr) {
-        if (sb.scan() != prev_scan) {
-          prev_scan = sb.scan();
-          trace->sample(now, sig_scan, prev_scan);
-        }
-        if (sb.free() != prev_free) {
-          prev_free = sb.free();
-          trace->sample(now, sig_free, prev_free);
-          trace->sample(now, sig_gray, sb.free() - sb.scan());
-        }
-        std::uint64_t busy = 0;
-        for (CoreId c = 0; c < n; ++c) busy += sb.busy(c) ? 1 : 0;
-        if (busy != prev_busy) {
-          prev_busy = busy;
-          trace->sample(now, sig_busy, busy);
-        }
+      if (cores_halted) {
+        // Store drain: from here on every core misses its clock.
+        halted_at = now;
+        for (GcCore& core : cores) core.miss_clock();
       }
-      // Fold this cycle's per-core records (cores that missed their clock
-      // — fail-stopped or already done — fold as idle-deconfigured) and
-      // commit the cycle's binding class to the critical path.
-      if (profiler != nullptr) profiler->end_cycle();
-    } else if (profiler != nullptr) {
-      profiler->drain_cycle();  // cores halted, store-drain window
+    } else if (obs != nullptr) {
+      obs->on_cycle_end({now, true});
     }
     ++now;
     if (cores_halted && (mem.stores_drained() ||
@@ -370,15 +281,7 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     if (now >= cfg_.coprocessor.watchdog_cycles) watchdog_abort();
   }
   } catch (const CollectionAbort& abort) {
-    // Close the telemetry epoch before propagating so the aborted attempt
-    // still renders as a complete, labeled slice of the timeline.
-    if (telemetry != nullptr) {
-      telemetry->instant(telemetry->track("coprocessor"),
-                         TelemetryCategory::kFault,
-                         std::string("abort [") + to_string(abort.reason()) +
-                             "]: " + abort.what());
-      telemetry->end_collection(now);
-    }
+    if (obs != nullptr) obs->on_collection_end(now, &abort);
     throw;
   }
 
@@ -386,14 +289,8 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   const Addr free_final = sb.free();
   heap_.flip();
   heap_.set_alloc_ptr(free_final);
-  if (telemetry != nullptr) {
-    telemetry->begin_cycle(now);
-    telemetry->instant(telemetry->track("coprocessor"),
-                       TelemetryCategory::kPhase, "flip");
-    telemetry->end_collection(now);
-  }
+  if (obs != nullptr) obs->on_collection_end(now, nullptr);
 
-  if (profiler != nullptr) profiler->end_collection();
   stats.total_cycles = now;
   stats.drain_cycles = now - halted_at;
   stats.restart_stores_drained = mem.stores_drained();

@@ -48,34 +48,29 @@ class Coprocessor {
   /// under injection the recovery layer (src/fault/recovery.hpp) catches
   /// the abort and retries.
   ///
-  /// If `trace` is non-null, the scan pointer, free pointer, gray-object
-  /// word count and busy-core count are sampled on change every cycle —
-  /// the software counterpart of the prototype's 32-signal FPGA monitor
-  /// (Section VI-A).
-  ///
   /// Cores are stepped each cycle in the order produced by the configured
   /// SchedulePolicy (cfg.coprocessor.schedule; fixed index order — the
-  /// prototype's static prioritization — by default). If `schedule_trace`
-  /// is non-null the most recent step orders are recorded there, so a
-  /// failing fuzz case can print the interleaving that broke it.
+  /// prototype's static prioritization — by default).
   ///
   /// `fault`, when non-null, is threaded through to the SyncBlock and the
   /// memory scheduler and consulted for each core's fate every cycle; the
   /// caller (normally RecoveringCollector) must have called begin_attempt.
   ///
-  /// `telemetry`, when non-null, receives the full typed event stream of
-  /// the cycle (phases, per-core activity spans, lock holds, FIFO and
-  /// memory counters, the flip) as one bus epoch; on a CollectionAbort the
-  /// epoch is closed with an abort instant before the exception propagates.
-  /// Pure observation: simulated cycle counts are identical with and
-  /// without a bus attached.
-  ///
-  /// `profiler`, when non-null, receives an exclusive stall-class
-  /// attribution for every cycle of every core (profile/stall_class.hpp)
-  /// plus the per-cycle binding class for the critical path. Unlike the
-  /// telemetry bus it does not disable fast-forward: quiescent windows
-  /// carry constant per-core classes, so they are absorbed in bulk and
-  /// the resulting CycleProfile is bit-identical to a ticked run.
+  /// The other four pointers are optional subscribers of the clock loop's
+  /// one per-cycle event stream (sim/clock_observer.hpp):
+  ///   * `trace` samples the scan and free pointers, gray-object word
+  ///     count and busy-core count on change — the software counterpart
+  ///     of the prototype's 32-signal FPGA monitor (Section VI-A);
+  ///   * `schedule_trace` keeps the most recent step orders, so a failing
+  ///     fuzz case can print the interleaving that broke it;
+  ///   * `telemetry` records phases, per-core activity spans, lock holds,
+  ///     FIFO and memory counters and the flip as one bus epoch; on a
+  ///     CollectionAbort the epoch is closed with an abort instant;
+  ///   * `profiler` attributes every cycle of every core to one stall
+  ///     class (profile/stall_class.hpp) plus the per-cycle binding class.
+  /// Pure observation: the simulated result is identical with and without
+  /// them, and none of them keeps the clock from fast-forwarding — each
+  /// absorbs a quiescent window in bulk, bit-identically to a ticked run.
   GcCycleStats collect(SignalTrace* trace = nullptr,
                        ScheduleTrace* schedule_trace = nullptr,
                        FaultInjector* fault = nullptr,

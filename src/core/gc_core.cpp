@@ -15,20 +15,26 @@ GcCore::GcCore(CoreId id, GcContext& ctx)
       start_barrier_gen_(ctx.sb.barrier_generation()) {}
 
 GcCore::FfPoll GcCore::ff_poll() const {
-  FfPoll p;  // defaults to kFail: execute the cycle normally
+  FfPoll p;  // not steady: execute the cycle normally
+  const auto steady = [&p](CoreCycle c, CoreId blocker = kNoCore) {
+    p.steady = true;
+    p.cycle = c;
+    p.blocker = blocker;
+    return p;
+  };
+  const auto stalled = [](StallReason r) {
+    return CoreCycle{CoreActivity::kStall, r};
+  };
   switch (state_) {
     case State::kDone:
-      p.kind = FfPoll::Kind::kSkip;
-      return p;
+      return steady(CoreCycle{});
     case State::kStartBarrier:
       // Steady only once this core's arrival is registered (re-arrival is
       // idempotent) and the barrier has not released; the first arrival
       // and the release transition must run live.
       if (ctx_.sb.barrier_generation() > start_barrier_gen_) return p;
       if (!ctx_.sb.barrier_arrived(id_)) return p;
-      p.kind = FfPoll::Kind::kStall;
-      p.reason = StallReason::kBarrier;
-      return p;
+      return steady(stalled(StallReason::kBarrier));
     case State::kFetchWork: {
       if (ctx_.sb.worklist_empty()) {
         // An idle poll would grab dispensed stripe work — progress.
@@ -38,17 +44,15 @@ GcCore::FfPoll GcCore::ff_poll() const {
         // Spin on the empty worklist. The caller vetoes this when the
         // termination condition holds (the spin would end right now) —
         // that needs the fault-steady view of the busy bits.
-        p.kind = FfPoll::Kind::kIdle;
-        return p;
+        return steady(CoreCycle{CoreActivity::kIdle});
       }
       const CoreId owner = ctx_.sb.scan_owner();
       if (owner != SyncBlock::kNoOwner && owner != id_) {
         // Scan lock held across cycles: the owner sits in kFetchHeaderWait
         // (FIFO-miss header read under the lock). Steady while the owner is.
-        p.kind = FfPoll::Kind::kStall;
-        p.reason = StallReason::kScanLock;
-        p.blocker = owner;
-      } else if (owner == SyncBlock::kNoOwner) {
+        return steady(stalled(StallReason::kScanLock), owner);
+      }
+      if (owner == SyncBlock::kNoOwner) {
         // Would acquire and make progress — unless an injected grant
         // suppression is steadily withholding the lock.
         p.if_suppressed = StallReason::kScanLock;
@@ -58,31 +62,21 @@ GcCore::FfPoll GcCore::ff_poll() const {
     case State::kFetchHeaderWait:
     case State::kChildPeekWait:
     case State::kChildHeaderWait:
-      if (ctx_.mem.load_pending(id_, Port::kHeader)) {
-        p.kind = FfPoll::Kind::kStall;
-        p.reason = StallReason::kHeaderLoad;
-      }
-      return p;
+      if (!ctx_.mem.load_pending(id_, Port::kHeader)) return p;
+      return steady(stalled(StallReason::kHeaderLoad));
     case State::kPtrLoadWait:
     case State::kDataLoadWait:
     case State::kStripeLoadWait:
       // The store-buffer-busy sub-cases of these states never coexist with
       // a fast-forward window: a waiting store sits in the scheduler queue
       // and is acceptable, which already fails the memory gate.
-      if (ctx_.mem.load_pending(id_, Port::kBody)) {
-        p.kind = FfPoll::Kind::kStall;
-        p.reason = StallReason::kBodyLoad;
-      }
-      return p;
+      if (!ctx_.mem.load_pending(id_, Port::kBody)) return p;
+      return steady(stalled(StallReason::kBodyLoad));
     case State::kChildLock: {
       const CoreId holder =
           ctx_.sb.header_lock_holder(id_, attributes_addr(child_));
-      if (holder != SyncBlock::kNoOwner) {
-        p.kind = FfPoll::Kind::kStall;
-        p.reason = StallReason::kHeaderLock;
-        p.blocker = holder;
-      }
-      return p;
+      if (holder == SyncBlock::kNoOwner) return p;
+      return steady(stalled(StallReason::kHeaderLock), holder);
     }
     case State::kEvacuate: {
       if (ctx_.mem.store_slots_free(id_, Port::kHeader) < 2) {
@@ -92,10 +86,9 @@ GcCore::FfPoll GcCore::ff_poll() const {
       if (owner != SyncBlock::kNoOwner && owner != id_) {
         // Free lock held across cycles only by a fail-stopped core that
         // died at the grant; the blocker check confirms it is dead.
-        p.kind = FfPoll::Kind::kStall;
-        p.reason = StallReason::kFreeLock;
-        p.blocker = owner;
-      } else if (owner == SyncBlock::kNoOwner) {
+        return steady(stalled(StallReason::kFreeLock), owner);
+      }
+      if (owner == SyncBlock::kNoOwner) {
         p.if_suppressed = StallReason::kFreeLock;
       }
       return p;
@@ -109,6 +102,7 @@ GcCore::FfPoll GcCore::ff_poll() const {
 
 void GcCore::step(Cycle now) {
   now_ = now;
+  cycle_ = {};  // a finished core's step is a no-op: it stays kOff
   switch (state_) {
     case State::kRootInit: do_root_init(); break;
     case State::kStartBarrier: do_start_barrier(); break;

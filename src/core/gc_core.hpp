@@ -21,11 +21,9 @@
 #include "heap/heap.hpp"
 #include "mem/header_fifo.hpp"
 #include "mem/memory_system.hpp"
-#include "profile/cycle_profiler.hpp"
 #include "sim/config.hpp"
 #include "sim/counters.hpp"
 #include "sim/types.hpp"
-#include "telemetry/telemetry_bus.hpp"
 
 namespace hwgc {
 
@@ -36,20 +34,29 @@ struct GcContext {
   HeaderFifo& fifo;
   Heap& heap;
   CoprocessorConfig cfg;
-  TelemetryBus* bus = nullptr;  ///< optional observability sink
-  /// Optional stall-attribution sink (profile/cycle_profiler.hpp). Same
-  /// pay-for-use contract as the bus: null costs one branch per
-  /// core-cycle — but unlike the bus it does not suppress fast-forward
-  /// (quiescent windows are absorbed in bulk, bit-identically).
-  CycleProfiler* profiler = nullptr;
 };
 
 class GcCore {
  public:
   GcCore(CoreId id, GcContext& ctx);
 
-  /// Advances the core by one clock cycle.
+  /// Advances the core by one clock cycle, records what it did (cycle())
+  /// and charges the record to its counters.
   void step(Cycle now);
+
+  /// Called by the clock loop instead of step() when an injected transient
+  /// stall holds the core's clock for this cycle.
+  void note_fault_stall() noexcept { stall(StallReason::kFault); }
+
+  /// Called by the clock loop instead of step() when the core misses its
+  /// clock (finished, fail-stopped, or halted for the store drain).
+  void miss_clock() noexcept { cycle_ = {}; }
+
+  /// This core's record of the last cycle the clock loop ran.
+  CoreCycle cycle() const noexcept { return cycle_; }
+
+  /// Charges `k` more copies of the last cycle's record (fast-forward).
+  void absorb(Cycle k) noexcept { counters_.add(cycle_, k); }
 
   /// True once the core has observed global termination (scan == free with
   /// every busy bit clear) and left the scan loop.
@@ -58,52 +65,32 @@ class GcCore {
   CoreId id() const noexcept { return id_; }
   const CoreCounters& counters() const noexcept { return counters_; }
 
-  /// Called by the clock loop instead of step() when an injected transient
-  /// stall holds the core's clock for this cycle.
-  void note_fault_stall() { stall(StallReason::kFault); }
-
-  /// Monotone progress signature for the watchdog's per-core activity
-  /// monitor: advances every cycle the core is stepped (work, idle spin or
-  /// stall all count), freezes only when the core misses its clock — which
-  /// under fault injection means a fail-stopped core.
-  Cycle activity_signature() const noexcept {
-    return counters_.busy_cycles + counters_.idle_cycles +
-           counters_.total_stalls();
-  }
-
   // --- fast-forward support (DESIGN.md §13) -------------------------------
 
-  /// Core-local quiescence classification. A core is quiescent when every
-  /// upcoming step() until some external event is an exact repetition with
-  /// a precomputable effect:
-  ///   kSkip  — done: step() is a no-op, counters frozen;
-  ///   kStall — stalls with `reason` every cycle; when the stall is on a
-  ///            lock, `blocker` names the holder, who must be quiescent
-  ///            too for the wait to be steady;
-  ///   kIdle  — spins on an empty worklist (idle_cycles advances); the
-  ///            caller must still rule out the termination transition and
-  ///            stripe work (they need fault-steady global views);
-  ///   kFail  — the next step makes progress or mutates shared state: the
-  ///            cycle must be executed normally.
-  /// Pure: consults no fault hooks and mutates nothing. Fault fates
-  /// (stall windows, fail-stop) override this in the clock loop.
+  /// Core-local quiescence classification. A core is `steady` when every
+  /// upcoming step() until some external event repeats with the record
+  /// `cycle`:
+  ///   kOff   — done: step() is a no-op;
+  ///   kStall — stalls for the same reason every cycle; when the stall is
+  ///            on a lock, `blocker` names the holder, who must be steady
+  ///            too for the wait to be;
+  ///   kIdle  — spins on an empty worklist; the caller must still rule out
+  ///            the termination transition and stripe work (they need
+  ///            fault-steady global views).
+  /// Not steady: the next step makes progress or mutates shared state, so
+  /// the cycle must be executed normally. Pure: consults no fault hooks and
+  /// mutates nothing. Fault fates (stall windows, fail-stop) override this
+  /// in the clock loop.
   struct FfPoll {
-    enum class Kind : std::uint8_t { kFail, kSkip, kStall, kIdle };
-    Kind kind = Kind::kFail;
-    StallReason reason = StallReason::kNone;
+    bool steady = false;
+    CoreCycle cycle;
     CoreId blocker = kNoCore;
-    /// kFail while an uncontended scan/free lock acquisition is the only
-    /// obstacle: an injected steady grant suppression turns these into
-    /// kStall(kScanLock/kFreeLock). kNone otherwise.
+    /// Set while an uncontended scan/free lock acquisition is the only
+    /// obstacle: an injected steady grant suppression turns the core into
+    /// a steady kScanLock/kFreeLock stall.
     StallReason if_suppressed = StallReason::kNone;
   };
   FfPoll ff_poll() const;
-
-  /// Applies `k` cycles of the classified steady behavior in one step.
-  void ff_absorb_stall(StallReason r, Cycle k) noexcept {
-    counters_.stalls[static_cast<std::size_t>(r)] += k;
-  }
-  void ff_absorb_idle(Cycle k) noexcept { counters_.idle_cycles += k; }
 
  private:
   enum class State : std::uint8_t {
@@ -132,26 +119,16 @@ class GcCore {
     kDone,
   };
 
-  // Every clock cycle a stepped core spends lands in exactly one of these
-  // three accountings; each also publishes the cycle's activity to the
-  // telemetry bus (observation only — simulated timing is unaffected).
-  void stall(StallReason r) {
-    counters_.add_stall(r);
-    if (ctx_.bus != nullptr) {
-      ctx_.bus->core_cycle(id_, CoreActivity::kStall, r);
-    }
-    if (ctx_.profiler != nullptr) ctx_.profiler->record_stall(id_, r);
+  // Every clock cycle a stepped core spends is recorded as exactly one of
+  // these and charged to its counters; the clock loop publishes the record
+  // to its observer.
+  void record(CoreCycle c) noexcept {
+    cycle_ = c;
+    counters_.add(c);
   }
-  void work() {
-    ++counters_.busy_cycles;
-    if (ctx_.bus != nullptr) ctx_.bus->core_cycle(id_, CoreActivity::kBusy);
-    if (ctx_.profiler != nullptr) ctx_.profiler->record_work(id_);
-  }
-  void idle() {
-    ++counters_.idle_cycles;
-    if (ctx_.bus != nullptr) ctx_.bus->core_cycle(id_, CoreActivity::kIdle);
-    if (ctx_.profiler != nullptr) ctx_.profiler->record_idle(id_);
-  }
+  void stall(StallReason r) noexcept { record({CoreActivity::kStall, r}); }
+  void work() noexcept { record({CoreActivity::kBusy}); }
+  void idle() noexcept { record({CoreActivity::kIdle}); }
 
   // State handlers; each models exactly one clock cycle.
   void do_root_init();
@@ -197,6 +174,7 @@ class GcCore {
   CoreId id_;
   GcContext& ctx_;
   CoreCounters counters_{};
+  CoreCycle cycle_{};  ///< what the core did in the last cycle
   State state_;
   Cycle now_ = 0;  ///< current clock, for abort reports
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/sync_block.hpp"
+#include "sim/clock_observer.hpp"
 #include "sim/config.hpp"
 #include "sim/types.hpp"
 
@@ -47,7 +48,7 @@ bool parse_schedule_policy(const std::string& name, SchedulePolicyKind& out);
 /// Bounded ring of the most recent step orders. The fuzz driver attaches
 /// one to Coprocessor::collect and prints it when the differential oracle
 /// fails, so the interleaving that produced the failure can be read off.
-class ScheduleTrace {
+class ScheduleTrace final : public ClockObserver {
  public:
   explicit ScheduleTrace(std::size_t capacity = 64) : capacity_(capacity) {}
 
@@ -57,17 +58,22 @@ class ScheduleTrace {
     ring_.emplace_back(now, order);
   }
 
-  /// Equivalent of `count` consecutive record() calls for cycles
-  /// [first, first+count) that all step the same `order` — the fast-forward
-  /// path's way of keeping the ring and the recorded count bit-identical
-  /// to a ticked run without materializing the skipped cycles.
-  void record_repeated(Cycle first, Cycle count,
-                       const std::vector<CoreId>& order) {
-    recorded_ += count;
-    Cycle i = count > capacity_ ? count - capacity_ : 0;
-    for (; i < count; ++i) {
+  // --- ClockObserver: one entry per core-stepping cycle ---------------------
+
+  void on_cycle_begin(Cycle now, const std::vector<CoreId>* order) override {
+    stepping_ = order != nullptr;
+    if (stepping_) record(now, *order);
+  }
+
+  /// Replays the last order for the k skipped cycles without materializing
+  /// more than the ring keeps.
+  void absorb(Cycle k) override {
+    if (!stepping_ || ring_.empty()) return;
+    const auto [last, order] = ring_.back();
+    recorded_ += k;
+    for (Cycle i = k > capacity_ ? k - capacity_ : 0; i < k; ++i) {
       if (ring_.size() >= capacity_) ring_.pop_front();
-      ring_.emplace_back(first + i, order);
+      ring_.emplace_back(last + 1 + i, order);
     }
   }
 
@@ -84,6 +90,7 @@ class ScheduleTrace {
   std::size_t capacity_;
   std::deque<std::pair<Cycle, std::vector<CoreId>>> ring_;
   std::uint64_t recorded_ = 0;
+  bool stepping_ = false;  ///< the last observed cycle stepped the cores
 };
 
 }  // namespace hwgc

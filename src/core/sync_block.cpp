@@ -4,12 +4,14 @@
 #include <cassert>
 
 #include "fault/fault_injector.hpp"
-#include "telemetry/telemetry_bus.hpp"
+#include "sim/clock_observer.hpp"
 
 namespace hwgc {
 
-SyncBlock::SyncBlock(std::uint32_t num_cores, FaultInjector* fault)
+SyncBlock::SyncBlock(std::uint32_t num_cores, FaultInjector* fault,
+                     ClockObserver* obs)
     : fault_(fault),
+      obs_(obs),
       header_locks_(num_cores),
       busy_(num_cores, 0),
       barrier_arrived_(num_cores, 0) {
@@ -42,7 +44,7 @@ bool SyncBlock::try_lock_scan(CoreId core) {
   audit(core, "scan");
   scan_owner_ = core;
   scan_acquired_this_cycle_ = true;
-  if (tel_ != nullptr) tel_->lock_acquired(SbLock::kScan, core);
+  if (obs_ != nullptr) obs_->on_lock_acquired(SbLock::kScan, core);
   return true;
 }
 
@@ -50,7 +52,7 @@ void SyncBlock::unlock_scan(CoreId core) {
   assert(scan_owner_ == core && "unlock by non-owner");
   (void)core;
   scan_owner_ = kNoOwner;
-  if (tel_ != nullptr) tel_->lock_released(SbLock::kScan, core);
+  if (obs_ != nullptr) obs_->on_lock_released(SbLock::kScan, core);
 }
 
 bool SyncBlock::try_lock_free(CoreId core) {
@@ -69,12 +71,12 @@ bool SyncBlock::try_lock_free(CoreId core) {
     free_acquired_this_cycle_ = true;
     // Publish the acquisition: the timeline should show the dead core
     // holding the free lock for the rest of the attempt.
-    if (tel_ != nullptr) tel_->lock_acquired(SbLock::kFree, core);
+    if (obs_ != nullptr) obs_->on_lock_acquired(SbLock::kFree, core);
     return false;
   }
   free_owner_ = core;
   free_acquired_this_cycle_ = true;
-  if (tel_ != nullptr) tel_->lock_acquired(SbLock::kFree, core);
+  if (obs_ != nullptr) obs_->on_lock_acquired(SbLock::kFree, core);
   return true;
 }
 
@@ -82,7 +84,7 @@ void SyncBlock::unlock_free(CoreId core) {
   assert(free_owner_ == core && "unlock by non-owner");
   (void)core;
   free_owner_ = kNoOwner;
-  if (tel_ != nullptr) tel_->lock_released(SbLock::kFree, core);
+  if (obs_ != nullptr) obs_->on_lock_released(SbLock::kFree, core);
 }
 
 bool SyncBlock::try_lock_header(CoreId core, Addr addr) {
@@ -113,6 +115,17 @@ bool SyncBlock::all_idle() const {
     if (busy(c)) return false;
   }
   return true;
+}
+
+std::uint32_t SyncBlock::busy_count() const {
+  std::uint32_t count = 0;
+  for (CoreId c = 0; c < num_cores(); ++c) {
+    if (busy_[c] != 0 ||
+        (fault_ != nullptr && fault_->stuck_busy_steady(c))) {
+      ++count;
+    }
+  }
+  return count;
 }
 
 bool SyncBlock::stripe_publish(Addr orig, Addr copy, Word attrs) {

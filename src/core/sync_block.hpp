@@ -35,18 +35,16 @@
 namespace hwgc {
 
 class FaultInjector;
-class TelemetryBus;
-enum class SbLock : std::uint8_t;
+class ClockObserver;
 
 class SyncBlock {
  public:
   /// `fault`, when non-null, can suppress scan/free lock grants (spurious
-  /// arbitration failure) and force busy bits to read stuck-at-1.
-  explicit SyncBlock(std::uint32_t num_cores, FaultInjector* fault = nullptr);
-
-  /// Publishes scan-/free-lock hold spans to the bus (observability only;
-  /// never affects arbitration).
-  void attach_telemetry(TelemetryBus* bus) noexcept { tel_ = bus; }
+  /// arbitration failure) and force busy bits to read stuck-at-1. `obs`,
+  /// when non-null, sees every scan-/free-lock acquisition and release
+  /// (observation only; never affects arbitration).
+  explicit SyncBlock(std::uint32_t num_cores, FaultInjector* fault = nullptr,
+                     ClockObserver* obs = nullptr);
 
   std::uint32_t num_cores() const noexcept {
     return static_cast<std::uint32_t>(busy_.size());
@@ -132,6 +130,11 @@ class SyncBlock {
   /// True when no core's busy bit is set — combined with scan == free this
   /// is the termination condition of Section IV.
   bool all_idle() const;
+
+  /// Number of ScanState bits set as a monitor tap sees them: the
+  /// architectural bits plus any stuck-at-1 fault already latched. Unlike
+  /// busy() it consults no fault hook, so observing it fires nothing.
+  std::uint32_t busy_count() const;
 
   // --- stripe dispenser (Section VII future work 1) -------------------------
   //
@@ -224,7 +227,7 @@ class SyncBlock {
   void audit(CoreId core, const char* acquiring);
 
   FaultInjector* fault_ = nullptr;
-  TelemetryBus* tel_ = nullptr;
+  ClockObserver* obs_ = nullptr;
   Addr scan_ = 0;
   Addr free_ = 0;
   Addr alloc_top_ = ~Addr{0};

@@ -20,10 +20,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
 
+#include "sim/clock_observer.hpp"
 #include "sim/types.hpp"
-#include "telemetry/telemetry_bus.hpp"
 
 namespace hwgc {
 
@@ -35,13 +34,9 @@ class HeaderFifo {
     Addr backlink = kNullPtr;      ///< fromspace original
   };
 
-  explicit HeaderFifo(std::uint32_t capacity) : capacity_(capacity) {}
-
-  /// Publishes FIFO occupancy (counter) and overflow events to the bus.
-  void attach_telemetry(TelemetryBus* bus) {
-    tel_ = bus;
-    if (bus != nullptr) depth_series_ = bus->counter_series("fifo_depth");
-  }
+  /// `obs`, when non-null, sees every push, pop and overflow.
+  explicit HeaderFifo(std::uint32_t capacity, ClockObserver* obs = nullptr)
+      : capacity_(capacity), obs_(obs) {}
 
   std::uint32_t capacity() const noexcept { return capacity_; }
   std::size_t size() const noexcept { return entries_.size(); }
@@ -52,21 +47,11 @@ class HeaderFifo {
   bool push(Entry e) {
     if (entries_.size() >= capacity_) {
       ++overflows_;
-      if (tel_ != nullptr) {
-        // The first overflow is the interesting state change; later ones
-        // only move the counter (cup overflows tens of thousands of times).
-        if (overflows_ == 1) {
-          tel_->instant(tel_->track("header-fifo"), TelemetryCategory::kFifo,
-                        "header FIFO overflow (capacity " +
-                            std::to_string(capacity_) + ")");
-        }
-        tel_->counter_sample(tel_->counter_series("fifo_overflows"),
-                             overflows_);
-      }
+      if (obs_ != nullptr) obs_->on_fifo_overflow(overflows_, capacity_);
       return false;
     }
     entries_.push_back(e);
-    if (tel_ != nullptr) tel_->counter_sample(depth_series_, entries_.size());
+    if (obs_ != nullptr) obs_->on_fifo_push(entries_.size());
     return true;
   }
 
@@ -85,7 +70,7 @@ class HeaderFifo {
     out = entries_.front();
     entries_.pop_front();
     ++hits_;
-    if (tel_ != nullptr) tel_->counter_sample(depth_series_, entries_.size());
+    if (obs_ != nullptr) obs_->on_fifo_pop(entries_.size());
     return true;
   }
 
@@ -97,8 +82,7 @@ class HeaderFifo {
 
  private:
   std::uint32_t capacity_;
-  TelemetryBus* tel_ = nullptr;
-  std::uint32_t depth_series_ = 0;
+  ClockObserver* obs_ = nullptr;
   std::deque<Entry> entries_;
   std::uint64_t overflows_ = 0;
   std::uint64_t hits_ = 0;

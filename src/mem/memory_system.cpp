@@ -3,23 +3,19 @@
 #include <cassert>
 
 #include "fault/fault_injector.hpp"
-#include "telemetry/telemetry_bus.hpp"
+#include "sim/clock_observer.hpp"
 
 namespace hwgc {
 
 MemorySystem::MemorySystem(const MemoryConfig& cfg, std::uint32_t num_cores,
-                           FaultInjector* fault)
+                           FaultInjector* fault, ClockObserver* obs)
     : cfg_(cfg),
       fault_(fault),
+      obs_(obs),
       buffers_(static_cast<std::size_t>(num_cores) * kPortCount),
       jitter_rng_(cfg.jitter_seed) {
   if (cfg_.max_outstanding == 0) cfg_.max_outstanding = 4 * num_cores;
   cache_tags_.assign(cfg_.header_cache_entries, kNullPtr);
-}
-
-void MemorySystem::attach_telemetry(TelemetryBus* bus) {
-  tel_ = bus;
-  if (bus != nullptr) tel_inflight_series_ = bus->counter_series("mem_inflight");
 }
 
 bool MemorySystem::header_cache_lookup_and_fill(Addr addr) {
@@ -55,15 +51,10 @@ void MemorySystem::issue_load(CoreId core, Port port, Addr addr) {
 
 void MemorySystem::tick(Cycle now) {
   // Idle early-out: with nothing queued or in flight the retire and accept
-  // passes are no-ops, so skip them (idle components cost nothing). Only
-  // the sample-on-change telemetry contract must still be honored: the
-  // first idle tick after activity (or ever) publishes the 0.
-  if (queue_.empty() && inflight_header_.empty() &&
-      inflight_header_fast_.empty() && inflight_body_.empty()) {
-    if (tel_ != nullptr && tel_prev_inflight_ != 0) {
-      tel_prev_inflight_ = 0;
-      tel_->counter_sample(tel_inflight_series_, 0);
-    }
+  // passes are no-ops, so skip them (idle components cost nothing) — the
+  // observer still sees the tick's in-flight count.
+  if (idle()) {
+    if (obs_ != nullptr) obs_->on_mem_inflight(0);
     return;
   }
   // 1. Retire transactions whose latency has elapsed. Within each port
@@ -163,14 +154,10 @@ void MemorySystem::tick(Cycle now) {
     ++accepted;
   }
 
-  if (tel_ != nullptr) {
-    const std::uint64_t inflight_now = inflight_header_.size() +
-                                       inflight_header_fast_.size() +
-                                       inflight_body_.size();
-    if (inflight_now != tel_prev_inflight_) {
-      tel_prev_inflight_ = inflight_now;
-      tel_->counter_sample(tel_inflight_series_, inflight_now);
-    }
+  if (obs_ != nullptr) {
+    obs_->on_mem_inflight(inflight_header_.size() +
+                          inflight_header_fast_.size() +
+                          inflight_body_.size());
   }
 }
 

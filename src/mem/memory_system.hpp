@@ -39,8 +39,8 @@
 
 namespace hwgc {
 
+class ClockObserver;
 class FaultInjector;
-class TelemetryBus;
 
 class MemorySystem {
  public:
@@ -52,13 +52,10 @@ class MemorySystem {
 
   /// `fault`, when non-null, is consulted for every accepted transaction
   /// (src/fault/): it can drop the transaction, stretch its latency or
-  /// schedule a ghost duplicate of a store.
+  /// schedule a ghost duplicate of a store. `obs`, when non-null, sees the
+  /// in-flight transaction count after every tick (observation only).
   MemorySystem(const MemoryConfig& cfg, std::uint32_t num_cores,
-               FaultInjector* fault = nullptr);
-
-  /// Publishes the in-flight transaction count (sampled on change each
-  /// tick) to the bus. Observability only; timing is unaffected.
-  void attach_telemetry(TelemetryBus* bus);
+               FaultInjector* fault = nullptr, ClockObserver* obs = nullptr);
 
   // --- Core-side buffer interface ---------------------------------------
 
@@ -178,9 +175,7 @@ class MemorySystem {
 
   MemoryConfig cfg_;
   FaultInjector* fault_ = nullptr;
-  TelemetryBus* tel_ = nullptr;
-  std::uint32_t tel_inflight_series_ = 0;
-  std::uint64_t tel_prev_inflight_ = ~std::uint64_t{0};
+  ClockObserver* obs_ = nullptr;
   std::vector<PortBuffer> buffers_;  // num_cores x kPortCount
   std::deque<Request> queue_;        // issued, not yet accepted
   // Accepted requests of one latency class complete in acceptance order

@@ -1,5 +1,7 @@
 #include "profile/cycle_profiler.hpp"
 
+#include <algorithm>
+
 namespace hwgc {
 
 namespace {
@@ -26,12 +28,12 @@ StallClass binding_of(const std::array<std::uint32_t, kStallClassCount>& pop,
 
 }  // namespace
 
-void CycleProfiler::begin_collection(std::uint32_t cores) {
+void CycleProfiler::on_collection_begin(std::uint32_t cores) {
   profile_ = CycleProfile{};
   profile_.cores = cores;
   profile_.per_core.assign(cores, CycleProfile::ClassTotals{});
-  cur_.assign(cores, StallClass::kIdleDeconfigured);
-  seen_.assign(cores, 0);
+  cls_.assign(cores, StallClass::kIdleDeconfigured);
+  binding_ = StallClass::kIdleDeconfigured;
 }
 
 void CycleProfiler::commit(StallClass b, Cycle k) {
@@ -44,38 +46,28 @@ void CycleProfiler::commit(StallClass b, Cycle k) {
   profile_.total_cycles += k;
 }
 
-void CycleProfiler::end_cycle() {
-  std::array<std::uint32_t, kStallClassCount> pop{};
-  std::uint32_t clocked = 0;
-  for (std::size_t c = 0; c < cur_.size(); ++c) {
-    const StallClass cls =
-        seen_[c] != 0 ? cur_[c] : StallClass::kIdleDeconfigured;
-    clocked += seen_[c] != 0 ? 1u : 0u;
-    seen_[c] = 0;
-    ++profile_.per_core[c][static_cast<std::size_t>(cls)];
-    ++pop[static_cast<std::size_t>(cls)];
+void CycleProfiler::on_cycle_end(const ClockSample& s) {
+  if (s.draining) {
+    // Every core halted: the store buffers are all the coprocessor waits on.
+    std::fill(cls_.begin(), cls_.end(), StallClass::kIdleDeconfigured);
+    binding_ = StallClass::kMemPort;
+  } else {
+    std::array<std::uint32_t, kStallClassCount> pop{};
+    std::uint32_t clocked = 0;
+    for (const StallClass cls : cls_) {
+      ++pop[static_cast<std::size_t>(cls)];
+      if (cls != StallClass::kIdleDeconfigured) ++clocked;
+    }
+    binding_ = binding_of(pop, clocked);
   }
-  commit(binding_of(pop, clocked), 1);
+  absorb(1);
 }
 
-void CycleProfiler::drain_cycle() { absorb_drain(1); }
-
-void CycleProfiler::absorb(const std::vector<StallClass>& cls, Cycle k) {
-  std::array<std::uint32_t, kStallClassCount> pop{};
-  std::uint32_t clocked = 0;
-  for (std::size_t c = 0; c < cls.size(); ++c) {
-    profile_.per_core[c][static_cast<std::size_t>(cls[c])] += k;
-    ++pop[static_cast<std::size_t>(cls[c])];
-    if (cls[c] != StallClass::kIdleDeconfigured) ++clocked;
+void CycleProfiler::absorb(Cycle k) {
+  for (std::size_t c = 0; c < cls_.size(); ++c) {
+    profile_.per_core[c][static_cast<std::size_t>(cls_[c])] += k;
   }
-  commit(binding_of(pop, clocked), k);
-}
-
-void CycleProfiler::absorb_drain(Cycle k) {
-  constexpr auto kDeconf =
-      static_cast<std::size_t>(StallClass::kIdleDeconfigured);
-  for (auto& pc : profile_.per_core) pc[kDeconf] += k;
-  commit(StallClass::kMemPort, k);
+  commit(binding_, k);
 }
 
 }  // namespace hwgc

@@ -1,12 +1,12 @@
 // CycleProfiler — per-cycle stall attribution for one collection cycle
-// (the tentpole of the observability work; DESIGN.md §15).
+// (DESIGN.md §15).
 //
-// The profiler rides the same seam as the TelemetryBus: GcCore's three-way
-// work()/stall()/idle() accounting publishes each stepped core's cycle
-// class, and the Coprocessor clock loop closes every cycle — folding
-// unstepped cores (done, fail-stopped, drain window) into
-// idle-deconfigured, so the attribution is *exhaustive*: for every core,
-// the per-class totals sum to the collection's elapsed cycles exactly.
+// The profiler is a subscriber of the coprocessor's per-cycle event stream
+// (sim/clock_observer.hpp): every cycle the clock loop publishes one
+// CoreCycle record per core — kOff for a core that missed its clock
+// (done, fail-stopped, store-drain window) — and closes the cycle, so the
+// attribution is *exhaustive*: for every core, the per-class totals sum to
+// the collection's elapsed cycles exactly.
 //
 // On top of the per-core totals the profiler keeps a per-cycle *binding
 // class* — which resource bound that cycle — as a run-length-encoded
@@ -17,18 +17,15 @@
 //     break toward the smaller enum value, i.e. the scan lock outranks
 //     memory);
 //   * a cycle with no clocked core at all is idle-deconfigured — except
-//     the store-drain window, which is bound by the memory ports
-//     (drain_cycle(): the only thing the coprocessor is waiting on is
-//     its store buffers).
+//     the store-drain window, which is bound by the memory ports (the
+//     only thing the coprocessor is waiting on is its store buffers).
 // The critical path of a collection is this binding stream (see
 // profile/critical_path.hpp for the walker and the validator).
 //
-// Pay-for-use: a null profiler pointer costs one branch per core-cycle,
-// the same contract as the bus — and unlike the bus the profiler does NOT
-// suppress quiescent fast-forward: during a quiescent window every core's
-// class is constant by construction, so the clock loop applies the window
-// in bulk through absorb()/absorb_drain() and the resulting profile is
-// bit-identical to a ticked run (tests/test_profile.cpp proves it).
+// Fast-forward: closing a cycle charges it through absorb(1), and a
+// quiescent window arrives as absorb(k) — k more copies of the cycle just
+// closed — so a fast-forwarded profile is bit-identical to a ticked one
+// by construction (tests/test_fast_forward.cpp checks it end to end).
 #pragma once
 
 #include <array>
@@ -36,6 +33,7 @@
 #include <vector>
 
 #include "profile/stall_class.hpp"
+#include "sim/clock_observer.hpp"
 #include "sim/counters.hpp"
 #include "sim/types.hpp"
 
@@ -96,64 +94,44 @@ struct CycleProfile {
   }
 };
 
-class CycleProfiler {
+class CycleProfiler final : public ClockObserver {
  public:
   /// Resets all state for a fresh collection attempt on `cores` cores.
-  /// The recovery ladder calls this once per attempt, so an aborted
+  /// The recovery ladder runs one attempt per call, so an aborted
   /// attempt's partial attribution is discarded and only the final,
   /// successful attempt's profile survives.
-  void begin_collection(std::uint32_t cores);
+  void on_collection_begin(std::uint32_t cores) override;
 
-  // --- per-cycle publications from GcCore (exactly one per stepped core) --
-  void record_work(CoreId c) noexcept { set(c, StallClass::kCompute); }
-  void record_stall(CoreId c, StallReason r) noexcept { set(c, class_of(r)); }
-  void record_idle(CoreId c) noexcept { set(c, StallClass::kWorklistStarved); }
+  /// Finalizes the profile of a completed collection; an aborted one
+  /// stays invalid.
+  void on_collection_end(Cycle, const CollectionAbort* abort) override {
+    profile_.valid = abort == nullptr;
+  }
 
-  // --- clock-loop hooks ---------------------------------------------------
-  /// Closes one live (core-stepping) cycle: cores that did not report are
-  /// charged idle-deconfigured, the binding class is computed and the RLE
-  /// stream extended.
-  void end_cycle();
+  void on_core_cycle(CoreId c, CoreCycle rec) override {
+    cls_[c] = class_of(rec);
+  }
 
-  /// Closes one store-drain cycle (all cores halted): every core is
-  /// idle-deconfigured and the memory ports bind.
-  void drain_cycle();
+  /// Closes one cycle: computes its binding class and charges it once.
+  void on_cycle_end(const ClockSample& s) override;
 
-  /// Bulk application of `k` quiescent cycles whose per-core classes are
-  /// `cls` (one entry per core, constant across the window) — the
-  /// fast-forward path. Exactly equivalent to k end_cycle() calls with
-  /// the same per-core reports.
-  void absorb(const std::vector<StallClass>& cls, Cycle k);
-
-  /// Bulk application of `k` store-drain cycles (fast-forward while
-  /// halted). Exactly equivalent to k drain_cycle() calls.
-  void absorb_drain(Cycle k);
-
-  /// Finalizes the profile of a completed collection.
-  void end_collection() { profile_.valid = true; }
+  /// Charges `k` more copies of the cycle just closed.
+  void absorb(Cycle k) override;
 
   /// Marks the collection as not coprocessor-profiled (sequential
   /// fallback): the profile stays invalid and empty of cycles.
-  void mark_unprofiled() {
-    begin_collection(0);
-    profile_.valid = false;
-  }
+  void mark_unprofiled() { on_collection_begin(0); }
 
   const CycleProfile& profile() const noexcept { return profile_; }
   CycleProfile take_profile() { return std::move(profile_); }
 
  private:
-  void set(CoreId c, StallClass cls) noexcept {
-    cur_[c] = cls;
-    seen_[c] = 1;
-  }
-
   /// Adds `k` cycles bound by `b` to the critical totals + RLE stream.
   void commit(StallClass b, Cycle k);
 
   CycleProfile profile_;
-  std::vector<StallClass> cur_;
-  std::vector<std::uint8_t> seen_;
+  std::vector<StallClass> cls_;  ///< per-core class of the last cycle
+  StallClass binding_ = StallClass::kIdleDeconfigured;  ///< of the last cycle
 };
 
 }  // namespace hwgc

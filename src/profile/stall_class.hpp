@@ -25,9 +25,9 @@
 //                      store-drain window;
 //   fault              an injected transient stall held the core's clock.
 //
-// Exclusivity is inherited from the core's step accounting: each stepped
-// cycle calls exactly one of work()/stall()/idle(), and every unstepped
-// cycle is charged idle-deconfigured by the clock loop — so per core,
+// Exclusivity is inherited from the core's cycle record: every cycle the
+// clock loop publishes exactly one CoreCycle per core (kOff for a core
+// that missed its clock), and class_of(CoreCycle) is total — so per core,
 // the class totals sum to the collection's elapsed cycles exactly
 // (validator-enforced; see profile/critical_path.hpp).
 #pragma once
@@ -113,6 +113,17 @@ constexpr StallClass class_of(StallReason r) noexcept {
   // kNone never reaches the profiler (a stalled cycle always has a
   // reason); mapping it to mem-port keeps the function total anyway.
   return StallClass::kMemPort;
+}
+
+/// Attribution class of one core's cycle record.
+constexpr StallClass class_of(CoreCycle c) noexcept {
+  switch (c.activity) {
+    case CoreActivity::kBusy: return StallClass::kCompute;
+    case CoreActivity::kIdle: return StallClass::kWorklistStarved;
+    case CoreActivity::kStall: return class_of(c.reason);
+    case CoreActivity::kOff: break;
+  }
+  return StallClass::kIdleDeconfigured;
 }
 
 }  // namespace hwgc

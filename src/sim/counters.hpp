@@ -59,6 +59,17 @@ constexpr std::string_view to_string(StallReason r) noexcept {
   return "?";
 }
 
+/// What a core did during one clock cycle. kOff: it missed its clock
+/// (finished, fail-stopped, or halted for the store drain).
+enum class CoreActivity : std::uint8_t { kBusy, kIdle, kStall, kOff };
+
+/// One core's record of one clock cycle; `reason` is set only for kStall.
+struct CoreCycle {
+  CoreActivity activity = CoreActivity::kOff;
+  StallReason reason = StallReason::kNone;
+  bool operator==(const CoreCycle&) const = default;
+};
+
 /// Per-core cycle accounting for one collection cycle.
 struct CoreCounters {
   std::array<Cycle, kStallReasonCount> stalls{};
@@ -70,16 +81,24 @@ struct CoreCounters {
   Cycle fifo_hits = 0;    ///< scan headers served from the header FIFO
   Cycle fifo_misses = 0;  ///< scan headers that required a memory load
 
-  void add_stall(StallReason r) noexcept {
-    ++stalls[static_cast<std::size_t>(r)];
+  /// Charges `k` cycles of `c`: the single path by which both ticked
+  /// cycles (k = 1) and fast-forwarded windows reach the cycle counters.
+  void add(CoreCycle c, Cycle k = 1) noexcept {
+    switch (c.activity) {
+      case CoreActivity::kBusy: busy_cycles += k; break;
+      case CoreActivity::kIdle: idle_cycles += k; break;
+      case CoreActivity::kStall:
+        stalls[static_cast<std::size_t>(c.reason)] += k;
+        break;
+      case CoreActivity::kOff: break;
+    }
   }
   Cycle stall(StallReason r) const noexcept {
     return stalls[static_cast<std::size_t>(r)];
   }
   /// Saturating sum: a counter driven near the Cycle ceiling (hardware
   /// counters latch at all-ones) must not wrap the total back to a small
-  /// number — a wrapped total would fool the watchdog's activity monitor
-  /// into seeing "progress".
+  /// number.
   Cycle total_stalls() const noexcept {
     Cycle sum = 0;
     for (auto s : stalls) {
@@ -115,6 +134,10 @@ struct GcCycleStats {
 
   /// Fault events that fired during this cycle (0 without injection).
   std::uint64_t faults_fired = 0;
+
+  /// Clock cycles the coprocessor skipped by fast-forward instead of
+  /// ticking. Host-side only: every other field is identical either way.
+  Cycle fast_forwarded_cycles = 0;
 
   /// Pauseless snapshot collector (src/concurrent_mutator/) barrier and
   /// reconciliation counters; zero for every other collector family.

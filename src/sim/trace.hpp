@@ -3,16 +3,20 @@
 // cycle", streamed over a dedicated Gigabit Ethernet link).
 //
 // We write named signal samples to an in-memory ring and optionally to a
-// CSV file for offline analysis, mirroring their measurement flow.
+// CSV file for offline analysis, mirroring their measurement flow. As a
+// ClockObserver the trace samples the coprocessor's scan and free pointers,
+// gray-object word count and busy-core count on change every cycle.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/clock_observer.hpp"
 #include "sim/types.hpp"
 
 namespace hwgc {
@@ -26,17 +30,55 @@ struct TraceEvent {
 
 /// Records signal samples with bounded memory. Disabled tracers compile to
 /// near-no-ops on the hot path.
-class SignalTrace {
+class SignalTrace final : public ClockObserver {
  public:
   static constexpr std::size_t kMaxSignals = 32;  // as in the prototype
 
   SignalTrace() = default;
 
-  /// Registers a signal name; returns its id. At most kMaxSignals signals
-  /// may be registered, matching the hardware monitor's channel count.
-  std::uint16_t register_signal(std::string name) {
-    names_.push_back(std::move(name));
+  /// Registers a signal name and returns its id; registering a name again
+  /// returns the id it already has. Throws std::length_error for a new
+  /// name once all kMaxSignals channels of the hardware monitor are taken.
+  std::uint16_t register_signal(const std::string& name) {
+    for (std::size_t i = 0; i < names_.size(); ++i) {
+      if (names_[i] == name) return static_cast<std::uint16_t>(i);
+    }
+    if (names_.size() >= kMaxSignals) {
+      throw std::length_error("SignalTrace: cannot register signal '" + name +
+                              "': all " + std::to_string(kMaxSignals) +
+                              " monitor channels are in use");
+    }
+    names_.push_back(name);
     return static_cast<std::uint16_t>(names_.size() - 1);
+  }
+
+  // --- ClockObserver -------------------------------------------------------
+
+  void on_collection_begin(std::uint32_t) override {
+    sig_scan_ = register_signal("scan");
+    sig_free_ = register_signal("free");
+    sig_gray_ = register_signal("gray_words");
+    sig_busy_ = register_signal("busy_cores");
+    if (!enabled_) enable();
+    prev_scan_ = prev_free_ = prev_busy_ = ~std::uint64_t{0};
+  }
+
+  /// Samples on change only, so the ring stays useful for long cycles.
+  void on_cycle_end(const ClockSample& s) override {
+    if (s.draining) return;
+    if (s.scan != prev_scan_) {
+      prev_scan_ = s.scan;
+      sample(s.now, sig_scan_, s.scan);
+    }
+    if (s.free != prev_free_) {
+      prev_free_ = s.free;
+      sample(s.now, sig_free_, s.free);
+      sample(s.now, sig_gray_, s.free - s.scan);
+    }
+    if (s.busy_cores != prev_busy_) {
+      prev_busy_ = s.busy_cores;
+      sample(s.now, sig_busy_, s.busy_cores);
+    }
   }
 
   void enable(std::size_t max_events = 1u << 20) {
@@ -192,6 +234,9 @@ class SignalTrace {
   std::deque<TraceEvent> events_;
   std::deque<std::pair<Cycle, std::string>> notes_;
   std::vector<std::string> names_;
+
+  std::uint16_t sig_scan_ = 0, sig_free_ = 0, sig_gray_ = 0, sig_busy_ = 0;
+  std::uint64_t prev_scan_ = 0, prev_free_ = 0, prev_busy_ = 0;
 };
 
 }  // namespace hwgc

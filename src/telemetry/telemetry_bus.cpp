@@ -2,20 +2,9 @@
 
 #include <utility>
 
-namespace hwgc {
+#include "sim/abort.hpp"
 
-#ifdef HWGC_NO_TELEMETRY
-// Publishing compiled out: only the interning / bookkeeping entry points
-// keep real bodies so exporters still link.
-void TelemetryBus::begin_collection(std::string) {}
-void TelemetryBus::end_collection(Cycle) {}
-void TelemetryBus::core_cycle(CoreId, CoreActivity, StallReason) {}
-void TelemetryBus::phase(GcPhase) {}
-void TelemetryBus::lock_acquired(SbLock, CoreId) {}
-void TelemetryBus::lock_released(SbLock, CoreId) {}
-void TelemetryBus::instant(std::uint32_t, TelemetryCategory, std::string) {}
-void TelemetryBus::counter_sample(std::uint32_t, std::uint64_t) {}
-#else
+namespace hwgc {
 
 void TelemetryBus::begin_collection(std::string label) {
   if (!enabled_) return;
@@ -99,7 +88,72 @@ void TelemetryBus::counter_sample(std::uint32_t series, std::uint64_t value) {
   counters_.push_back(TelemetryCounter{series, now_, value});
 }
 
-#endif  // HWGC_NO_TELEMETRY
+void TelemetryBus::on_collection_begin(std::uint32_t cores) {
+  if (!enabled_) enable();
+  begin_collection("collection (" + std::to_string(cores) + " cores)");
+  // Intern the main tracks in canonical order so exports list the
+  // coprocessor first, then the cores, then the shared locks —
+  // independent of which module happens to publish first.
+  (void)track("coprocessor");
+  for (CoreId id = 0; id < cores; ++id) (void)core_track(id);
+  (void)track(to_string(SbLock::kScan));
+  (void)track(to_string(SbLock::kFree));
+  gray_series_ = counter_series("gray_words");
+  fifo_depth_series_ = counter_series("fifo_depth");
+  inflight_series_ = counter_series("mem_inflight");
+  prev_gray_ = prev_inflight_ = ~std::uint64_t{0};
+}
+
+void TelemetryBus::on_collection_end(Cycle now, const CollectionAbort* abort) {
+  // An aborted attempt still renders as a complete, labeled slice of the
+  // timeline.
+  if (abort != nullptr) {
+    instant(track("coprocessor"), TelemetryCategory::kFault,
+            std::string("abort [") + to_string(abort->reason()) +
+                "]: " + abort->what());
+  } else {
+    begin_cycle(now);
+    instant(track("coprocessor"), TelemetryCategory::kPhase, "flip");
+  }
+  end_collection(now);
+}
+
+void TelemetryBus::on_cycle_end(const ClockSample& s) {
+  if (s.draining) return;
+  const std::uint64_t gray = s.free - s.scan;
+  if (gray != prev_gray_) {
+    prev_gray_ = gray;
+    counter_sample(gray_series_, gray);
+  }
+}
+
+void TelemetryBus::absorb(Cycle k) {
+  // A repeated cycle changes nothing but the clock: every core clocked in
+  // the observed cycle stays in its span.
+  for (OpenCoreSpan& st : open_cores_) {
+    if (st.open && st.last == now_) st.last += k;
+  }
+  now_ += k;
+}
+
+void TelemetryBus::on_fifo_overflow(std::uint64_t overflows,
+                                    std::uint32_t capacity) {
+  // The first overflow is the interesting state change; later ones only
+  // move the counter (cup overflows tens of thousands of times).
+  if (overflows == 1) {
+    instant(track("header-fifo"), TelemetryCategory::kFifo,
+            "header FIFO overflow (capacity " + std::to_string(capacity) +
+                ")");
+  }
+  counter_sample(counter_series("fifo_overflows"), overflows);
+}
+
+void TelemetryBus::on_mem_inflight(std::uint64_t count) {
+  if (count != prev_inflight_) {
+    prev_inflight_ = count;
+    counter_sample(inflight_series_, count);
+  }
+}
 
 std::uint32_t TelemetryBus::track(const std::string& name) {
   for (std::uint32_t i = 0; i < track_names_.size(); ++i) {
@@ -186,6 +240,7 @@ std::string TelemetryBus::activity_name(CoreActivity a, StallReason r) {
     case CoreActivity::kBusy: return "busy";
     case CoreActivity::kIdle: return "idle";
     case CoreActivity::kStall: return "stall:" + std::string(to_string(r));
+    case CoreActivity::kOff: break;
   }
   return "?";
 }

@@ -1,16 +1,17 @@
 // TelemetryBus — the unified observability substrate (software counterpart
 // of the prototype's Section VI-A monitoring framework, generalized).
 //
-// Every hardware module publishes *typed* events into one bus:
-//   * the Coprocessor publishes collection phases (root evacuation /
-//     parallel scan / store drain) and the flip,
-//   * each GcCore publishes its per-cycle activity (busy / idle / stalled
-//     with a StallReason), which the bus coalesces into spans,
-//   * the SyncBlock publishes scan- and free-lock hold spans,
-//   * the HeaderFifo publishes occupancy and overflow events,
-//   * the MemorySystem publishes its in-flight transaction count,
-//   * the fault/recovery layer publishes injected faults, aborts,
-//     deconfigurations and fallbacks as instant events.
+// The bus subscribes to the coprocessor's per-cycle event stream
+// (sim/clock_observer.hpp) and records it as typed events:
+//   * collection phases (root evacuation / parallel scan / store drain),
+//     the flip or the abort, and the gray-object word count,
+//   * each core's per-cycle activity (busy / idle / stalled with a
+//     StallReason), coalesced into spans,
+//   * scan- and free-lock hold spans (SyncBlock),
+//   * header-FIFO occupancy and overflow events (HeaderFifo),
+//   * the in-flight memory transaction count (MemorySystem).
+// The fault/recovery layer publishes injected faults, aborts,
+// deconfigurations and fallbacks directly as instant events.
 //
 // Exporters (trace_export.hpp) turn the recorded events into a
 // Chrome-trace/Perfetto timeline; the MetricsRegistry (metrics.hpp)
@@ -18,9 +19,9 @@
 //
 // Overhead contract: the bus is pure observation — it never feeds back
 // into simulated timing, so cycle counts are bit-identical with and
-// without it (tested in tests/test_telemetry.cpp). Publishing is guarded
-// by an `enabled()` flag; with HWGC_NO_TELEMETRY defined every publish
-// method additionally compiles to an empty inline body.
+// without it (tested in tests/test_telemetry.cpp), and it does not keep
+// the clock loop from fast-forwarding: absorb(k) extends the open core
+// spans instead. Publishing is guarded by an `enabled()` flag.
 //
 // Time base: each collection runs its own clock from cycle 0. The bus maps
 // collection-local cycles onto one monotone global timeline: a
@@ -33,32 +34,11 @@
 #include <string>
 #include <vector>
 
+#include "sim/clock_observer.hpp"
 #include "sim/counters.hpp"
 #include "sim/types.hpp"
 
 namespace hwgc {
-
-/// Collection phases published by the coprocessor clock loop.
-enum class GcPhase : std::uint8_t { kRootEvacuation, kParallelScan, kDrain };
-
-constexpr const char* to_string(GcPhase p) noexcept {
-  switch (p) {
-    case GcPhase::kRootEvacuation: return "root-evacuation";
-    case GcPhase::kParallelScan: return "parallel-scan";
-    case GcPhase::kDrain: return "drain";
-  }
-  return "?";
-}
-
-/// What a core did during one clock cycle (kStall carries a StallReason).
-enum class CoreActivity : std::uint8_t { kBusy, kIdle, kStall };
-
-/// The two SB registers whose hold spans are traced.
-enum class SbLock : std::uint8_t { kScan = 0, kFree = 1 };
-
-constexpr const char* to_string(SbLock l) noexcept {
-  return l == SbLock::kScan ? "scan-lock" : "free-lock";
-}
 
 /// Event category, carried into the exported trace's `cat` field.
 enum class TelemetryCategory : std::uint8_t {
@@ -117,7 +97,7 @@ struct TelemetryEpoch {
   std::string label;
 };
 
-class TelemetryBus {
+class TelemetryBus final : public ClockObserver {
  public:
   TelemetryBus() = default;
 
@@ -127,16 +107,6 @@ class TelemetryBus {
   }
   void disable() noexcept { enabled_ = false; }
   bool enabled() const noexcept { return enabled_; }
-
-  /// True when the library was built with telemetry publishing compiled in
-  /// (i.e. without HWGC_NO_TELEMETRY).
-  static constexpr bool compiled_in() noexcept {
-#ifdef HWGC_NO_TELEMETRY
-    return false;
-#else
-    return true;
-#endif
-  }
 
   // --- time base ----------------------------------------------------------
 
@@ -185,6 +155,44 @@ class TelemetryBus {
   void instant(std::uint32_t track_id, TelemetryCategory cat,
                std::string name);
   void counter_sample(std::uint32_t series, std::uint64_t value);
+
+  // --- ClockObserver: one epoch per collection attempt ---------------------
+
+  /// Enables the bus if needed, opens the epoch and interns the main
+  /// tracks and counter series in canonical order.
+  void on_collection_begin(std::uint32_t cores) override;
+  /// Closes the epoch with a flip instant, or an abort instant naming the
+  /// reason.
+  void on_collection_end(Cycle now, const CollectionAbort* abort) override;
+  void on_phase(GcPhase p) override { phase(p); }
+  void on_cycle_begin(Cycle now, const std::vector<CoreId>*) override {
+    begin_cycle(now);
+  }
+  void on_core_cycle(CoreId core, CoreCycle c) override {
+    if (c.activity != CoreActivity::kOff) {
+      core_cycle(core, c.activity, c.reason);
+    }
+  }
+  /// Samples the gray-object word count on change.
+  void on_cycle_end(const ClockSample& s) override;
+  /// Extends the spans of the cores clocked in the observed cycle.
+  void absorb(Cycle k) override;
+  void on_lock_acquired(SbLock lock, CoreId core) override {
+    lock_acquired(lock, core);
+  }
+  void on_lock_released(SbLock lock, CoreId core) override {
+    lock_released(lock, core);
+  }
+  void on_fifo_push(std::size_t depth) override {
+    counter_sample(fifo_depth_series_, depth);
+  }
+  void on_fifo_pop(std::size_t depth) override {
+    counter_sample(fifo_depth_series_, depth);
+  }
+  void on_fifo_overflow(std::uint64_t overflows,
+                        std::uint32_t capacity) override;
+  /// Samples the in-flight transaction count on change.
+  void on_mem_inflight(std::uint64_t count) override;
 
   // --- recorded data (exporter interface) ----------------------------------
 
@@ -260,6 +268,13 @@ class TelemetryBus {
   OpenLockSpan open_locks_[2];
   OpenPhaseSpan open_phase_;
   std::uint32_t phase_track_ = 0;  ///< +1; 0 = not yet interned
+
+  // Counter series of the current collection, sampled on change.
+  std::uint32_t gray_series_ = 0;
+  std::uint32_t fifo_depth_series_ = 0;
+  std::uint32_t inflight_series_ = 0;
+  std::uint64_t prev_gray_ = 0;
+  std::uint64_t prev_inflight_ = 0;
 };
 
 }  // namespace hwgc

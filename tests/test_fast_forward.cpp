@@ -5,8 +5,11 @@
 // must be bit-identical to the ticked run in every architectural and
 // observable dimension — GcCycleStats down to the per-core stall arrays,
 // the SignalTrace sample stream and fault notes, the ScheduleTrace ring
-// and recorded-cycle count, the final tospace image, and (under fault
-// injection) the abort cycle, suspect core and fired-event log. The fault
+// and recorded-cycle count, the Chrome-trace export of the TelemetryBus,
+// the CycleProfile, the final tospace image, and (under fault injection)
+// the abort cycle, suspect core and fired-event log. Every observer is
+// attached to every run, so none of them may keep the clock from jumping
+// or make a jump visible. The fault
 // cases in particular pin the ISSUE requirement that watchdog budgets
 // account for skipped cycles: a hang detected by jumping straight to the
 // watchdog boundary must abort at exactly the cycle a ticked run aborts.
@@ -22,10 +25,13 @@
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
 #include "heap/heap.hpp"
+#include "profile/cycle_profiler.hpp"
 #include "sim/abort.hpp"
 #include "sim/config.hpp"
 #include "sim/counters.hpp"
 #include "sim/trace.hpp"
+#include "telemetry/telemetry_bus.hpp"
+#include "telemetry/trace_export.hpp"
 #include "workloads/benchmarks.hpp"
 #include "workloads/graph_plan.hpp"
 #include "workloads/random_graph.hpp"
@@ -44,6 +50,10 @@ struct RunOutcome {
   // Final heap image (tospace words), empty for aborted runs.
   Addr alloc_ptr = 0;
   std::vector<Word> image;
+  // The bus's Chrome-trace export (signal samples and notes merged in) and
+  // the profiler's attribution.
+  std::string chrome_trace;
+  CycleProfile profile;
 };
 
 RunOutcome run_once(const GraphPlan& plan, SimConfig cfg, bool fast_forward,
@@ -53,28 +63,39 @@ RunOutcome run_once(const GraphPlan& plan, SimConfig cfg, bool fast_forward,
   Workload w = materialize(plan);
   trace.enable();
   Coprocessor coproc(cfg, *w.heap);
+  TelemetryBus bus;
+  CycleProfiler profiler;
   RunOutcome out;
+  const auto observe = [&] {
+    ChromeTraceOptions opt;
+    opt.signals = &trace;
+    out.chrome_trace = chrome_trace_json(bus, opt);
+    out.profile = profiler.take_profile();
+  };
   if (faults == nullptr) {
-    out.stats = coproc.collect(&trace, &sched);
+    out.stats = coproc.collect(&trace, &sched, nullptr, &bus, &profiler);
   } else {
     FaultInjector inj(*faults);
     inj.attach_memory(&w.heap->memory());
     inj.attach_trace(&trace);
+    inj.attach_telemetry(&bus);
     std::vector<CoreId> active(cfg.coprocessor.num_cores);
     std::iota(active.begin(), active.end(), CoreId{0});
     inj.begin_attempt(0, active);
     try {
-      out.stats = coproc.collect(&trace, &sched, &inj);
+      out.stats = coproc.collect(&trace, &sched, &inj, &bus, &profiler);
     } catch (const CollectionAbort& abort) {
       out.aborted = true;
       out.reason = abort.reason();
       out.suspect = abort.suspect();
       out.abort_at = abort.at();
       out.fault_log = inj.log();
+      observe();
       return out;
     }
     out.fault_log = inj.log();
   }
+  observe();
   out.alloc_ptr = w.heap->alloc_ptr();
   for (Addr a = w.heap->layout().current_base(); a < w.heap->alloc_ptr();
        ++a) {
@@ -165,9 +186,12 @@ RunOutcome expect_equivalent(const GraphPlan& plan, SimConfig cfg,
     EXPECT_EQ(ticked.alloc_ptr, ffwd.alloc_ptr);
     EXPECT_EQ(ticked.image, ffwd.image);
   }
+  EXPECT_EQ(ticked.stats.fast_forwarded_cycles, 0u);
   EXPECT_EQ(ticked.fault_log, ffwd.fault_log);
   expect_traces_equal(trace_t, trace_f);
   expect_schedules_equal(sched_t, sched_f);
+  EXPECT_EQ(ticked.chrome_trace, ffwd.chrome_trace);
+  EXPECT_EQ(ticked.profile, ffwd.profile);
   return ticked;
 }
 
@@ -227,6 +251,24 @@ TEST(FastForward, HighMemoryLatencyIdentical) {
   cfg.memory.latency += 20;
   cfg.memory.header_latency += 20;
   expect_equivalent(make_benchmark_plan(BenchmarkId::kDb, 0.05), cfg);
+}
+
+TEST(FastForward, JumpsWithEveryObserverAttached) {
+  // The observers subscribe through absorb(k) instead of vetoing jumps:
+  // with a bus, profiler, signal trace and schedule trace attached the
+  // +20-latency run must still skip cycles, and still match the ticked run.
+  SimConfig cfg = config_with_cores(2);
+  cfg.memory.latency += 20;
+  cfg.memory.header_latency += 20;
+  const GraphPlan plan = make_benchmark_plan(BenchmarkId::kDb, 0.05);
+  SignalTrace trace;
+  ScheduleTrace sched;
+  const RunOutcome ff =
+      run_once(plan, cfg, /*fast_forward=*/true, trace, sched);
+  EXPECT_GT(ff.stats.fast_forwarded_cycles, ff.stats.total_cycles / 4);
+  EXPECT_TRUE(ff.profile.valid);
+  EXPECT_GT(ff.chrome_trace.size(), 1000u);
+  expect_equivalent(plan, cfg);
 }
 
 TEST(FastForward, TinyFifoOverflowPathIdentical) {

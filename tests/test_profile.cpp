@@ -5,6 +5,7 @@
 // (binding) stream tiles [0, total_cycles) with no gaps.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -65,34 +66,49 @@ TEST(StallTaxonomy, NamesAreUniqueAndKnown) {
 
 // --- the binding rule -------------------------------------------------------
 
+constexpr CoreCycle kWork{CoreActivity::kBusy};
+constexpr CoreCycle kSpin{CoreActivity::kIdle};
+constexpr CoreCycle kOff{};
+
+constexpr CoreCycle stall(StallReason r) { return {CoreActivity::kStall, r}; }
+
+/// Publishes one core-stepping cycle: a record per core, then its end.
+void tick(CycleProfiler& p, std::initializer_list<CoreCycle> records) {
+  CoreId c = 0;
+  for (const CoreCycle& rec : records) p.on_core_cycle(c++, rec);
+  p.on_cycle_end(ClockSample{});
+}
+
+/// Publishes one store-drain cycle (every core halted).
+void drain(CycleProfiler& p) {
+  ClockSample s;
+  s.draining = true;
+  p.on_cycle_end(s);
+}
+
 TEST(CycleProfiler, BindingRulePerCycle) {
   CycleProfiler p;
-  p.begin_collection(3);
+  p.on_collection_begin(3);
 
   // Any compute wins, whatever the other cores report.
-  p.record_work(0);
-  p.record_stall(1, StallReason::kScanLock);
-  p.record_idle(2);
-  p.end_cycle();
+  tick(p, {kWork, stall(StallReason::kScanLock), kSpin});
 
   // No compute: most-populous class among clocked cores binds...
-  p.record_stall(0, StallReason::kBodyLoad);
-  p.record_stall(1, StallReason::kBodyLoad);
-  p.record_idle(2);
-  p.end_cycle();
+  tick(p, {stall(StallReason::kBodyLoad), stall(StallReason::kBodyLoad),
+           kSpin});
 
   // ...ties break toward the smaller enum value (scan-wait over mem-port).
-  p.record_stall(0, StallReason::kBodyLoad);
-  p.record_stall(1, StallReason::kScanLock);
-  p.end_cycle();  // core 2 unreported -> idle-deconfigured
+  // Core 2 missed its clock -> idle-deconfigured.
+  tick(p, {stall(StallReason::kBodyLoad), stall(StallReason::kScanLock),
+           kOff});
 
   // No clocked core at all: idle-deconfigured binds...
-  p.end_cycle();
+  tick(p, {kOff, kOff, kOff});
 
   // ...except the store-drain window, which the memory ports bind.
-  p.drain_cycle();
+  drain(p);
 
-  p.end_collection();
+  p.on_collection_end(5, nullptr);
   const CycleProfile prof = p.take_profile();
 
   ASSERT_EQ(prof.total_cycles, 5u);
@@ -103,7 +119,7 @@ TEST(CycleProfiler, BindingRulePerCycle) {
   EXPECT_EQ(prof.segments[3].binding, StallClass::kIdleDeconfigured);
   EXPECT_EQ(prof.segments[4].binding, StallClass::kMemPort);
 
-  // Per-core exhaustiveness: unreported cores were charged deconfigured.
+  // Per-core exhaustiveness: unclocked cycles are charged deconfigured.
   EXPECT_EQ(prof.per_core[2][idx(StallClass::kWorklistStarved)], 2u);
   EXPECT_EQ(prof.per_core[2][idx(StallClass::kIdleDeconfigured)], 3u);
   std::string err;
@@ -111,34 +127,29 @@ TEST(CycleProfiler, BindingRulePerCycle) {
 }
 
 TEST(CycleProfiler, AbsorbEqualsRepeatedEndCycle) {
-  // absorb(cls, k) must be exactly equivalent to k end_cycle() calls with
-  // the same per-core reports — the fast-forward soundness argument.
+  // absorb(k) must be exactly equivalent to k more repetitions of the
+  // cycle just closed — the fast-forward soundness argument.
   CycleProfiler bulk, ticked;
-  bulk.begin_collection(3);
-  ticked.begin_collection(3);
+  bulk.on_collection_begin(3);
+  ticked.on_collection_begin(3);
 
-  const std::vector<StallClass> window = {StallClass::kSbScanWait,
-                                          StallClass::kWorklistStarved,
-                                          StallClass::kIdleDeconfigured};
-  bulk.absorb(window, 7);
-  for (int i = 0; i < 7; ++i) {
-    ticked.record_stall(0, StallReason::kScanLock);
-    ticked.record_idle(1);
-    ticked.end_cycle();  // core 2 unreported
-  }
-  bulk.absorb_drain(4);
-  for (int i = 0; i < 4; ++i) ticked.drain_cycle();
+  const auto window = {stall(StallReason::kScanLock), kSpin, kOff};
+  tick(bulk, window);
+  bulk.absorb(7);
+  for (int i = 0; i < 8; ++i) tick(ticked, window);
+  drain(bulk);
+  bulk.absorb(3);
+  for (int i = 0; i < 4; ++i) drain(ticked);
 
-  bulk.end_collection();
-  ticked.end_collection();
+  bulk.on_collection_end(12, nullptr);
+  ticked.on_collection_end(12, nullptr);
   EXPECT_EQ(bulk.take_profile(), ticked.take_profile());
 }
 
 TEST(CycleProfiler, MarkUnprofiledYieldsValidEmptyHistorySlot) {
   CycleProfiler p;
-  p.begin_collection(4);
-  p.record_work(0);
-  p.end_cycle();
+  p.on_collection_begin(4);
+  tick(p, {kWork, kOff, kOff, kOff});
   p.mark_unprofiled();  // recovery's sequential fallback discards all that
   const CycleProfile prof = p.take_profile();
   EXPECT_FALSE(prof.valid);
@@ -176,6 +187,38 @@ TEST(CycleProfiler, AttributionIsExactAcrossBenchmarks) {
           sum += prof.per_core[c][k];
         }
         EXPECT_EQ(sum, prof.total_cycles) << "core " << c;
+      }
+
+      // Counters and profile come from the same per-cycle records, so
+      // they cannot disagree: compute is busy, worklist-starved is idle,
+      // every stall class is the sum of the stall reasons it folds, and
+      // idle-deconfigured is every cycle the core was not clocked.
+      ASSERT_EQ(stats.per_core.size(), prof.per_core.size());
+      for (std::size_t c = 0; c < prof.per_core.size(); ++c) {
+        SCOPED_TRACE("core " + std::to_string(c));
+        const CoreCounters& cc = stats.per_core[c];
+        const auto& cls = prof.per_core[c];
+        EXPECT_EQ(cls[idx(StallClass::kCompute)], cc.busy_cycles);
+        EXPECT_EQ(cls[idx(StallClass::kWorklistStarved)], cc.idle_cycles);
+        for (std::size_t k = 0; k < kStallClassCount; ++k) {
+          const auto sc = static_cast<StallClass>(k);
+          if (sc == StallClass::kCompute ||
+              sc == StallClass::kWorklistStarved ||
+              sc == StallClass::kIdleDeconfigured) {
+            continue;
+          }
+          Cycle stalls = 0;
+          for (std::size_t r = 1; r < kStallReasonCount; ++r) {
+            if (class_of(static_cast<StallReason>(r)) == sc) {
+              stalls += cc.stalls[r];
+            }
+          }
+          EXPECT_EQ(cls[k], stalls) << to_string(sc);
+        }
+        const Cycle clocked =
+            cc.busy_cycles + cc.idle_cycles + cc.total_stalls();
+        EXPECT_EQ(cls[idx(StallClass::kIdleDeconfigured)],
+                  stats.total_cycles - clocked);
       }
     }
   }

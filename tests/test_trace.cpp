@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <vector>
 #include <fstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/coprocessor.hpp"
+#include "runtime/runtime.hpp"
 #include "sim/trace.hpp"
 #include "workloads/benchmarks.hpp"
 
@@ -140,6 +143,40 @@ TEST(SignalTrace, CoprocessorEmitsScanFreeAndBusySignals) {
   }
   EXPECT_EQ(last_scan, last_free);
   EXPECT_EQ(last_free - w.heap->layout().current_base(), s.words_copied);
+}
+
+TEST(SignalTrace, ReusedAcrossCollectionsKeepsFourSignals) {
+  // A trace attached to a Runtime sees every collection; the coprocessor's
+  // signals must be interned once, not re-registered per collection.
+  SimConfig cfg;
+  cfg.coprocessor.num_cores = 2;
+  Runtime rt(4096, cfg);
+  SignalTrace trace;
+  rt.set_signal_trace(&trace);
+  const Runtime::Ref root = rt.alloc(1, 2);
+  for (int i = 0; i < 10; ++i) {
+    rt.set_ptr(root, 0, rt.alloc(0, 3));
+    rt.collect();
+  }
+  EXPECT_EQ(trace.signal_names().size(), 4u);
+  const std::string path = ::testing::TempDir() + "/hwgc_trace_reuse.vcd";
+  ASSERT_TRUE(trace.write_vcd(path));
+  std::ifstream in(path);
+  std::size_t vars = 0;
+  for (std::string line; std::getline(in, line);) {
+    vars += line.rfind("$var ", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(vars, 4u);
+  std::remove(path.c_str());
+}
+
+TEST(SignalTrace, RegisteringPastTheChannelCountThrows) {
+  SignalTrace trace;
+  for (std::size_t i = 0; i < SignalTrace::kMaxSignals; ++i) {
+    EXPECT_EQ(trace.register_signal("s" + std::to_string(i)), i);
+  }
+  EXPECT_EQ(trace.register_signal("s0"), 0u);  // interned, no new channel
+  EXPECT_THROW(trace.register_signal("one-too-many"), std::length_error);
 }
 
 TEST(SignalTrace, TracingDoesNotChangeTiming) {
