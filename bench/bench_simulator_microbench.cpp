@@ -51,6 +51,37 @@ void BM_MemorySystemTick(benchmark::State& state) {
 }
 BENCHMARK(BM_MemorySystemTick);
 
+// The scheduler under load: every cycle each of 16 cores refills its
+// buffers with header stores, header loads to the same few hot headers
+// (held back by the comparator array) and body traffic, so the queue stays
+// far past bandwidth_per_cycle and the pending-store table stays populated.
+void BM_MemorySystemTickContended(benchmark::State& state) {
+  constexpr CoreId kCores = 16;
+  MemoryConfig cfg;
+  MemorySystem mem(cfg, kCores);
+  Cycle now = 0;
+  for (auto _ : state) {
+    for (CoreId c = 0; c < kCores; ++c) {
+      const Addr hot = 1000 + 2 * static_cast<Addr>((c + now) % 8);
+      if (!mem.store_busy(c, Port::kHeader)) {
+        mem.issue_store(c, Port::kHeader, hot);
+      }
+      if (!mem.load_pending(c, Port::kHeader)) {
+        mem.issue_load(c, Port::kHeader, hot);
+      }
+      if (!mem.store_busy(c, Port::kBody)) {
+        mem.issue_store(c, Port::kBody, 5000 + c);
+      }
+      if (!mem.load_pending(c, Port::kBody)) {
+        mem.issue_load(c, Port::kBody, 9000 + c);
+      }
+    }
+    mem.tick(++now);
+  }
+  benchmark::DoNotOptimize(mem.requests_issued());
+}
+BENCHMARK(BM_MemorySystemTickContended);
+
 void BM_HeaderFifoPushPop(benchmark::State& state) {
   HeaderFifo fifo(1024);
   Addr a = 100;

@@ -12,25 +12,23 @@ SyncBlock::SyncBlock(std::uint32_t num_cores, FaultInjector* fault,
                      ClockObserver* obs)
     : fault_(fault),
       obs_(obs),
-      header_locks_(num_cores),
+      header_locks_(num_cores, kNullPtr),
       busy_(num_cores, 0),
       barrier_arrived_(num_cores, 0) {
   assert(num_cores >= 1);
 }
 
-void SyncBlock::audit(CoreId core, const char* acquiring) {
+void SyncBlock::audit(CoreId core, Acquiring what) {
   // Fixed ordering scan < header < free: while holding a header lock a core
   // must not claim scan; while holding free it must claim neither header
   // nor scan (Section IV).
   const bool holds_h = holds_header(core);
   const bool holds_f = holds_free(core);
-  const std::string_view what{acquiring};
-  const bool bad = (what == "scan" && (holds_h || holds_f)) ||
-                   (what == "header" && holds_f);
+  const bool bad = what == Acquiring::kScan ? holds_h || holds_f : holds_f;
   if (bad) {
     violations_.push_back("core " + std::to_string(core) + " acquires " +
-                          std::string(what) + " while holding " +
-                          (holds_f ? "free" : "header"));
+                          (what == Acquiring::kScan ? "scan" : "header") +
+                          " while holding " + (holds_f ? "free" : "header"));
   }
 }
 
@@ -41,7 +39,7 @@ bool SyncBlock::try_lock_scan(CoreId core) {
   if (fault_ != nullptr && fault_->lock_grant_suppressed(LockKind::kScan)) {
     return false;  // injected arbitration glitch: grant withheld this cycle
   }
-  audit(core, "scan");
+  audit(core, Acquiring::kScan);
   scan_owner_ = core;
   scan_acquired_this_cycle_ = true;
   if (obs_ != nullptr) obs_->on_lock_acquired(SbLock::kScan, core);
@@ -89,20 +87,17 @@ void SyncBlock::unlock_free(CoreId core) {
 
 bool SyncBlock::try_lock_header(CoreId core, Addr addr) {
   assert(core < num_cores());
-  assert(addr != kNullPtr);
   // CAM compare against all other cores' header-lock registers, in
   // parallel in hardware.
-  for (CoreId other = 0; other < num_cores(); ++other) {
-    if (other != core && header_locks_[other] == addr) return false;
-  }
-  audit(core, "header");
+  if (header_lock_holder(core, addr) != kNoOwner) return false;
+  audit(core, Acquiring::kHeader);
   header_locks_[core] = addr;
   return true;
 }
 
 void SyncBlock::unlock_header(CoreId core) {
-  assert(header_locks_[core].has_value() && "unlock of unheld header lock");
-  header_locks_[core].reset();
+  assert(header_locks_[core] != kNullPtr && "unlock of unheld header lock");
+  header_locks_[core] = kNullPtr;
 }
 
 bool SyncBlock::busy(CoreId core) const {

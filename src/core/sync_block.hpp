@@ -23,8 +23,8 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,7 +93,7 @@ class SyncBlock {
   bool holds_scan(CoreId core) const noexcept { return scan_owner_ == core; }
   bool holds_free(CoreId core) const noexcept { return free_owner_ == core; }
   bool holds_header(CoreId core) const noexcept {
-    return header_locks_[core].has_value();
+    return header_locks_[core] != kNullPtr;
   }
 
   /// Sentinel for "no core" in the owner accessors below.
@@ -109,6 +109,7 @@ class SyncBlock {
   /// register holds `addr`? kNoOwner when none (the acquisition would
   /// succeed). Pure; never fires fault hooks.
   CoreId header_lock_holder(CoreId self, Addr addr) const noexcept {
+    assert(addr != kNullPtr);
     for (CoreId other = 0; other < num_cores(); ++other) {
       if (other != self && header_locks_[other] == addr) return other;
     }
@@ -224,7 +225,8 @@ class SyncBlock {
   }
 
  private:
-  void audit(CoreId core, const char* acquiring);
+  enum class Acquiring : std::uint8_t { kScan, kHeader };
+  void audit(CoreId core, Acquiring what);
 
   FaultInjector* fault_ = nullptr;
   ClockObserver* obs_ = nullptr;
@@ -238,7 +240,7 @@ class SyncBlock {
   bool stripe_grabbed_this_cycle_ = false;
   std::array<StripeJob, kStripeSlots> stripe_slots_{};
   std::array<bool, kStripeSlots> stripe_slot_active_{};
-  std::vector<std::optional<Addr>> header_locks_;
+  std::vector<Addr> header_locks_;  // kNullPtr = unlocked
   std::vector<std::uint8_t> busy_;
   std::vector<std::uint8_t> barrier_arrived_;
   std::uint32_t barrier_count_ = 0;

@@ -13,8 +13,10 @@ MemorySystem::MemorySystem(const MemoryConfig& cfg, std::uint32_t num_cores,
       fault_(fault),
       obs_(obs),
       buffers_(static_cast<std::size_t>(num_cores) * kPortCount),
+      // Injected delays stretch individual latencies, so fault runs retire
+      // out of order just like jittered ones.
+      in_order_(cfg.latency_jitter == 0 && fault == nullptr),
       jitter_rng_(cfg.jitter_seed) {
-  if (cfg_.max_outstanding == 0) cfg_.max_outstanding = 4 * num_cores;
   cache_tags_.assign(cfg_.header_cache_entries, kNullPtr);
 }
 
@@ -36,7 +38,14 @@ void MemorySystem::issue_store(CoreId core, Port port, Addr addr) {
          "core must stall on a full store buffer");
   ++b.stores_waiting;
   ++uncommitted_stores_;
-  if (port == Port::kHeader) ++pending_header_stores_[addr];
+  if (port == Port::kHeader) {
+    const auto p = pending_header_store(addr);
+    if (p != pending_header_stores_.end()) {
+      ++p->count;
+    } else {
+      pending_header_stores_.push_back(PendingStore{addr, 1});
+    }
+  }
   ++requests_;
   queue_.push_back(Request{core, port, MemOp::kStore, addr});
 }
@@ -49,6 +58,43 @@ void MemorySystem::issue_load(CoreId core, Port port, Addr addr) {
   queue_.push_back(Request{core, port, MemOp::kLoad, addr});
 }
 
+void MemorySystem::retire_one(const Inflight& f) {
+  const Request& r = f.req;
+  if (f.ghost) {
+    // The duplicated store arrives a second time, resurrecting the value it
+    // was accepted with. No accounting: the original already committed and
+    // freed its slot.
+    fault_->on_ghost_store_retire(r.addr, f.replay_value);
+    return;
+  }
+  if (r.op == MemOp::kLoad) {
+    buf(r.core, r.port).load_inflight = false;  // data arrived
+    return;
+  }
+  --uncommitted_stores_;  // committed to memory
+  if (r.port != Port::kHeader) return;
+  const auto p = pending_header_store(r.addr);
+  assert(p != pending_header_stores_.end());
+  if (--p->count == 0) {
+    *p = pending_header_stores_.back();
+    pending_header_stores_.pop_back();
+  }
+}
+
+void MemorySystem::retire_out_of_order(InflightClass& q, Cycle now) {
+  // Retire every due entry in acceptance order (fault hooks fire in that
+  // order) and close the gaps, keeping the rest in order.
+  std::size_t kept = q.head;
+  for (std::size_t i = q.head; i < q.items.size(); ++i) {
+    if (q.items[i].complete_at <= now) {
+      retire_one(q.items[i]);
+    } else {
+      q.items[kept++] = q.items[i];
+    }
+  }
+  q.items.resize(kept);
+}
+
 void MemorySystem::tick(Cycle now) {
   // Idle early-out: with nothing queued or in flight the retire and accept
   // passes are no-ops, so skip them (idle components cost nothing) — the
@@ -57,58 +103,35 @@ void MemorySystem::tick(Cycle now) {
     if (obs_ != nullptr) obs_->on_mem_inflight(0);
     return;
   }
-  // 1. Retire transactions whose latency has elapsed. Within each port
-  //    class acceptance order is completion order (constant per-class
-  //    latency), so only the fronts can retire — unless latency jitter is
-  //    on, in which case completions interleave and the deque is scanned.
-  // Injected delays stretch individual latencies, so fault runs need the
-  // out-of-order retire scan just like jittered ones.
-  const bool out_of_order = cfg_.latency_jitter != 0 || fault_ != nullptr;
-  const auto retire = [&](std::deque<Inflight>& inflight) {
-    for (auto it = inflight.begin(); it != inflight.end();) {
-      if (it->complete_at > now) {
-        if (!out_of_order) break;
-        ++it;
-        continue;
-      }
-      const Request& r = it->req;
-      if (it->ghost) {
-        // The duplicated store arrives a second time, resurrecting the
-        // value it was accepted with. No accounting: the original already
-        // committed and freed its slot.
-        fault_->on_ghost_store_retire(r.addr, it->replay_value);
-        it = inflight.erase(it);
-        continue;
-      }
-      if (r.op == MemOp::kLoad) {
-        buf(r.core, r.port).load_inflight = false;  // data arrived
-      } else {
-        --uncommitted_stores_;  // committed to memory
-        if (r.port == Port::kHeader) {
-          auto ps = pending_header_stores_.find(r.addr);
-          assert(ps != pending_header_stores_.end());
-          if (--ps->second == 0) pending_header_stores_.erase(ps);
-        }
-      }
-      it = inflight.erase(it);
-    }
-  };
-  retire(inflight_header_);
-  retire(inflight_header_fast_);
-  retire(inflight_body_);
-
-  // 2. Accept up to bandwidth_per_cycle queued requests, oldest first.
-  //    Header loads held back by the comparator array let younger,
-  //    independent requests pass (split transactions).
-  std::uint32_t accepted = 0;
-  for (auto it = queue_.begin();
-       it != queue_.end() && accepted < cfg_.bandwidth_per_cycle;) {
-    const Request r = *it;
-    if (r.op == MemOp::kLoad && r.port == Port::kHeader &&
-        header_store_uncommitted(r.addr)) {
-      ++it;  // comparator array delays this header load
+  // 1. Retire transactions whose latency has elapsed. In acceptance order
+  //    only the fronts can be due; jittered and fault runs scan instead.
+  for (InflightClass* q :
+       {&inflight_header_, &inflight_header_fast_, &inflight_body_}) {
+    if (!in_order_) {
+      retire_out_of_order(*q, now);
       continue;
     }
+    while (!q->empty() && q->front().complete_at <= now) {
+      retire_one(q->front());
+      q->pop_front();
+    }
+  }
+
+  // 2. Accept up to bandwidth_per_cycle queued requests, oldest first, in
+  //    one pass over the queue. Header loads held back by the comparator
+  //    array let younger, independent requests pass (split transactions);
+  //    they stay in order ahead of the overflow past the bandwidth limit.
+  std::uint32_t accepted = 0;
+  std::size_t kept = 0;
+  std::size_t i = 0;
+  for (; i < queue_.size() && accepted < cfg_.bandwidth_per_cycle; ++i) {
+    const Request r = queue_[i];
+    if (r.op == MemOp::kLoad && r.port == Port::kHeader &&
+        header_store_uncommitted(r.addr)) {
+      queue_[kept++] = r;  // comparator array delays this header load
+      continue;
+    }
+    ++accepted;
     if (r.op == MemOp::kStore) {
       --buf(r.core, r.port).stores_waiting;  // slot frees on acceptance
     }
@@ -122,17 +145,14 @@ void MemorySystem::tick(Cycle now) {
       // dropped store never commits (uncommitted_stores_ and the comparator
       // array keep its entry, so the drain condition never holds). Either
       // way only the watchdog can end the cycle.
-      it = queue_.erase(it);
-      ++accepted;
       continue;
     }
-    Cycle extra =
-        out_of_order && cfg_.latency_jitter != 0
-            ? jitter_rng_.below(cfg_.latency_jitter + 1)
-            : 0;
+    Cycle extra = cfg_.latency_jitter != 0
+                      ? jitter_rng_.below(cfg_.latency_jitter + 1)
+                      : 0;
     extra += fa.extra_delay;
     Cycle complete_at;
-    std::deque<Inflight>* inflight;
+    InflightClass* inflight;
     if (r.port == Port::kHeader) {
       if (header_cache_lookup_and_fill(r.addr)) {
         complete_at = now + cfg_.header_cache_hit_latency + extra;
@@ -145,14 +165,14 @@ void MemorySystem::tick(Cycle now) {
       complete_at = now + cfg_.latency + extra;
       inflight = &inflight_body_;
     }
-    inflight->push_back(Inflight{r, complete_at, false, 0});
+    inflight->push(Inflight{r, complete_at, false, 0});
     if (fa.kind == MemFaultAction::Kind::kDuplicate) {
-      inflight->push_back(Inflight{r, complete_at + 1 + fa.ghost_lag, true,
-                                   fa.replay_value});
+      inflight->push(Inflight{r, complete_at + 1 + fa.ghost_lag, true,
+                              fa.replay_value});
     }
-    it = queue_.erase(it);
-    ++accepted;
   }
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(kept),
+               queue_.begin() + static_cast<std::ptrdiff_t>(i));
 
   if (obs_ != nullptr) {
     obs_->on_mem_inflight(inflight_header_.size() +

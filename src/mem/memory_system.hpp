@@ -27,9 +27,9 @@
 //    as they would under real DRAM bank conflicts or refresh.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/ports.hpp"
@@ -117,18 +117,13 @@ class MemorySystem {
 
   /// Earliest complete_at over every in-flight transaction (ghost replays
   /// included — they mutate memory when they retire); kNever when nothing
-  /// is in flight. The first cycle whose tick is not a pure no-op.
+  /// is in flight. The first cycle whose tick is not a pure no-op. In
+  /// acceptance order each class's front completes first, so this reads
+  /// three fronts; only jittered or fault-injected runs scan.
   Cycle next_completion() const noexcept {
-    Cycle t = kNever;
-    const auto scan = [&t](const std::deque<Inflight>& q) {
-      for (const Inflight& f : q) {
-        if (f.complete_at < t) t = f.complete_at;
-      }
-    };
-    scan(inflight_header_);
-    scan(inflight_header_fast_);
-    scan(inflight_body_);
-    return t;
+    return std::min({inflight_header_.earliest(in_order_),
+                     inflight_header_fast_.earliest(in_order_),
+                     inflight_body_.earliest(in_order_)});
   }
 
   std::uint64_t requests_issued() const noexcept { return requests_; }
@@ -161,6 +156,51 @@ class MemorySystem {
     Word replay_value = 0;
   };
 
+  /// Accepted transactions of one latency class, oldest first. Live
+  /// entries are items[head..]; retiring the front only advances `head`,
+  /// and push() slides the live part down once the retired prefix is at
+  /// least as long, so the storage stops growing after warm-up.
+  struct InflightClass {
+    std::vector<Inflight> items;
+    std::size_t head = 0;
+
+    bool empty() const noexcept { return head == items.size(); }
+    std::size_t size() const noexcept { return items.size() - head; }
+    const Inflight& front() const noexcept { return items[head]; }
+    void pop_front() noexcept {
+      if (++head == items.size()) {
+        items.clear();
+        head = 0;
+      }
+    }
+    /// Earliest complete_at, kNever when empty: the front when the class
+    /// retires in acceptance order, else a scan.
+    Cycle earliest(bool in_order) const noexcept {
+      if (in_order) return empty() ? kNever : front().complete_at;
+      Cycle t = kNever;
+      for (std::size_t i = head; i < items.size(); ++i) {
+        t = std::min(t, items[i].complete_at);
+      }
+      return t;
+    }
+    void push(const Inflight& f) {
+      if (head != 0 && head >= size()) {
+        items.erase(items.begin(),
+                    items.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+      }
+      items.push_back(f);
+    }
+  };
+
+  /// Comparator-array entry: uncommitted header stores to one address.
+  /// A count, not a flag: an evacuation's gray-header store and its later
+  /// blacken store can both be pending on one tospace header.
+  struct PendingStore {
+    Addr addr = 0;
+    std::uint32_t count = 0;
+  };
+
   PortBuffer& buf(CoreId core, Port port) noexcept {
     return buffers_[core * kPortCount + static_cast<std::size_t>(port)];
   }
@@ -170,24 +210,39 @@ class MemorySystem {
 
   /// Comparator array: is a header store to `addr` queued or in flight?
   bool header_store_uncommitted(Addr addr) const noexcept {
-    return pending_header_stores_.contains(addr);
+    return std::any_of(
+        pending_header_stores_.begin(), pending_header_stores_.end(),
+        [addr](const PendingStore& p) { return p.addr == addr; });
   }
+  std::vector<PendingStore>::iterator pending_header_store(Addr addr) {
+    return std::find_if(
+        pending_header_stores_.begin(), pending_header_stores_.end(),
+        [addr](const PendingStore& p) { return p.addr == addr; });
+  }
+
+  void retire_one(const Inflight& f);
+  void retire_out_of_order(InflightClass& q, Cycle now);
 
   MemoryConfig cfg_;
   FaultInjector* fault_ = nullptr;
   ClockObserver* obs_ = nullptr;
   std::vector<PortBuffer> buffers_;  // num_cores x kPortCount
-  std::deque<Request> queue_;        // issued, not yet accepted
+  // Issued, not yet accepted, oldest first. Each tick rewrites it in one
+  // pass: accepted requests drop out, held-back header loads and the
+  // overflow past bandwidth_per_cycle stay in order.
+  std::vector<Request> queue_;
   // Accepted requests of one latency class complete in acceptance order
-  // (constant per-class latency), so one deque per class suffices: the
-  // front always retires first. Header-cache hits form their own, faster
-  // class. With latency_jitter enabled, completions within a class can
-  // retire out of acceptance order and the whole deque is scanned instead
-  // (fuzzing only — never the measured configuration).
+  // (constant per-class latency), so one FIFO per class suffices: only the
+  // front can retire. Header-cache hits form their own, faster class. With
+  // latency jitter or a fault injector, completions within a class can
+  // retire out of acceptance order (`in_order_` false) and the class is
+  // scanned and compacted instead (fuzzing and fault runs only — never
+  // the measured configuration).
+  bool in_order_ = true;
   Rng jitter_rng_{0};
-  std::deque<Inflight> inflight_header_;
-  std::deque<Inflight> inflight_header_fast_;
-  std::deque<Inflight> inflight_body_;
+  InflightClass inflight_header_;
+  InflightClass inflight_header_fast_;
+  InflightClass inflight_body_;
 
   /// Header cache (Section VII future work 2): direct-mapped tag array.
   /// Contents are architectural memory (functional state is elsewhere), so
@@ -196,8 +251,10 @@ class MemorySystem {
   std::vector<Addr> cache_tags_;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
-  // Comparator array: uncommitted header-store count per address.
-  std::unordered_map<Addr, std::uint32_t> pending_header_stores_;
+  // Comparator array: one entry per address with an uncommitted header
+  // store, in no particular order. It holds at most a few dozen entries,
+  // so a linear scan beats hashing and no store allocates.
+  std::vector<PendingStore> pending_header_stores_;
   std::uint64_t uncommitted_stores_ = 0;
   std::uint64_t requests_ = 0;
 };

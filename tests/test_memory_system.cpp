@@ -3,7 +3,10 @@
 // limits, the comparator-array header ordering and the end-of-cycle flush.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mem/memory_system.hpp"
+#include "sim/rng.hpp"
 
 namespace hwgc {
 namespace {
@@ -68,14 +71,12 @@ TEST(MemorySystem, BandwidthLimitsAcceptancePerCycle) {
   MemorySystem mem(cfg, 4);
   // Four cores each issue one body store in the same cycle.
   for (CoreId c = 0; c < 4; ++c) mem.issue_store(c, Port::kBody, 100 + c);
-  mem.tick(1);  // accepts 2 of 4
-  std::uint32_t still_waiting = 0;
+  mem.tick(1);  // accepts 2 of 4: the two oldest, cores 0 and 1
   for (CoreId c = 0; c < 4; ++c) {
-    if (mem.store_slots_free(c, Port::kBody) != MemorySystem::kStoreDepth) {
-      ++still_waiting;
-    }
+    EXPECT_EQ(mem.store_slots_free(c, Port::kBody),
+              c < 2 ? MemorySystem::kStoreDepth : MemorySystem::kStoreDepth - 1)
+        << "core " << c;
   }
-  EXPECT_EQ(still_waiting, 2u);
   mem.tick(2);  // accepts the rest
   for (CoreId c = 0; c < 4; ++c) {
     EXPECT_EQ(mem.store_slots_free(c, Port::kBody), MemorySystem::kStoreDepth);
@@ -91,6 +92,65 @@ TEST(MemorySystem, ComparatorArrayDelaysHeaderLoadBehindSameAddressStore) {
   // The load may only be accepted after the store commits (header_latency
   // after its acceptance), then takes header_latency itself.
   EXPECT_GE(waited, 2 * fast(4, 6).header_latency);
+}
+
+TEST(MemorySystem, HeaderLoadWaitsForTheLastOfTwoPendingStores) {
+  // Evacuation can leave two header stores pending on one tospace header
+  // (the gray frame, then the blacken). The comparator array counts them:
+  // a header load to that header waits for the second commit, not the
+  // first.
+  constexpr Cycle kHeader = 6;
+  MemorySystem mem(fast(4, kHeader), 3);
+  mem.issue_store(0, Port::kHeader, 500);
+  mem.issue_load(2, Port::kHeader, 500);
+  Cycle now = 0;
+  mem.tick(++now);  // first store accepted, commits at 1 + kHeader
+  mem.tick(++now);
+  mem.tick(++now);
+  mem.issue_store(1, Port::kHeader, 500);
+  mem.tick(++now);  // second store accepted, commits at 4 + kHeader
+  const Cycle second_commit = now + kHeader;
+  while (mem.load_pending(2, Port::kHeader)) {
+    mem.tick(++now);
+    ASSERT_LT(now, 100u);
+  }
+  // Accepted in the tick the second store commits, then header latency.
+  EXPECT_EQ(now, second_commit + kHeader);
+}
+
+TEST(MemorySystem, HeaderLoadWaitsForBothStoresWhenTheyCommitOutOfOrder) {
+  // The same two pending stores under latency jitter, where the later
+  // store can commit first. Jitter draws come from one stream seeded with
+  // jitter_seed, one per accepted request in acceptance order, so the test
+  // can predict every commit.
+  constexpr Cycle kHeader = 6;
+  constexpr Cycle kJitter = 9;
+  std::uint32_t reversed = 0;
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    MemoryConfig cfg = fast(4, kHeader);
+    cfg.latency_jitter = kJitter;
+    cfg.jitter_seed = seed;
+    Rng draws(seed);
+    const Cycle first_commit = 1 + kHeader + draws.below(kJitter + 1);
+    const Cycle second_commit = 2 + kHeader + draws.below(kJitter + 1);
+    const Cycle load_latency = kHeader + draws.below(kJitter + 1);
+    if (second_commit < first_commit) ++reversed;
+
+    MemorySystem mem(cfg, 3);
+    mem.issue_store(0, Port::kHeader, 500);
+    mem.issue_load(2, Port::kHeader, 500);
+    Cycle now = 0;
+    mem.tick(++now);  // first store accepted
+    mem.issue_store(1, Port::kHeader, 500);
+    mem.tick(++now);  // second store accepted
+    while (mem.load_pending(2, Port::kHeader)) {
+      mem.tick(++now);
+      ASSERT_LT(now, 100u);
+    }
+    EXPECT_EQ(now, std::max(first_commit, second_commit) + load_latency)
+        << "seed " << seed;
+  }
+  EXPECT_GT(reversed, 0u) << "no seed let the later store commit first";
 }
 
 TEST(MemorySystem, IndependentHeaderLoadPassesBlockedOne) {
