@@ -1,7 +1,7 @@
 // fault_lab — hardware fault-injection sweep driver.
 //
 // Sweeps the fault matrix (fault class × event rate × core count × seeds)
-// through the differential oracle: every run injects a seeded fault plan,
+// through the conformance oracle: every run injects a seeded fault plan,
 // collects through the detection-and-recovery machinery and cross-checks
 // the result against the sequential Cheney reference. Per run the outcome
 // is classified as
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "fault/fault_plan.hpp"
+#include "fault/recovery.hpp"
 #include "fuzz/oracle.hpp"
 #include "telemetry/trace_export.hpp"
 
@@ -149,11 +150,11 @@ struct Tally {
   std::uint64_t fired = 0;
 };
 
-const char* classify(const hwgc::FuzzVerdict& v) {
-  if (!v.ok) return "FAILED";
-  if (v.recovery.used_sequential_fallback) return "fallback";
-  if (!v.recovery.deconfigured.empty()) return "deconfigured";
-  if (v.recovery.attempts.size() > 1) return "retried";
+const char* classify(bool ok, const hwgc::RecoveryReport& r) {
+  if (!ok) return "FAILED";
+  if (r.used_sequential_fallback) return "fallback";
+  if (!r.deconfigured.empty()) return "deconfigured";
+  if (r.attempts.size() > 1) return "retried";
   return "masked";
 }
 
@@ -197,22 +198,25 @@ int main(int argc, char** argv) {
           // A floor of half the cap keeps the collection long enough that
           // trigger points drawn from [0, fault_scale) actually land in it.
           fc.graph.min_nodes = std::max(opt.max_nodes / 2, 1u);
-          fc.num_cores = cores;
-          fc.schedule = kSchedules[s % 4];
-          fc.schedule_seed = opt.base_seed + s;
-          fc.fault.seed = opt.base_seed + s;
-          fc.fault.events = events;
-          fc.fault.trigger_scale = opt.fault_scale;
-          fc.fault.class_mask = 1u << static_cast<std::uint32_t>(kind);
-          const hwgc::FuzzVerdict v = hwgc::run_fuzz_case(fc);
+          hwgc::HarnessConfig& h = fc.harness;
+          h.threads = cores;
+          h.schedule = kSchedules[s % 4];
+          h.schedule_seed = opt.base_seed + s;
+          h.fault.seed = opt.base_seed + s;
+          h.fault.events = events;
+          h.fault.trigger_scale = opt.fault_scale;
+          h.fault.class_mask = 1u << static_cast<std::uint32_t>(kind);
+          const hwgc::ConformanceVerdict v = hwgc::run_fuzz_case(fc);
+          const hwgc::RecoveryReport rec =
+              v.report.recovery.value_or(hwgc::RecoveryReport{});
 
           ++t.runs;
-          t.injected += v.recovery.faults_injected;
-          t.fired += v.recovery.faults_fired;
-          const std::string outcome = classify(v);
-          const int rank = outcome != "masked"          ? 2
-                           : v.recovery.faults_fired > 0 ? 1
-                                                         : 0;
+          t.injected += rec.faults_injected;
+          t.fired += rec.faults_fired;
+          const std::string outcome = classify(v.ok, rec);
+          const int rank = outcome != "masked"   ? 2
+                           : rec.faults_fired > 0 ? 1
+                                                  : 0;
           if (rank > interesting_rank) {
             interesting = fc;
             interesting_outcome = outcome;
@@ -222,7 +226,7 @@ int main(int argc, char** argv) {
             ++t.failed;
             any_failed = true;
             std::cout << "FAILED: " << to_string(kind) << " cores=" << cores
-                      << " events=" << events << " seed=" << fc.fault.seed
+                      << " events=" << events << " seed=" << h.fault.seed
                       << "\n"
                       << v.summary() << "\nrepro: fuzz_gc " << fc.summary()
                       << "\n";
@@ -237,10 +241,9 @@ int main(int argc, char** argv) {
           }
           if (opt.verbose) {
             std::cout << to_string(kind) << " cores=" << cores
-                      << " events=" << events << " seed=" << fc.fault.seed
-                      << ": " << outcome << " (" << v.recovery.attempts.size()
-                      << " attempt(s), " << v.recovery.faults_fired
-                      << " fired)\n";
+                      << " events=" << events << " seed=" << h.fault.seed
+                      << ": " << outcome << " (" << rec.attempts.size()
+                      << " attempt(s), " << rec.faults_fired << " fired)\n";
           }
         }
       }
@@ -276,16 +279,23 @@ int main(int argc, char** argv) {
             << std::setw(6) << total.fired << "\n";
 
   if (!opt.trace_json.empty() && interesting_rank >= 0) {
+    // The timeline re-run drives the recovery ladder directly: telemetry
+    // is an observer of the simulator, not part of the oracle's contract.
     hwgc::TelemetryBus bus;
-    const hwgc::FuzzVerdict v = hwgc::run_fuzz_case(interesting, &bus);
+    hwgc::Workload w = hwgc::materialize(
+        hwgc::make_fuzz_plan(interesting.graph_seed, interesting.graph));
+    const hwgc::RecoveryReport rec =
+        hwgc::RecoveringCollector(hwgc::sim_config_from(interesting.harness),
+                                  *w.heap)
+            .collect(nullptr, &bus);
     if (!hwgc::write_chrome_trace(bus, opt.trace_json)) {
       std::cerr << "error: failed to write " << opt.trace_json << "\n";
       return 1;
     }
     std::cout << "\nre-ran '" << interesting_outcome << "' case ("
               << interesting.summary() << ") with telemetry: "
-              << v.recovery.attempts.size() << " attempt(s), "
-              << v.recovery.faults_fired << " fault(s) fired\n"
+              << rec.attempts.size() << " attempt(s), " << rec.faults_fired
+              << " fault(s) fired\n"
               << "wrote recovery timeline (" << bus.spans().size()
               << " spans, " << bus.instants().size() << " instants) to "
               << opt.trace_json << "\n";

@@ -1,9 +1,9 @@
 // fuzz_gc — schedule-exploration fuzzing driver.
 //
 // Runs fuzzed (graph × schedule × core-count) configurations through the
-// differential oracle (src/fuzz/oracle.hpp): every case is collected by
-// the coprocessor simulator under a pluggable step-order policy and by the
-// sequential Cheney reference, and the two results are cross-checked.
+// conformance oracle (src/fuzz/oracle.hpp): every case is collected by the
+// coprocessor simulator under a pluggable step-order policy and
+// cross-checked against the sequential Cheney reference.
 //
 // Modes:
 //   fuzz_gc --seed 7 --count 100        # 100 cases derived from seeds 7..106
@@ -88,28 +88,28 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.fc.graph_seed = u64();
       opt.explicit_case = true;
     } else if (a == "--schedule") {
-      if (!hwgc::parse_schedule_policy(next(i), opt.fc.schedule)) {
+      if (!hwgc::parse_schedule_policy(next(i), opt.fc.harness.schedule)) {
         std::cerr << "unknown schedule policy\n";
         return false;
       }
       opt.explicit_case = true;
     } else if (a == "--schedule-seed") {
-      opt.fc.schedule_seed = u64();
+      opt.fc.harness.schedule_seed = u64();
       opt.explicit_case = true;
     } else if (a == "--cores") {
-      opt.fc.num_cores = static_cast<std::uint32_t>(u64());
+      opt.fc.harness.threads = static_cast<std::uint32_t>(u64());
       opt.explicit_case = true;
     } else if (a == "--fifo") {
-      opt.fc.header_fifo_capacity = static_cast<std::uint32_t>(u64());
+      opt.fc.harness.header_fifo_capacity = static_cast<std::uint32_t>(u64());
       opt.explicit_case = true;
     } else if (a == "--jitter") {
-      opt.fc.latency_jitter = u64();
+      opt.fc.harness.latency_jitter = u64();
       opt.explicit_case = true;
     } else if (a == "--subobject") {
-      opt.fc.subobject_copy = true;
+      opt.fc.harness.subobject_copy = true;
       opt.explicit_case = true;
     } else if (a == "--earlyread") {
-      opt.fc.markbit_early_read = true;
+      opt.fc.harness.markbit_early_read = true;
       opt.explicit_case = true;
     } else if (a == "--min-nodes") {
       opt.fc.graph.min_nodes = static_cast<std::uint32_t>(u64());
@@ -145,19 +145,19 @@ bool parse_args(int argc, char** argv, Options& opt) {
       opt.fc.graph.max_roots = static_cast<std::uint32_t>(u64());
       opt.explicit_case = true;
     } else if (a == "--fault-events") {
-      opt.fc.fault.events = static_cast<std::uint32_t>(u64());
+      opt.fc.harness.fault.events = static_cast<std::uint32_t>(u64());
       opt.explicit_case = true;
     } else if (a == "--fault-seed") {
-      opt.fc.fault.seed = u64();
+      opt.fc.harness.fault.seed = u64();
       opt.explicit_case = true;
     } else if (a == "--fault-mask") {
-      opt.fc.fault.class_mask = static_cast<std::uint32_t>(u64());
+      opt.fc.harness.fault.class_mask = static_cast<std::uint32_t>(u64());
       opt.explicit_case = true;
     } else if (a == "--fault-persistent") {
-      opt.fc.fault.persistent_fraction = f64();
+      opt.fc.harness.fault.persistent_fraction = f64();
       opt.explicit_case = true;
     } else if (a == "--fault-scale") {
-      opt.fc.fault.trigger_scale = static_cast<std::uint32_t>(u64());
+      opt.fc.harness.fault.trigger_scale = static_cast<std::uint32_t>(u64());
       opt.explicit_case = true;
     } else if (a == "--help" || a == "-h") {
       usage();
@@ -175,17 +175,16 @@ bool parse_args(int argc, char** argv, Options& opt) {
 /// non-null) receives the minimized reproducer on failure.
 bool run_one(const hwgc::FuzzCase& fc, const std::string& label,
              const Options& opt, hwgc::FuzzCase* repro = nullptr) {
-  const hwgc::FuzzVerdict v = hwgc::run_fuzz_case(fc);
+  const hwgc::ConformanceVerdict v = hwgc::run_fuzz_case(fc);
   if (v.ok) {
     if (opt.verbose) {
+      const hwgc::GcCycleStats& s = *v.report.coproc;
       std::cout << label << " ok: live=" << v.live_objects
-                << " cycles=" << v.coproc.total_cycles
-                << " words=" << v.coproc.words_copied
-                << " mem=" << v.coproc.mem_requests
-                << " fifo_miss=" << v.coproc.fifo_misses << "  [" << fc.summary()
-                << "]\n";
-      if (v.fault_run) {
-        std::cout << "  recovery: " << v.recovery.summary() << "\n";
+                << " cycles=" << s.total_cycles << " words=" << s.words_copied
+                << " mem=" << s.mem_requests << " fifo_miss=" << s.fifo_misses
+                << "  [" << fc.summary() << "]\n";
+      if (v.report.recovery) {
+        std::cout << "  recovery: " << v.report.recovery->summary() << "\n";
       }
     }
     return true;
@@ -196,7 +195,7 @@ bool run_one(const hwgc::FuzzCase& fc, const std::string& label,
   if (opt.minimize) {
     const hwgc::FuzzCase small = hwgc::minimize_case(fc);
     std::cout << "minimized: fuzz_gc " << small.summary() << "\n";
-    const hwgc::FuzzVerdict mv = hwgc::run_fuzz_case(small);
+    const hwgc::ConformanceVerdict mv = hwgc::run_fuzz_case(small);
     if (!mv.ok) std::cout << mv.summary() << "\n";
     if (repro != nullptr) *repro = small;
   }
@@ -241,9 +240,9 @@ int main(int argc, char** argv) {
     }
   }
   if (!opt.emit_trace.empty()) {
-    // fc.fault is not carried into the trace (replay runs a pluggable
-    // collector, not the recovery ladder); everything else — graph,
-    // schedule, cores, FIFO, jitter, feature knobs — is.
+    // The fault config is not carried into the trace (replay runs a
+    // pluggable collector, not the recovery ladder); everything else —
+    // graph, schedule, cores, FIFO, jitter, feature knobs — is.
     const hwgc::Trace trace = hwgc::trace_from_fuzz_case(emit_fc);
     hwgc::save_trace(opt.emit_trace, trace);
     std::cout << "emitted " << (emit_is_failure ? "reproducer" : "last-case")

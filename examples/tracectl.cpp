@@ -224,7 +224,7 @@ int cmd_minimize(int argc, char** argv) {
   if (!seed || out.empty()) return usage();
 
   FuzzCase fc = case_from_seed(*seed);
-  const FuzzVerdict verdict = run_fuzz_case(fc);
+  const ConformanceVerdict verdict = run_fuzz_case(fc);
   if (!verdict.ok) {
     std::printf("seed %llu FAILS the differential oracle; minimizing...\n",
                 static_cast<unsigned long long>(*seed));

@@ -232,8 +232,11 @@ void check_snapshot_structure(const char* who, const HeapSnapshot& pre,
 std::string ConformanceVerdict::summary() const {
   if (ok) return "OK";
   std::ostringstream os;
-  os << errors.size() << " conformance error(s):";
+  os << errors.size() << " oracle error(s):";
   for (const auto& e : errors) os << "\n  - " << e;
+  if (!report.schedule_tail.empty()) {
+    os << "\nschedule tail:\n" << report.schedule_tail;
+  }
   return os.str();
 }
 
@@ -263,6 +266,37 @@ void check_post_structure(CollectorId id, const HeapSnapshot& pre,
                           std::vector<std::string>& errors) {
   const CollectorTraits t = traits_of(id);
   const char* who = to_string(id);
+
+  if (report.recovery.has_value()) {
+    // An injected fault may be masked or explicitly recovered, never
+    // silently corrupting: a failed ladder leaves the restored pre-cycle
+    // image behind, and every planned, fired and logged event must be
+    // accounted for.
+    const RecoveryReport& rec = *report.recovery;
+    if (!rec.ok) {
+      errors.push_back("recovery failed: " + rec.summary());
+      return;
+    }
+    if (rec.faults_injected != rec.faults_requested) {
+      errors.push_back("fault plan holds " +
+                       std::to_string(rec.faults_injected) +
+                       " events, config requested " +
+                       std::to_string(rec.faults_requested));
+    }
+    std::uint64_t fired = 0;
+    for (const auto& a : rec.attempts) fired += a.faults_fired;
+    if (fired != rec.faults_fired) {
+      errors.push_back("fault accounting mismatch: attempts account for " +
+                       std::to_string(fired) + " firings, injector reports " +
+                       std::to_string(rec.faults_fired));
+    }
+    if (rec.faults_fired != rec.fault_log.size()) {
+      errors.push_back("fault log holds " +
+                       std::to_string(rec.fault_log.size()) +
+                       " entries for " + std::to_string(rec.faults_fired) +
+                       " firings");
+    }
+  }
 
   for (const auto& x : report.lock_order_violations) {
     errors.push_back(std::string(who) + ": lock order: " + x);
@@ -345,6 +379,7 @@ ConformanceVerdict run_conformance_case(CollectorId id,
     v.report = harness->collect(*w.heap);
   } catch (const std::exception& e) {
     v.fail(std::string(who) + " threw: " + e.what());
+    v.report.schedule_tail = harness->schedule_tail();
     return v;
   }
 

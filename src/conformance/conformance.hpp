@@ -1,9 +1,11 @@
 // Property-based conformance oracle, shared by every collector.
 //
-// Generalizes the fuzz oracle (src/fuzz/oracle.cpp), which is specialized
-// to the coprocessor-vs-Cheney differential pair, to any collector behind a
-// CollectorHarness. One case = one graph plan + one harness configuration;
-// the oracle materializes the plan, runs the collector, and checks the
+// The one oracle of the repository: the conformance matrix, the torture
+// driver, the schedule fuzzer (src/fuzz/oracle.hpp) and the fault matrix
+// all run their cases through run_conformance_case, and the trace replayer
+// and heapd apply its check_post_structure around every cycle. One case =
+// one graph plan + one harness configuration; the oracle materializes the
+// plan, runs the collector behind its CollectorHarness, and checks the
 // properties the collector's traits promise:
 //
 //   * forwarding-map bijectivity — total over the pre-live set and
@@ -21,7 +23,11 @@
 //     reference run over the same plan;
 //   * idempotence of immediate re-collection — a second cycle over the
 //     freshly collected heap must preserve the graph again and copy
-//     exactly the same live set.
+//     exactly the same live set;
+//   * fault accounting for fault-injected coprocessor runs — the recovery
+//     ladder succeeded, and every planned, fired and logged fault event is
+//     accounted for (an injected fault is masked or recovered, never
+//     silently corrupting).
 #pragma once
 
 #include <cstdint>
@@ -68,7 +74,8 @@ struct ConformanceVerdict {
 /// slack cannot exhaust tospace on small graphs.
 double conformance_heap_factor(CollectorId id, const ConformanceCase& c);
 
-/// Structural post-state checks on an already-collected heap: liveness
+/// Structural post-state checks on an already-collected heap: recovery
+/// outcome and fault accounting (when report.recovery is set), liveness
 /// (verify_collection), forwarding bijectivity, density or fragmentation
 /// accounting, and counter consistency — everything that can be judged
 /// from (pre snapshot, post heap, report). Shared by run_conformance_case

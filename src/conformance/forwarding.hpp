@@ -1,9 +1,9 @@
 // Forwarding-map extraction and cross-collector image comparison.
 //
-// These checks used to live file-local in src/fuzz/oracle.cpp, specialized
-// to the coprocessor-vs-Cheney pair; the conformance kit generalizes them to
-// any collector behind a CollectorHarness, so they are shared here and both
-// the fuzz oracle and the conformance oracle call one implementation.
+// The collector-agnostic building blocks of the conformance oracle
+// (conformance.hpp): they apply to any collector behind a CollectorHarness,
+// and cross_compare_images pits a collector's tospace image against the
+// sequential Cheney reference run over the same plan.
 //
 // All functions append human-readable diagnostics to `errors` and return
 // false on the first structural failure that makes later checks unsound

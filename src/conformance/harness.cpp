@@ -5,6 +5,7 @@
 #include "baselines/work_packets.hpp"
 #include "baselines/work_stealing.hpp"
 #include "core/coprocessor.hpp"
+#include "core/schedule_policy.hpp"
 
 namespace hwgc {
 
@@ -81,18 +82,31 @@ CollectorTraits traits_of(CollectorId id) noexcept {
   return t;
 }
 
-namespace {
-
 SimConfig sim_config_from(const HarnessConfig& cfg) {
   SimConfig sim;
   sim.coprocessor.num_cores = cfg.threads;
   sim.coprocessor.header_fifo_capacity = cfg.header_fifo_capacity;
   sim.coprocessor.schedule = cfg.schedule;
   sim.coprocessor.schedule_seed = cfg.schedule_seed;
+  sim.coprocessor.subobject_copy = cfg.subobject_copy;
+  sim.coprocessor.markbit_early_read = cfg.markbit_early_read;
   sim.memory.latency_jitter = cfg.latency_jitter;
   sim.memory.jitter_seed = cfg.schedule_seed ^ 0x9e3779b97f4a7c15ULL;
+  sim.fault = cfg.fault;
   return sim;
 }
+
+CycleReport report_from(const GcCycleStats& s) {
+  CycleReport r;
+  r.objects_copied = s.objects_copied;
+  r.words_copied = s.words_copied;
+  for (const auto& c : s.per_core) r.evacuations += c.objects_evacuated;
+  r.lock_order_violations = s.lock_order_violations;
+  r.coproc = s;
+  return r;
+}
+
+namespace {
 
 std::uint64_t parallel_sync_ops(const ParallelGcStats& s) {
   return s.cas_ops + s.mutex_acquisitions + s.steal_attempts;
@@ -116,19 +130,27 @@ class CoprocessorHarness final : public CollectorHarness {
     return CollectorId::kCoprocessor;
   }
   CycleReport collect(Heap& heap) override {
+    schedule_ = ScheduleTrace();
+    if (cfg_.fault.enabled()) {
+      RecoveryReport rec =
+          RecoveringCollector(sim_config_from(cfg_), heap).collect();
+      CycleReport r = report_from(rec.stats);
+      // The sequential fallback reports no per-core counters; like the
+      // sequential harness, it evacuated every object it copied.
+      if (rec.used_sequential_fallback) r.evacuations = r.objects_copied;
+      r.recovery = std::move(rec);
+      return r;
+    }
     Coprocessor coproc(sim_config_from(cfg_), heap);
-    const GcCycleStats s = coproc.collect();
-    CycleReport r;
-    r.objects_copied = s.objects_copied;
-    r.words_copied = s.words_copied;
-    for (const auto& c : s.per_core) r.evacuations += c.objects_evacuated;
-    r.lock_order_violations = s.lock_order_violations;
-    r.coproc = s;
+    CycleReport r = report_from(coproc.collect(nullptr, &schedule_));
+    r.schedule_tail = schedule_.dump();
     return r;
   }
+  std::string schedule_tail() const override { return schedule_.dump(); }
 
  private:
   HarnessConfig cfg_;
+  ScheduleTrace schedule_;
 };
 
 class SequentialHarness final : public CollectorHarness {

@@ -23,6 +23,7 @@
 #include "baselines/sequential_cheney.hpp"
 #include "concurrent_mutator/snapshot_collector.hpp"
 #include "core/concurrent_cycle.hpp"
+#include "fault/recovery.hpp"
 #include "heap/heap.hpp"
 #include "sim/config.hpp"
 #include "sim/counters.hpp"
@@ -101,6 +102,12 @@ struct CycleReport {
   std::vector<std::string> lock_order_violations;
   /// Shadow-graph mismatches (concurrent cycle only); must stay zero.
   std::size_t validation_mismatches = 0;
+  /// Coprocessor only: the last 64 core-step orders of the cycle
+  /// (ScheduleTrace::dump), printed when the oracle rejects the run.
+  std::string schedule_tail;
+  /// Coprocessor under fault injection: how the recovery ladder ended the
+  /// cycle. `coproc` then holds the stats of the successful attempt.
+  std::optional<RecoveryReport> recovery;
 
   // Family payloads — exactly one is populated per run.
   std::optional<GcCycleStats> coproc;
@@ -124,6 +131,12 @@ struct HarnessConfig {
   /// Simulator memory-latency jitter (cycles).
   Cycle latency_jitter = 0;
   std::uint32_t header_fifo_capacity = 32 * 1024;
+  /// Simulator collector features (CoprocessorConfig).
+  bool subobject_copy = false;
+  bool markbit_early_read = false;
+  /// Coprocessor hardware fault injection; enabled() routes the cycle
+  /// through the detection-and-recovery ladder (RecoveringCollector).
+  FaultConfig fault{};
   /// Concurrent cycle: mutator program seed and op spacing.
   std::uint64_t mutator_seed = 1;
   std::uint32_t mutator_op_spacing = 3;
@@ -152,7 +165,19 @@ class CollectorHarness {
   /// and the allocation pointer is published. Throws on collector failure
   /// (e.g. tospace exhaustion under fragmentation).
   virtual CycleReport collect(Heap& heap) = 0;
+
+  /// The schedule tail of the last collect(), also after it threw (empty
+  /// for collectors without a core-step schedule).
+  virtual std::string schedule_tail() const { return {}; }
 };
+
+/// The simulator configuration a harness config describes — the one
+/// builder shared by the coprocessor and concurrent-cycle harnesses and by
+/// callers that drive a simulator directly (fault_lab's timeline re-run).
+SimConfig sim_config_from(const HarnessConfig& cfg);
+
+/// The uniform report of one coprocessor cycle.
+CycleReport report_from(const GcCycleStats& s);
 
 /// Builds the harness for `id` with the matrix knobs applied.
 std::unique_ptr<CollectorHarness> make_harness(CollectorId id,

@@ -45,9 +45,10 @@ std::unique_ptr<SchedulePolicy> make_schedule_policy(SchedulePolicyKind kind,
 /// printed by to_string(SchedulePolicyKind). Returns false on unknown names.
 bool parse_schedule_policy(const std::string& name, SchedulePolicyKind& out);
 
-/// Bounded ring of the most recent step orders. The fuzz driver attaches
-/// one to Coprocessor::collect and prints it when the differential oracle
-/// fails, so the interleaving that produced the failure can be read off.
+/// Bounded ring of the most recent step orders. The coprocessor harness
+/// attaches one to Coprocessor::collect and the conformance oracle prints
+/// it when it rejects a run, so the interleaving that produced the failure
+/// can be read off.
 class ScheduleTrace final : public ClockObserver {
  public:
   explicit ScheduleTrace(std::size_t capacity = 64) : capacity_(capacity) {}

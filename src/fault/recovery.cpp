@@ -72,6 +72,7 @@ RecoveryReport RecoveringCollector::collect(SignalTrace* trace,
                                             TelemetryBus* telemetry,
                                             CycleProfiler* profiler) {
   RecoveryReport report;
+  report.faults_requested = cfg_.fault.events;
   report.faults_injected = injector_.plan().size();
   injector_.attach_trace(trace);
   injector_.attach_telemetry(telemetry);

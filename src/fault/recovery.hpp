@@ -56,6 +56,7 @@ struct RecoveryReport {
   std::vector<CoreId> deconfigured; ///< physical cores dropped along the way
   bool used_sequential_fallback = false;
 
+  std::uint64_t faults_requested = 0; ///< events cfg.fault asked for
   std::uint64_t faults_injected = 0;  ///< events in the plan
   std::uint64_t faults_fired = 0;     ///< firings across all attempts
   /// Events that fired during the final, successful attempt — by

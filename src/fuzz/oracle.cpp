@@ -2,41 +2,23 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "conformance/forwarding.hpp"
-#include "core/coprocessor.hpp"
 #include "core/schedule_policy.hpp"
-#include "heap/object_model.hpp"
-#include "heap/verifier.hpp"
 #include "sim/rng.hpp"
 
 namespace hwgc {
 
-SimConfig FuzzCase::sim_config() const {
-  SimConfig cfg;
-  cfg.coprocessor.num_cores = num_cores;
-  cfg.coprocessor.header_fifo_capacity = header_fifo_capacity;
-  cfg.coprocessor.schedule = schedule;
-  cfg.coprocessor.schedule_seed = schedule_seed;
-  cfg.coprocessor.subobject_copy = subobject_copy;
-  cfg.coprocessor.markbit_early_read = markbit_early_read;
-  cfg.memory.latency_jitter = latency_jitter;
-  cfg.memory.jitter_seed = schedule_seed ^ 0x9e3779b97f4a7c15ULL;
-  cfg.fault = fault;
-  cfg.recovery.enabled = fault.enabled();
-  return cfg;
-}
-
 std::string FuzzCase::summary() const {
+  const HarnessConfig& h = harness;
   std::ostringstream os;
-  os << "--graph-seed " << graph_seed << " --schedule " << to_string(schedule)
-     << " --schedule-seed " << schedule_seed << " --cores " << num_cores
-     << " --fifo " << header_fifo_capacity << " --jitter " << latency_jitter;
-  if (subobject_copy) os << " --subobject";
-  if (markbit_early_read) os << " --earlyread";
-  if (fault.enabled()) {
+  os << "--graph-seed " << graph_seed << " --schedule " << to_string(h.schedule)
+     << " --schedule-seed " << h.schedule_seed << " --cores " << h.threads
+     << " --fifo " << h.header_fifo_capacity << " --jitter "
+     << h.latency_jitter;
+  if (h.subobject_copy) os << " --subobject";
+  if (h.markbit_early_read) os << " --earlyread";
+  if (h.fault.enabled()) {
+    const FaultConfig& fault = h.fault;
     os << " --fault-events " << fault.events << " --fault-seed " << fault.seed;
     const FaultConfig fdef;
     if (fault.class_mask != fdef.class_mask) {
@@ -72,154 +54,32 @@ std::string FuzzCase::summary() const {
   return os.str();
 }
 
-std::string FuzzVerdict::summary() const {
-  if (ok) return "OK";
-  std::ostringstream os;
-  os << errors.size() << " oracle error(s):";
-  for (const auto& e : errors) os << "\n  - " << e;
-  if (!schedule_tail.empty()) {
-    os << "\nschedule tail:\n" << schedule_tail;
-  }
-  return os.str();
-}
-
-namespace {
-
-/// Forwarding-map bijectivity + dense-tiling check, via the shared
-/// implementation in src/conformance/forwarding.hpp (the coprocessor and
-/// the sequential reference are both Cheney-dense, so tiling is required).
-bool build_forwarding_map(const char* who, const HeapSnapshot& pre,
-                          const Heap& post, FuzzVerdict& v,
-                          std::unordered_map<Addr, Addr>& fwd) {
-  std::vector<std::string> errors;
-  const bool ok = extract_forwarding_map(who, pre, post, errors, fwd) &&
-                  check_dense_tiling(who, pre, post, fwd, errors);
-  for (auto& e : errors) v.fail(std::move(e));
-  return ok;
-}
-
-}  // namespace
-
-FuzzVerdict run_fuzz_case(const FuzzCase& fc, TelemetryBus* telemetry) {
-  FuzzVerdict v;
-  const GraphPlan plan = make_fuzz_plan(fc.graph_seed, fc.graph);
-  Workload hw = materialize(plan);
-  Workload ref = materialize(plan);
-
-  const HeapSnapshot pre = HeapSnapshot::capture(*hw.heap);
-  const HeapSnapshot pre_ref = HeapSnapshot::capture(*ref.heap);
-  v.live_objects = pre.objects.size();
-  if (pre.objects.size() != pre_ref.objects.size()) {
-    v.fail("materialization diverged between the two heaps");
-    return v;
-  }
-
-  ScheduleTrace sched(64);
-  if (fc.fault.enabled()) {
-    // Fault-injected runs go through the recovery machinery. The oracle's
-    // contract: the run either completes with a verified-identical heap
-    // (fault masked or explicitly recovered) or fails loudly here — an
-    // injected fault must never corrupt silently.
-    v.fault_run = true;
-    RecoveringCollector collector(fc.sim_config(), *hw.heap);
-    v.recovery = collector.collect(nullptr, telemetry);
-    v.coproc = v.recovery.stats;
-    if (!v.recovery.ok) {
-      v.fail("recovery failed: " + v.recovery.summary());
-      return v;
-    }
-    if (v.recovery.faults_injected != fc.fault.events) {
-      v.fail("fault plan holds " + std::to_string(v.recovery.faults_injected) +
-             " events, config requested " + std::to_string(fc.fault.events));
-    }
-    std::uint64_t fired = 0;
-    for (const auto& a : v.recovery.attempts) fired += a.faults_fired;
-    if (fired != v.recovery.faults_fired) {
-      v.fail("fault accounting mismatch: attempts account for " +
-             std::to_string(fired) + " firings, injector reports " +
-             std::to_string(v.recovery.faults_fired));
-    }
-    if (v.recovery.faults_fired != v.recovery.fault_log.size()) {
-      v.fail("fault log holds " + std::to_string(v.recovery.fault_log.size()) +
-             " entries for " + std::to_string(v.recovery.faults_fired) +
-             " firings");
-    }
-  } else {
-    Coprocessor coproc(fc.sim_config(), *hw.heap);
-    try {
-      v.coproc = coproc.collect(nullptr, &sched, nullptr, telemetry);
-    } catch (const std::exception& e) {
-      v.fail(std::string("coprocessor threw: ") + e.what());
-      v.schedule_tail = sched.dump();
-      return v;
-    }
-  }
-  v.sequential = SequentialCheney::collect(*ref.heap);
-
-  // Per-heap verification against the pre-cycle snapshots.
-  const VerifyResult vr = verify_collection(pre, *hw.heap);
-  for (const auto& e : vr.errors) v.fail("coprocessor: " + e);
-  const VerifyResult vs = verify_collection(pre_ref, *ref.heap);
-  for (const auto& e : vs.errors) v.fail("sequential: " + e);
-
-  // Lock-order auditor must be silent (DESIGN.md invariant 6).
-  for (const auto& x : v.coproc.lock_order_violations) {
-    v.fail("lock order: " + x);
-  }
-
-  // Per-object single-evacuation counters. (Not meaningful when recovery
-  // escalated to the software fallback: the sequential pass reports no
-  // per-core counters.)
-  if (!v.recovery.used_sequential_fallback) {
-    std::uint64_t evacuations = 0;
-    for (const auto& c : v.coproc.per_core) evacuations += c.objects_evacuated;
-    if (evacuations != pre.objects.size()) {
-      v.fail("evacuation count " + std::to_string(evacuations) +
-             " != " + std::to_string(pre.objects.size()) + " live objects");
-    }
-  }
-  if (v.coproc.objects_copied != v.sequential.objects_copied ||
-      v.coproc.words_copied != v.sequential.words_copied) {
-    v.fail("copy totals diverge from sequential reference: objects " +
-           std::to_string(v.coproc.objects_copied) + "/" +
-           std::to_string(v.sequential.objects_copied) + ", words " +
-           std::to_string(v.coproc.words_copied) + "/" +
-           std::to_string(v.sequential.words_copied));
-  }
-
-  // Forwarding-map bijectivity, then image equivalence modulo copy order.
-  std::unordered_map<Addr, Addr> fwd_hw, fwd_ref;
-  const bool hw_ok = build_forwarding_map("coprocessor", pre, *hw.heap, v, fwd_hw);
-  const bool ref_ok =
-      build_forwarding_map("sequential", pre_ref, *ref.heap, v, fwd_ref);
-  if (hw_ok && ref_ok) {
-    std::vector<std::string> errors;
-    cross_compare_images("coprocessor", "sequential", pre, *hw.heap,
-                         *ref.heap, fwd_hw, fwd_ref, errors);
-    for (auto& e : errors) v.fail(std::move(e));
-  }
-
-  if (!v.ok) v.schedule_tail = sched.dump();
-  return v;
+ConformanceVerdict run_fuzz_case(const FuzzCase& fc) {
+  ConformanceCase c;
+  c.plan = make_fuzz_plan(fc.graph_seed, fc.graph);
+  c.harness = fc.harness;
+  // Re-collecting would re-run the fault plan; fault runs stop at one cycle.
+  c.check_idempotence = !fc.harness.fault.enabled();
+  return run_conformance_case(CollectorId::kCoprocessor, c);
 }
 
 FuzzCase case_from_seed(std::uint64_t master_seed) {
   std::uint64_t s = master_seed;
   FuzzCase fc;
   fc.graph_seed = splitmix64(s);
-  fc.schedule = static_cast<SchedulePolicyKind>(splitmix64(s) % 4);
-  fc.schedule_seed = splitmix64(s);
+  fc.harness.schedule = static_cast<SchedulePolicyKind>(splitmix64(s) % 4);
+  fc.harness.schedule_seed = splitmix64(s);
   static constexpr std::uint32_t kCores[] = {1, 2, 3, 4, 6, 8, 12, 16};
-  fc.num_cores = kCores[splitmix64(s) % 8];
+  fc.harness.threads = kCores[splitmix64(s) % 8];
   // Tiny capacities force the FIFO-overflow path (scan-locked header
   // loads); 32k is the prototype's configuration.
   static constexpr std::uint32_t kFifo[] = {32 * 1024, 32 * 1024, 64, 4, 0};
-  fc.header_fifo_capacity = kFifo[splitmix64(s) % 5];
+  fc.harness.header_fifo_capacity = kFifo[splitmix64(s) % 5];
   static constexpr Cycle kJitter[] = {0, 0, 1, 3, 7};
-  fc.latency_jitter = kJitter[splitmix64(s) % 5];
+  fc.harness.latency_jitter = kJitter[splitmix64(s) % 5];
   const std::uint64_t features = splitmix64(s);
-  fc.subobject_copy = features % 4 == 0;
-  fc.markbit_early_read = features % 8 >= 6;
+  fc.harness.subobject_copy = features % 4 == 0;
+  fc.harness.markbit_early_read = features % 8 >= 6;
   return fc;
 }
 
@@ -265,34 +125,36 @@ FuzzCase minimize_case(const FuzzCase& failing, std::uint32_t budget) {
     });
     // Then the collector features and hardware knobs.
     propose([](FuzzCase& c) {
-      if (!c.subobject_copy && !c.markbit_early_read) return false;
-      c.subobject_copy = false;
-      c.markbit_early_read = false;
+      HarnessConfig& h = c.harness;
+      if (!h.subobject_copy && !h.markbit_early_read) return false;
+      h.subobject_copy = false;
+      h.markbit_early_read = false;
       return true;
     });
     propose([](FuzzCase& c) {
-      if (c.latency_jitter == 0) return false;
-      c.latency_jitter = 0;
+      if (c.harness.latency_jitter == 0) return false;
+      c.harness.latency_jitter = 0;
       return true;
     });
     propose([](FuzzCase& c) {
-      if (c.header_fifo_capacity >= 32 * 1024) return false;
-      c.header_fifo_capacity = 32 * 1024;
+      if (c.harness.header_fifo_capacity >= 32 * 1024) return false;
+      c.harness.header_fifo_capacity = 32 * 1024;
       return true;
     });
     propose([](FuzzCase& c) {
-      if (c.schedule == SchedulePolicyKind::kFixedPriority) return false;
-      c.schedule = SchedulePolicyKind::kFixedPriority;
+      HarnessConfig& h = c.harness;
+      if (h.schedule == SchedulePolicyKind::kFixedPriority) return false;
+      h.schedule = SchedulePolicyKind::kFixedPriority;
       return true;
     });
     propose([](FuzzCase& c) {
-      if (c.num_cores <= 2) return false;
-      c.num_cores /= 2;
+      if (c.harness.threads <= 2) return false;
+      c.harness.threads /= 2;
       return true;
     });
     propose([](FuzzCase& c) {
-      if (c.num_cores <= 1) return false;
-      --c.num_cores;
+      if (c.harness.threads <= 1) return false;
+      --c.harness.threads;
       return true;
     });
     for (const auto& c : candidates) {

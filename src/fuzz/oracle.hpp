@@ -1,87 +1,37 @@
-// Differential oracle for schedule-exploration fuzzing.
+// Schedule-exploration fuzzing on top of the conformance oracle.
 //
-// A FuzzCase fixes one (graph × schedule × hardware-knob) configuration.
-// run_fuzz_case materializes the same plan twice, collects one heap with
-// the coprocessor under the case's schedule policy and the other with the
-// sequential Cheney reference, then checks:
-//   * both heaps against their pre-cycle HeapSnapshot (DESIGN.md inv. 1-4),
-//   * forwarding-map bijectivity onto the dense tospace extent,
-//   * byte-for-byte equivalence of the two tospace images modulo copy
-//     order (shapes, data words, and pointer fields resolved back to the
-//     pre-cycle object they denote),
-//   * lock-order-auditor emptiness,
-//   * per-object single-evacuation counters against the snapshot and the
-//     sequential reference.
+// A FuzzCase fixes one (graph × schedule × hardware-knob) configuration:
+// a seeded hostile graph (fuzz_graph.hpp) plus the coprocessor's harness
+// knobs — core count, step-order policy and seed, FIFO capacity, latency
+// jitter, collector features and optional fault injection. run_fuzz_case
+// runs it through run_conformance_case (conformance/conformance.hpp):
+// structure checks, the cross-compare against the sequential Cheney
+// reference, and, for fault-free cases, immediate re-collection.
 // Everything is deterministic: the same FuzzCase reproduces the same run
 // bit-for-bit, which is what makes minimized reproducers possible.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "baselines/sequential_cheney.hpp"
-#include "fault/recovery.hpp"
+#include "conformance/conformance.hpp"
 #include "fuzz/fuzz_graph.hpp"
-#include "sim/config.hpp"
-#include "sim/counters.hpp"
 
 namespace hwgc {
 
 struct FuzzCase {
   std::uint64_t graph_seed = 1;
   FuzzGraphConfig graph{};
-
-  SchedulePolicyKind schedule = SchedulePolicyKind::kFixedPriority;
-  std::uint64_t schedule_seed = 0;
-
-  std::uint32_t num_cores = 8;
-  std::uint32_t header_fifo_capacity = 32 * 1024;
-  Cycle latency_jitter = 0;
-  bool subobject_copy = false;
-  bool markbit_early_read = false;
-
-  /// Hardware fault injection (fault.enabled() routes the case through the
-  /// detection-and-recovery machinery instead of the bare coprocessor).
-  FaultConfig fault{};
-
-  /// The simulator configuration this case runs under.
-  SimConfig sim_config() const;
+  /// Coprocessor knobs; a fault config that is enabled() routes the case
+  /// through the detection-and-recovery ladder.
+  HarnessConfig harness{.threads = 8};
 
   /// Replayable one-line description in `fuzz_gc` flag syntax.
   std::string summary() const;
 };
 
-struct FuzzVerdict {
-  bool ok = true;
-  std::vector<std::string> errors;
-
-  GcCycleStats coproc;
-  SequentialGcStats sequential;
-  std::uint64_t live_objects = 0;
-
-  /// Filled for fault-injected cases: how the run was recovered. The
-  /// oracle guarantees that a !ok verdict is raised whenever recovery
-  /// reported failure, the accounting doesn't add up, or the recovered
-  /// heap diverges from the sequential reference — an injected fault can
-  /// be masked or explicitly recovered, never silently corrupting.
-  bool fault_run = false;
-  RecoveryReport recovery;
-
-  /// Tail of the per-cycle step orders; filled only on failure.
-  std::string schedule_tail;
-
-  void fail(std::string msg) {
-    ok = false;
-    if (errors.size() < 64) errors.push_back(std::move(msg));
-  }
-  std::string summary() const;
-};
-
-/// Runs one case through the differential oracle. `telemetry`, when
-/// non-null, records the coprocessor (or recovery) run of the case — handy
-/// for exporting the timeline of a failing schedule.
-FuzzVerdict run_fuzz_case(const FuzzCase& fc, TelemetryBus* telemetry = nullptr);
+/// Runs one case through the conformance oracle as the coprocessor.
+ConformanceVerdict run_fuzz_case(const FuzzCase& fc);
 
 /// Expands a single master seed into a full case: graph seed, schedule
 /// policy and seed, core count, FIFO capacity, latency jitter and the

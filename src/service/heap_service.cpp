@@ -240,16 +240,8 @@ struct HeapService::ShardState final : CollectionObserver {
       const VerifyResult vr = verify_collection(*pre, r.heap());
       errors = vr.errors;
     } else {
-      CycleReport report;
-      report.objects_copied = s.objects_copied;
-      report.words_copied = s.words_copied;
-      report.lock_order_violations = s.lock_order_violations;
-      std::uint64_t evac = 0;
-      for (const auto& c : s.per_core) evac += c.objects_evacuated;
-      report.evacuations = evac;
-      report.coproc = s;
-      check_post_structure(CollectorId::kCoprocessor, *pre, r.heap(), report,
-                           errors);
+      check_post_structure(CollectorId::kCoprocessor, *pre, r.heap(),
+                           report_from(s), errors);
     }
     stats.oracle_failures += errors.size();
     if (!errors.empty() && oracle_diagnostics.size() < 16) {

@@ -108,14 +108,15 @@ Trace trace_from_benchmark(BenchmarkId id, double scale, std::uint64_t seed) {
 Trace trace_from_fuzz_case(const FuzzCase& fc) {
   TraceHeader header;
   header.name = "adversarial";
-  header.cores = fc.num_cores;
-  header.header_fifo_capacity = fc.header_fifo_capacity;
-  header.schedule = fc.schedule;
-  header.schedule_seed = fc.schedule_seed;
-  header.latency_jitter = fc.latency_jitter;
-  header.subobject_copy = fc.subobject_copy;
-  header.markbit_early_read = fc.markbit_early_read;
-  // fc.fault is deliberately not carried: traces replay under a pluggable
+  const HarnessConfig& h = fc.harness;
+  header.cores = h.threads;
+  header.header_fifo_capacity = h.header_fifo_capacity;
+  header.schedule = h.schedule;
+  header.schedule_seed = h.schedule_seed;
+  header.latency_jitter = h.latency_jitter;
+  header.subobject_copy = h.subobject_copy;
+  header.markbit_early_read = h.markbit_early_read;
+  // h.fault is deliberately not carried: traces replay under a pluggable
   // collector, which is incompatible with the fault-recovery ladder.
   return trace_from_plan(make_fuzz_plan(fc.graph_seed, fc.graph), header);
 }

@@ -20,18 +20,6 @@ void fnv_u64(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-/// The coprocessor-path CycleReport, synthesized from GcCycleStats the
-/// same way the service layer's per-shard oracle does.
-CycleReport report_from_stats(const GcCycleStats& s) {
-  CycleReport r;
-  r.objects_copied = s.objects_copied;
-  r.words_copied = s.words_copied;
-  r.lock_order_violations = s.lock_order_violations;
-  for (const CoreCounters& c : s.per_core) r.evacuations += c.objects_evacuated;
-  r.coproc = s;
-  return r;
-}
-
 }  // namespace
 
 HarnessPlugin::HarnessPlugin(CollectorId id, HarnessConfig cfg) : id_(id) {
@@ -197,14 +185,9 @@ class OracleObserver final : public CollectionObserver {
   void after_collection(Runtime& rt, const GcCycleStats& stats) override {
     const CycleReport report = (plugin_ != nullptr && plugin_->has_report())
                                    ? plugin_->last_report()
-                                   : report_from_stats(stats);
+                                   : report_from(stats);
     std::vector<std::string> errors;
     check_post_structure(id_, pre_, rt.heap(), report, errors);
-    if (report.validation_mismatches != 0) {
-      errors.push_back("concurrent shadow validation reported " +
-                       std::to_string(report.validation_mismatches) +
-                       " mismatches");
-    }
     const std::string where =
         "cycle " + std::to_string(result_.collections) + ": ";
     for (std::string& e : errors) {

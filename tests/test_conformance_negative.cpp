@@ -134,5 +134,57 @@ TEST(ConformanceNegative, ShadowMismatchCounterIsNamed) {
   EXPECT_TRUE(has_error(errors, "validation mismatches")) << joined(errors);
 }
 
+/// Runs a fault-injected coprocessor cycle (the report carries the
+/// recovery ladder's account), checks the oracle accepts it as collected,
+/// then corrupts the account and returns the oracle's diagnostics.
+template <typename Corrupt>
+std::vector<std::string> diagnose_recovery(Corrupt&& corrupt) {
+  RandomGraphConfig g;
+  g.nodes = 60;
+  Workload w = materialize(make_random_plan(17, g), 2.0);
+  const HeapSnapshot pre = HeapSnapshot::capture(*w.heap);
+  HarnessConfig hc;
+  hc.fault.seed = 2;
+  hc.fault.events = 3;
+  hc.fault.trigger_scale = 48;  // keep trigger points inside a short run
+  CycleReport report =
+      make_harness(CollectorId::kCoprocessor, hc)->collect(*w.heap);
+  EXPECT_TRUE(report.recovery.has_value());
+  if (!report.recovery.has_value()) return {};
+
+  std::vector<std::string> errors;
+  check_post_structure(CollectorId::kCoprocessor, pre, *w.heap, report,
+                       errors);
+  EXPECT_TRUE(errors.empty()) << "clean fault run:" << joined(errors);
+  errors.clear();
+
+  corrupt(*report.recovery);
+  check_post_structure(CollectorId::kCoprocessor, pre, *w.heap, report,
+                       errors);
+  return errors;
+}
+
+TEST(ConformanceNegative, FaultPlanSizeMismatchIsNamed) {
+  const auto errors =
+      diagnose_recovery([](RecoveryReport& r) { ++r.faults_injected; });
+  EXPECT_TRUE(has_error(errors, "fault plan holds 4 events, config "
+                                "requested 3"))
+      << joined(errors);
+}
+
+TEST(ConformanceNegative, FaultFiringAccountingMismatchIsNamed) {
+  const auto errors = diagnose_recovery([](RecoveryReport& r) {
+    ASSERT_FALSE(r.attempts.empty());
+    ++r.attempts.front().faults_fired;
+  });
+  EXPECT_TRUE(has_error(errors, "fault accounting mismatch")) << joined(errors);
+}
+
+TEST(ConformanceNegative, FaultLogSizeMismatchIsNamed) {
+  const auto errors = diagnose_recovery(
+      [](RecoveryReport& r) { r.fault_log.push_back("phantom firing"); });
+  EXPECT_TRUE(has_error(errors, "fault log holds")) << joined(errors);
+}
+
 }  // namespace
 }  // namespace hwgc

@@ -1,9 +1,10 @@
-// Fault matrix through the differential oracle: every fault class, swept
+// Fault matrix through the conformance oracle: every fault class, swept
 // across schedule policies and core counts, must end in a verified heap
 // identical to the sequential reference (masked or recovered) with the
-// recovery counters accounting for every injected event — never silent
-// corruption. This is the in-tree slice of the fault_lab sweep; the
-// fuzz-smoke label also runs it under the sanitizers.
+// recovery counters accounting for every injected event (checked by
+// check_post_structure) — never silent corruption. This is the in-tree
+// slice of the fault_lab sweep; the fuzz-smoke label also runs it under
+// the sanitizers.
 #include <gtest/gtest.h>
 
 #include "fault/fault_plan.hpp"
@@ -18,22 +19,15 @@ FuzzCase fault_case(FaultKind kind, std::uint32_t cores,
   fc.graph_seed = 42 + seed;
   fc.graph.min_nodes = 32;
   fc.graph.max_nodes = 64;
-  fc.num_cores = cores;
-  fc.schedule = schedule;
-  fc.schedule_seed = seed;
-  fc.fault.seed = seed;
-  fc.fault.events = 3;
-  fc.fault.trigger_scale = 48;  // keep trigger points inside short runs
-  fc.fault.class_mask = 1u << static_cast<std::uint32_t>(kind);
+  HarnessConfig& h = fc.harness;
+  h.threads = cores;
+  h.schedule = schedule;
+  h.schedule_seed = seed;
+  h.fault.seed = seed;
+  h.fault.events = 3;
+  h.fault.trigger_scale = 48;  // keep trigger points inside short runs
+  h.fault.class_mask = 1u << static_cast<std::uint32_t>(kind);
   return fc;
-}
-
-void check_accounting(const FuzzVerdict& v, const FuzzCase& fc) {
-  EXPECT_EQ(v.recovery.faults_injected, fc.fault.events);
-  std::uint64_t per_attempt = 0;
-  for (const auto& a : v.recovery.attempts) per_attempt += a.faults_fired;
-  EXPECT_EQ(per_attempt, v.recovery.faults_fired);
-  EXPECT_EQ(v.recovery.fault_log.size(), v.recovery.faults_fired);
 }
 
 TEST(FaultMatrix, EveryClassRecoversAcrossSchedulesAndCores) {
@@ -50,13 +44,12 @@ TEST(FaultMatrix, EveryClassRecoversAcrossSchedulesAndCores) {
       for (std::uint64_t seed : {1u, 2u}) {
         const FuzzCase fc =
             fault_case(kind, cores, kSchedules[(k + seed) % 4], seed);
-        const FuzzVerdict v = run_fuzz_case(fc);
+        const ConformanceVerdict v = run_fuzz_case(fc);
         EXPECT_TRUE(v.ok) << to_string(kind) << " cores=" << cores
                           << " seed=" << seed << "\n"
                           << v.summary() << "\nrepro: fuzz_gc " << fc.summary();
-        ASSERT_TRUE(v.fault_run);
-        check_accounting(v, fc);
-        fired += v.recovery.faults_fired;
+        ASSERT_TRUE(v.report.recovery.has_value()) << v.summary();
+        fired += v.report.recovery->faults_fired;
       }
     }
   }
@@ -69,11 +62,10 @@ TEST(FaultMatrix, MixedClassPlansRecover) {
   for (std::uint64_t seed : {3u, 7u, 13u}) {
     FuzzCase fc = fault_case(FaultKind::kMemDrop, 4,
                              SchedulePolicyKind::kRandom, seed);
-    fc.fault.class_mask = 0xffffffffu;
-    fc.fault.events = 6;
-    const FuzzVerdict v = run_fuzz_case(fc);
+    fc.harness.fault.class_mask = 0xffffffffu;
+    fc.harness.fault.events = 6;
+    const ConformanceVerdict v = run_fuzz_case(fc);
     EXPECT_TRUE(v.ok) << v.summary() << "\nrepro: fuzz_gc " << fc.summary();
-    check_accounting(v, fc);
   }
 }
 
@@ -82,19 +74,20 @@ TEST(FaultMatrix, FaultRunsAreReproducible) {
   // is what makes every fault_lab cell a one-line reproducer.
   const FuzzCase fc =
       fault_case(FaultKind::kCoreFailStop, 4, SchedulePolicyKind::kRotating, 5);
-  const FuzzVerdict a = run_fuzz_case(fc);
-  const FuzzVerdict b = run_fuzz_case(fc);
-  ASSERT_TRUE(a.ok) << a.summary();
-  ASSERT_TRUE(b.ok) << b.summary();
-  ASSERT_EQ(a.recovery.attempts.size(), b.recovery.attempts.size());
-  for (std::size_t i = 0; i < a.recovery.attempts.size(); ++i) {
-    EXPECT_EQ(a.recovery.attempts[i].success, b.recovery.attempts[i].success);
-    EXPECT_EQ(a.recovery.attempts[i].cycles, b.recovery.attempts[i].cycles);
-    EXPECT_EQ(a.recovery.attempts[i].faults_fired,
-              b.recovery.attempts[i].faults_fired);
+  const ConformanceVerdict va = run_fuzz_case(fc);
+  const ConformanceVerdict vb = run_fuzz_case(fc);
+  ASSERT_TRUE(va.ok) << va.summary();
+  ASSERT_TRUE(vb.ok) << vb.summary();
+  const RecoveryReport& a = *va.report.recovery;
+  const RecoveryReport& b = *vb.report.recovery;
+  ASSERT_EQ(a.attempts.size(), b.attempts.size());
+  for (std::size_t i = 0; i < a.attempts.size(); ++i) {
+    EXPECT_EQ(a.attempts[i].success, b.attempts[i].success);
+    EXPECT_EQ(a.attempts[i].cycles, b.attempts[i].cycles);
+    EXPECT_EQ(a.attempts[i].faults_fired, b.attempts[i].faults_fired);
   }
-  EXPECT_EQ(a.recovery.fault_log, b.recovery.fault_log);
-  EXPECT_EQ(a.recovery.deconfigured, b.recovery.deconfigured);
+  EXPECT_EQ(a.fault_log, b.fault_log);
+  EXPECT_EQ(a.deconfigured, b.deconfigured);
 }
 
 }  // namespace

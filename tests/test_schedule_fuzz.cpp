@@ -2,12 +2,12 @@
 //
 // The parameterized suite runs a fixed (graph × schedule × core-count)
 // matrix — 13 graph seeds × 4 schedule policies × 4 core counts = 208
-// configurations, each through the full differential oracle of
-// src/fuzz/oracle.hpp (coprocessor vs sequential Cheney, snapshot
-// verifier, forwarding-map bijectivity, tospace image cross-compare,
-// lock-order audit, single-evacuation counters). FIFO capacity, latency
-// jitter and the optional collector features vary with the graph seed so
-// the matrix also exercises backpressure and sub-object copying.
+// configurations, each a FuzzCase run as the coprocessor through the
+// conformance oracle (run_fuzz_case → run_conformance_case: structure
+// checks, cross-compare against sequential Cheney, re-collection). FIFO
+// capacity, latency jitter and the optional collector features vary with
+// the graph seed so the matrix also exercises backpressure and sub-object
+// copying.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -143,19 +143,23 @@ TEST(ScheduleTrace, RingKeepsOnlyTheTail) {
 
 TEST(FuzzCase, OracleRunIsDeterministic) {
   FuzzCase fc = case_from_seed(17);
-  fc.schedule = SchedulePolicyKind::kRandom;
-  const FuzzVerdict a = run_fuzz_case(fc);
-  const FuzzVerdict b = run_fuzz_case(fc);
+  fc.harness.schedule = SchedulePolicyKind::kRandom;
+  const ConformanceVerdict a = run_fuzz_case(fc);
+  const ConformanceVerdict b = run_fuzz_case(fc);
   ASSERT_TRUE(a.ok) << a.summary();
-  EXPECT_EQ(a.coproc.total_cycles, b.coproc.total_cycles);
-  EXPECT_EQ(a.coproc.words_copied, b.coproc.words_copied);
-  EXPECT_EQ(a.coproc.mem_requests, b.coproc.mem_requests);
+  ASSERT_TRUE(b.ok) << b.summary();
+  EXPECT_EQ(a.report.coproc->total_cycles, b.report.coproc->total_cycles);
+  EXPECT_EQ(a.report.coproc->words_copied, b.report.coproc->words_copied);
+  EXPECT_EQ(a.report.coproc->mem_requests, b.report.coproc->mem_requests);
+  EXPECT_EQ(a.report.schedule_tail, b.report.schedule_tail);
   EXPECT_EQ(a.live_objects, b.live_objects);
 }
 
 TEST(FuzzCase, SeedDerivationCoversAllPolicies) {
   std::set<SchedulePolicyKind> seen;
-  for (std::uint64_t s = 1; s <= 64; ++s) seen.insert(case_from_seed(s).schedule);
+  for (std::uint64_t s = 1; s <= 64; ++s) {
+    seen.insert(case_from_seed(s).harness.schedule);
+  }
   EXPECT_EQ(seen.size(), 4u);
 }
 
@@ -217,20 +221,21 @@ TEST_P(ScheduleFuzzMatrix, DifferentialOracle) {
 
   FuzzCase fc;
   fc.graph_seed = seed * 0x9e3779b97f4a7c15ULL + 1;
-  fc.schedule = schedule;
-  fc.schedule_seed = seed ^ 0xfeedULL;
-  fc.num_cores = cores;
+  HarnessConfig& h = fc.harness;
+  h.schedule = schedule;
+  h.schedule_seed = seed ^ 0xfeedULL;
+  h.threads = cores;
   // Vary the hardware knobs with the seed so the matrix also covers FIFO
   // backpressure, out-of-order retirement and the optional features.
-  fc.header_fifo_capacity = (seed % 3 == 0) ? 8u : 32u * 1024u;
-  fc.latency_jitter = (seed % 2 == 1) ? 3u : 0u;
-  fc.subobject_copy = seed % 4 == 0;
-  fc.markbit_early_read = seed % 5 == 0;
+  h.header_fifo_capacity = (seed % 3 == 0) ? 8u : 32u * 1024u;
+  h.latency_jitter = (seed % 2 == 1) ? 3u : 0u;
+  h.subobject_copy = seed % 4 == 0;
+  h.markbit_early_read = seed % 5 == 0;
   // Keep individual cases small: the matrix gets its power from breadth.
   fc.graph.max_nodes = 96;
   fc.graph.max_delta = 10;
 
-  const FuzzVerdict v = run_fuzz_case(fc);
+  const ConformanceVerdict v = run_fuzz_case(fc);
   EXPECT_TRUE(v.ok) << v.summary() << "\nrepro: fuzz_gc " << fc.summary();
 }
 

@@ -377,7 +377,7 @@ TEST(TraceLoader, JsonlBinaryRoundTripAgree) {
 
 TEST(TraceFuzzBridge, EmittedTraceReproducesTheOracleVerdict) {
   const FuzzCase fc = case_from_seed(0xBEEF);
-  const FuzzVerdict verdict = run_fuzz_case(fc);
+  const ConformanceVerdict verdict = run_fuzz_case(fc);
 
   const Trace trace = trace_from_fuzz_case(fc);
   ReplayConfig cfg;
