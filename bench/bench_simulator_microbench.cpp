@@ -3,13 +3,18 @@
 // These do not reproduce a paper result; they keep the *harness* honest:
 // the cycle loop's hot paths (SB lock arbitration, memory-system tick,
 // header-FIFO ops, full collection throughput) are what make paper-scale
-// runs (--scale=1, tens of millions of cycles) complete in seconds.
+// runs (--scale=1, tens of millions of cycles) complete in seconds. The
+// Chrome-trace exporter is timed too: on observed runs it is the largest
+// host cost after the cycle loop.
 #include <benchmark/benchmark.h>
 
 #include "core/coprocessor.hpp"
 #include "core/sync_block.hpp"
 #include "mem/header_fifo.hpp"
 #include "mem/memory_system.hpp"
+#include "profile/critical_path.hpp"
+#include "profile/cycle_profiler.hpp"
+#include "telemetry/trace_export.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace {
@@ -113,6 +118,37 @@ void BM_FullCollection(benchmark::State& state) {
 }
 BENCHMARK(BM_FullCollection)->Arg(1)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMillisecond);
+
+// One observed Fig. 6 configuration (jflex, 4 cores, +20 latency, bus +
+// profiler + signals, critical path annotated), recorded once; the timed
+// loop is the export alone.
+void BM_ChromeTraceJson(benchmark::State& state) {
+  Workload w = make_benchmark(BenchmarkId::kJflex, 0.01);
+  SimConfig cfg;
+  cfg.coprocessor.num_cores = 4;
+  cfg.memory.latency += 20;
+  cfg.memory.header_latency += 20;
+  cfg.heap.semispace_words = w.heap->layout().semispace_words();
+  TelemetryBus bus;
+  SignalTrace signals;
+  CycleProfiler profiler;
+  Coprocessor(cfg, *w.heap)
+      .collect(&signals, nullptr, nullptr, &bus, &profiler);
+  annotate_critical_path(signals, profiler.take_profile());
+  ChromeTraceOptions opt;
+  opt.signals = &signals;
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string json = chrome_trace_json(bus, opt);
+    bytes += json.size();
+    benchmark::DoNotOptimize(json.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+  state.counters["bus_events"] = static_cast<double>(
+      bus.spans().size() + bus.instants().size() + bus.counters().size());
+}
+BENCHMARK(BM_ChromeTraceJson)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -145,7 +145,10 @@ void TelemetryBus::on_fifo_overflow(std::uint64_t overflows,
             "header FIFO overflow (capacity " + std::to_string(capacity) +
                 ")");
   }
-  counter_sample(counter_series("fifo_overflows"), overflows);
+  if (fifo_overflow_series_ == 0) {
+    fifo_overflow_series_ = counter_series("fifo_overflows") + 1;
+  }
+  counter_sample(fifo_overflow_series_ - 1, overflows);
 }
 
 void TelemetryBus::on_mem_inflight(std::uint64_t count) {
@@ -186,7 +189,13 @@ void TelemetryBus::clear() {
   epochs_.clear();
   track_names_.clear();
   counter_names_.clear();
+  span_names_.clear();
   core_tracks_.clear();
+  activity_names_ = {};
+  phase_names_ = {};
+  holder_names_.clear();
+  lock_tracks_ = {};
+  fifo_overflow_series_ = 0;
   open_cores_.clear();
   open_locks_[0] = OpenLockSpan{};
   open_locks_[1] = OpenLockSpan{};
@@ -197,15 +206,17 @@ void TelemetryBus::clear() {
 }
 
 void TelemetryBus::push_span(std::uint32_t track_id, Cycle begin, Cycle end,
-                             TelemetryCategory cat, std::string name) {
+                             TelemetryCategory cat, std::uint32_t name) {
   if (!room()) return;
-  TelemetrySpan s;
-  s.track = track_id;
-  s.begin = begin;
-  s.end = end;
-  s.cat = cat;
-  s.name = std::move(name);
-  spans_.push_back(std::move(s));
+  spans_.push_back(TelemetrySpan{track_id, name, begin, end, cat});
+}
+
+std::uint32_t TelemetryBus::span_name_id(std::string_view name) {
+  for (std::uint32_t i = 0; i < span_names_.size(); ++i) {
+    if (span_names_[i] == name) return i;
+  }
+  span_names_.emplace_back(name);
+  return static_cast<std::uint32_t>(span_names_.size() - 1);
 }
 
 void TelemetryBus::close_core_span(CoreId core) {
@@ -213,26 +224,38 @@ void TelemetryBus::close_core_span(CoreId core) {
   OpenCoreSpan& st = open_cores_[core];
   if (!st.open) return;
   st.open = false;
+  std::uint32_t& name = activity_names_[static_cast<std::size_t>(st.activity)]
+                                       [static_cast<std::size_t>(st.reason)];
+  if (name == 0) name = span_name_id(activity_name(st.activity, st.reason)) + 1;
   push_span(core_track(core), st.begin, st.last + 1, TelemetryCategory::kCore,
-            activity_name(st.activity, st.reason));
+            name - 1);
 }
 
 void TelemetryBus::close_lock_span(SbLock lock) {
   OpenLockSpan& st = open_locks_[static_cast<std::size_t>(lock)];
   if (!st.open) return;
   st.open = false;
+  std::uint32_t& track_id = lock_tracks_[static_cast<std::size_t>(lock)];
+  if (track_id == 0) track_id = track(to_string(lock)) + 1;
+  if (st.owner >= holder_names_.size()) holder_names_.resize(st.owner + 1, 0);
+  std::uint32_t& name = holder_names_[st.owner];
+  if (name == 0) {
+    name = span_name_id("held by core " + std::to_string(st.owner)) + 1;
+  }
   // A hold acquired and released within one cycle still spans that cycle.
-  push_span(track(to_string(lock)), st.begin, now_ + 1,
-            TelemetryCategory::kLock,
-            "held by core " + std::to_string(st.owner));
+  push_span(track_id - 1, st.begin, now_ + 1, TelemetryCategory::kLock,
+            name - 1);
 }
 
 void TelemetryBus::close_phase_span(Cycle end) {
   if (!open_phase_.open) return;
   open_phase_.open = false;
   if (phase_track_ == 0) phase_track_ = track("coprocessor") + 1;
+  std::uint32_t& name =
+      phase_names_[static_cast<std::size_t>(open_phase_.phase)];
+  if (name == 0) name = span_name_id(to_string(open_phase_.phase)) + 1;
   push_span(phase_track_ - 1, open_phase_.begin, end, TelemetryCategory::kPhase,
-            to_string(open_phase_.phase));
+            name - 1);
 }
 
 std::string TelemetryBus::activity_name(CoreActivity a, StallReason r) {

@@ -30,8 +30,10 @@
 // continuous trace with every attempt visible.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/clock_observer.hpp"
@@ -66,13 +68,18 @@ constexpr const char* to_string(TelemetryCategory c) noexcept {
   return "?";
 }
 
+inline constexpr std::size_t kTelemetryCategoryCount =
+    static_cast<std::size_t>(TelemetryCategory::kRuntime) + 1;
+
 /// A duration event on one track, global cycles, half-open [begin, end).
+/// The name is interned: `name` indexes the bus's span_names() table (read
+/// it back with TelemetryBus::span_name).
 struct TelemetrySpan {
   std::uint32_t track = 0;
+  std::uint32_t name = 0;
   Cycle begin = 0;
   Cycle end = 0;
   TelemetryCategory cat = TelemetryCategory::kCore;
-  std::string name;
 };
 
 /// A point event on one track.
@@ -136,6 +143,14 @@ class TelemetryBus final : public ClockObserver {
   }
   const std::vector<std::string>& counter_names() const noexcept {
     return counter_names_;
+  }
+  /// Interned span names, indexed by TelemetrySpan::name. Each distinct
+  /// name is stored once, however many spans carry it.
+  const std::vector<std::string>& span_names() const noexcept {
+    return span_names_;
+  }
+  const std::string& span_name(const TelemetrySpan& s) const {
+    return span_names_[s.name];
   }
 
   // --- publishers (all no-ops when disabled) -------------------------------
@@ -241,11 +256,12 @@ class TelemetryBus final : public ClockObserver {
   }
 
   void push_span(std::uint32_t track_id, Cycle begin, Cycle end,
-                 TelemetryCategory cat, std::string name);
+                 TelemetryCategory cat, std::uint32_t name);
   void close_core_span(CoreId core);
   void close_lock_span(SbLock lock);
   void close_phase_span(Cycle end);
 
+  std::uint32_t span_name_id(std::string_view name);
   static std::string activity_name(CoreActivity a, StallReason r);
 
   bool enabled_ = false;
@@ -256,7 +272,18 @@ class TelemetryBus final : public ClockObserver {
 
   std::vector<std::string> track_names_;
   std::vector<std::string> counter_names_;
+  std::vector<std::string> span_names_;
   std::vector<std::uint32_t> core_tracks_;  ///< core id -> track id (+1; 0 = none)
+
+  // Interning caches, all +1 (0 = not yet interned) and reset by clear().
+  // They are filled on first use, so ids come out in the same order as if
+  // every lookup went through the name tables.
+  std::array<std::array<std::uint32_t, kStallReasonCount>, 4>
+      activity_names_{};  ///< [CoreActivity][StallReason] -> span name
+  std::array<std::uint32_t, 3> phase_names_{};   ///< GcPhase -> span name
+  std::vector<std::uint32_t> holder_names_;     ///< owner core -> span name
+  std::array<std::uint32_t, 2> lock_tracks_{};  ///< SbLock -> track
+  std::uint32_t fifo_overflow_series_ = 0;
 
   std::vector<TelemetrySpan> spans_;
   std::vector<TelemetryInstant> instants_;

@@ -19,7 +19,14 @@
 //
 // Output is deterministic byte-for-byte for a deterministic run: integer
 // timestamps only (1 simulated clock cycle = 1 trace microsecond), events
-// emitted in recording order — the golden-file test relies on this.
+// emitted in recording order — the golden-file tests (mini.trace.json,
+// edge.trace.json) and the pinned digest of a real-size trace rely on this.
+//
+// Cost: each distinct string is escaped and rendered once per export — one
+// fragment per interned span name and category (with its `cat` and
+// `cname`), per counter series and per signal — so a span or counter event
+// costs a few integer conversions and one fragment copy. The output string
+// is reserved once, from the event counts, and never reallocated.
 #pragma once
 
 #include <string>

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "core/coprocessor.hpp"
+#include "profile/critical_path.hpp"
+#include "profile/cycle_profiler.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/telemetry_bus.hpp"
 #include "telemetry/trace_export.hpp"
@@ -47,10 +49,10 @@ TEST(TelemetryBus, CoalescesConsecutiveCoreCycles) {
   bus.core_cycle(0, CoreActivity::kStall, StallReason::kScanLock);
   bus.end_collection(6);
   ASSERT_EQ(bus.spans().size(), 2u);
-  EXPECT_EQ(bus.spans()[0].name, "busy");
+  EXPECT_EQ(bus.span_name(bus.spans()[0]), "busy");
   EXPECT_EQ(bus.spans()[0].begin, 0u);
   EXPECT_EQ(bus.spans()[0].end, 5u);
-  EXPECT_EQ(bus.spans()[1].name, "stall:scan-lock");
+  EXPECT_EQ(bus.span_name(bus.spans()[1]), "stall:scan-lock");
   EXPECT_EQ(bus.spans()[1].begin, 5u);
   EXPECT_EQ(bus.spans()[1].end, 6u);
 }
@@ -69,7 +71,7 @@ TEST(TelemetryBus, LockSpanNamesTheOwner) {
   for (const auto& s : bus.spans()) {
     if (s.track != free_track) continue;
     found = true;
-    EXPECT_EQ(s.name, "held by core 3");
+    EXPECT_EQ(bus.span_name(s), "held by core 3");
     EXPECT_EQ(s.begin, 2u);
     EXPECT_EQ(s.cat, TelemetryCategory::kLock);
   }
@@ -93,7 +95,8 @@ TEST(TelemetryBus, EpochsConcatenateOntoOneTimeline) {
         s.begin >= bus.epochs()[0].begin && s.end <= bus.epochs()[0].end;
     const bool in1 =
         s.begin >= bus.epochs()[1].begin && s.end <= bus.epochs()[1].end;
-    EXPECT_TRUE(in0 || in1) << s.name << " [" << s.begin << "," << s.end << ")";
+    EXPECT_TRUE(in0 || in1)
+        << bus.span_name(s) << " [" << s.begin << "," << s.end << ")";
   }
 }
 
@@ -115,8 +118,8 @@ TEST(TelemetryBus, CollectionPublishesPhasesLocksAndAllCoreTracks) {
   std::vector<std::string> phases;
   bool saw_stall_span = false;
   for (const auto& s : bus.spans()) {
-    if (s.cat == TelemetryCategory::kPhase) phases.push_back(s.name);
-    if (s.name.rfind("stall:", 0) == 0) saw_stall_span = true;
+    if (s.cat == TelemetryCategory::kPhase) phases.push_back(bus.span_name(s));
+    if (bus.span_name(s).rfind("stall:", 0) == 0) saw_stall_span = true;
   }
   ASSERT_EQ(phases.size(), 3u);
   EXPECT_EQ(phases[0], "root-evacuation");
@@ -150,6 +153,32 @@ TEST(Telemetry, ObservationDoesNotChangeTiming) {
     EXPECT_EQ(with.objects_copied, without.objects_copied);
     EXPECT_FALSE(bus.spans().empty());
   }
+}
+
+// clear() must forget every interned name and cached id (lock tracks, the
+// FIFO-overflow series, span names): a bus reused after a different
+// recording exports the same bytes as a fresh bus.
+TEST(TelemetryBus, ReuseAfterClearExportsLikeAFreshBus) {
+  const auto record = [](TelemetryBus& bus, BenchmarkId id,
+                         std::uint32_t cores) {
+    Workload w = make_benchmark(id, 0.02);
+    SimConfig cfg;
+    cfg.coprocessor.num_cores = cores;
+    cfg.coprocessor.header_fifo_capacity = 16;  // overflows
+    Coprocessor(cfg, *w.heap).collect(nullptr, nullptr, nullptr, &bus);
+    return chrome_trace_json(bus);
+  };
+  TelemetryBus fresh;
+  const std::string want = record(fresh, BenchmarkId::kJlisp, 4);
+  ASSERT_NE(want.find("\"fifo_overflows\""), std::string::npos);
+
+  TelemetryBus reused;
+  reused.enable();
+  (void)reused.track("extra track");
+  (void)reused.counter_series("extra series");
+  (void)record(reused, BenchmarkId::kDb, 2);
+  reused.clear();
+  EXPECT_EQ(record(reused, BenchmarkId::kJlisp, 4), want);
 }
 
 // Pinned pre-telemetry cycle counts: the observability layer landed with
@@ -245,6 +274,111 @@ TelemetryBus mini_bus() {
 
 TEST(ChromeTrace, MatchesGoldenFile) {
   expect_matches_golden(chrome_trace_json(mini_bus()), "mini.trace.json");
+}
+
+/// The exporter's rarer branches: text that needs escaping on a track, an
+/// epoch, instants and notes; an epoch without a label; a counter sample on
+/// an unregistered series; stall reasons of every color class; a merged
+/// SignalTrace with an unregistered signal; and the dropped-events marker of
+/// a bus whose max_events cap is hit.
+struct EdgeRecording {
+  TelemetryBus bus;
+  SignalTrace signals;
+};
+
+void record_edge(EdgeRecording& r) {
+  TelemetryBus& bus = r.bus;
+  bus.enable(14);
+  bus.begin_collection("edge \"quoted\" back\\slash\n\ttab\x01");
+  (void)bus.core_track(0);
+  (void)bus.core_track(1);
+  const std::uint32_t odd = bus.track("odd \"track\"\t\\\n\x01");
+  const StallReason reasons[] = {StallReason::kHeaderLoad,
+                                 StallReason::kFault, StallReason::kBarrier,
+                                 StallReason::kHeaderLock,
+                                 StallReason::kFreeLock};
+  bus.begin_cycle(0);
+  bus.phase(GcPhase::kRootEvacuation);
+  bus.lock_acquired(SbLock::kFree, 1);
+  for (Cycle t = 0; t < 5; ++t) {
+    bus.begin_cycle(t);
+    if (t == 2) bus.phase(GcPhase::kParallelScan);
+    bus.core_cycle(0, CoreActivity::kStall, reasons[t]);
+    bus.core_cycle(1, CoreActivity::kBusy);
+  }
+  bus.lock_released(SbLock::kFree, 1);
+  bus.counter_sample(7, 3);  // unregistered series
+  bus.counter_sample(bus.counter_series("depth \"q\""), 4);
+  bus.instant(odd, TelemetryCategory::kRecovery,
+              "retry \"1\"\\\n\tnext\x01");
+  bus.end_collection(5);
+  bus.begin_collection("");
+  bus.begin_cycle(0);
+  bus.instant(odd, TelemetryCategory::kRuntime, "second epoch");
+  bus.phase(GcPhase::kDrain);
+  for (Cycle t = 0; t < 4; ++t) {
+    bus.begin_cycle(t);
+    bus.core_cycle(0, t % 2 == 0 ? CoreActivity::kIdle : CoreActivity::kBusy);
+  }
+  bus.end_collection(4);
+
+  SignalTrace& sig = r.signals;
+  sig.enable();
+  const std::uint16_t scan = sig.register_signal("scan");
+  const std::uint16_t quoted = sig.register_signal("sig \"q\"\t");
+  sig.sample(0, scan, 5);
+  sig.sample(1, quoted, 6);
+  sig.sample(2, 9, 7);  // unregistered signal
+  sig.note(1, "note \"q\", \\, \n, \t and \x01");
+  sig.note(3, "plain note");
+}
+
+TEST(ChromeTrace, EdgeCasesMatchGoldenFile) {
+  EdgeRecording r;
+  record_edge(r);
+  ASSERT_GT(r.bus.dropped(), 0u);
+  ChromeTraceOptions opt;
+  opt.signals = &r.signals;
+  expect_matches_golden(chrome_trace_json(r.bus, opt), "edge.trace.json");
+}
+
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// One configuration of the observed Fig. 6 grid (jflex, 4 cores, +20
+/// latency) with the bus, profiler and signal trace attached and the
+/// critical path annotated.
+std::string fig6_config_trace(TelemetryBus& bus) {
+  Workload w = make_benchmark(BenchmarkId::kJflex, 0.01);
+  SimConfig cfg;
+  cfg.coprocessor.num_cores = 4;
+  cfg.memory.latency += 20;
+  cfg.memory.header_latency += 20;
+  cfg.heap.semispace_words = w.heap->layout().semispace_words();
+  SignalTrace signals;
+  CycleProfiler profiler;
+  Coprocessor(cfg, *w.heap)
+      .collect(&signals, nullptr, nullptr, &bus, &profiler);
+  annotate_critical_path(signals, profiler.take_profile());
+  ChromeTraceOptions opt;
+  opt.signals = &signals;
+  return chrome_trace_json(bus, opt);
+}
+
+// A real-size export pinned by length and digest: the writer must stay
+// byte-identical on a trace with hundreds of thousands of events, not just
+// on the hand-built golden recordings.
+TEST(ChromeTrace, Fig6ConfigExportIsPinned) {
+  TelemetryBus bus;
+  const std::string json = fig6_config_trace(bus);
+  EXPECT_EQ(json.size(), 4575828u);
+  EXPECT_EQ(fnv1a64(json), 9168496858699701717ull);
 }
 
 GcCycleStats mini_stats(Cycle total) {
