@@ -5,11 +5,14 @@
 // header-FIFO ops, full collection throughput) are what make paper-scale
 // runs (--scale=1, tens of millions of cycles) complete in seconds. The
 // Chrome-trace exporter is timed too: on observed runs it is the largest
-// host cost after the cycle loop.
+// host cost after the cycle loop. So are the oracle's two halves, the
+// pre-cycle snapshot and the post-cycle verifier, which every verified run
+// pays around each collection.
 #include <benchmark/benchmark.h>
 
 #include "core/coprocessor.hpp"
 #include "core/sync_block.hpp"
+#include "heap/verifier.hpp"
 #include "mem/header_fifo.hpp"
 #include "mem/memory_system.hpp"
 #include "profile/critical_path.hpp"
@@ -149,6 +152,37 @@ void BM_ChromeTraceJson(benchmark::State& state) {
       bus.spans().size() + bus.instants().size() + bus.counters().size());
 }
 BENCHMARK(BM_ChromeTraceJson)->Unit(benchmark::kMillisecond);
+
+// The oracle on one fig5 configuration (jlisp, 16 cores, scale 0.05): the
+// snapshot is timed on the materialized heap, the verifier on the heap
+// collected once outside the timed loop.
+void BM_HeapSnapshotCapture(benchmark::State& state) {
+  const Workload w = make_benchmark(BenchmarkId::kJlisp, 0.05);
+  std::size_t objects = 0;
+  for (auto _ : state) {
+    const HeapSnapshot snap = HeapSnapshot::capture(*w.heap);
+    objects = snap.objects.size();
+    benchmark::DoNotOptimize(snap.live_words);
+  }
+  state.counters["objects"] = static_cast<double>(objects);
+}
+BENCHMARK(BM_HeapSnapshotCapture)->Unit(benchmark::kMillisecond);
+
+void BM_VerifyCollection(benchmark::State& state) {
+  Workload w = make_benchmark(BenchmarkId::kJlisp, 0.05);
+  const HeapSnapshot pre = HeapSnapshot::capture(*w.heap);
+  SimConfig cfg;
+  cfg.coprocessor.num_cores = 16;
+  cfg.heap.semispace_words = w.heap->layout().semispace_words();
+  Coprocessor(cfg, *w.heap).collect();
+  for (auto _ : state) {
+    const VerifyResult res = verify_collection(pre, *w.heap);
+    if (!res.ok) state.SkipWithError(res.summary().c_str());
+    benchmark::DoNotOptimize(res.ok);
+  }
+  state.counters["objects"] = static_cast<double>(pre.objects.size());
+}
+BENCHMARK(BM_VerifyCollection)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

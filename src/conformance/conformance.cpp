@@ -2,20 +2,88 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "conformance/forwarding.hpp"
 #include "heap/object_model.hpp"
 
 namespace hwgc {
 
 namespace {
 
-std::string hex(Addr a) {
-  std::ostringstream os;
-  os << "0x" << std::hex << a;
-  return os.str();
+/// Totality over the pre-live set and injectivity of the forwarding
+/// table. Returns false when the map is unusable for later comparison.
+bool check_forwarding_map(const char* who, const HeapSnapshot& pre,
+                          const ForwardingTable& fwd,
+                          std::vector<std::string>& errors) {
+  using Link = ForwardingTable::Link;
+  bool total = true;
+  for (std::size_t s = 0; s < pre.objects.size(); ++s) {
+    if (fwd.link[s] == Link::kMissing) {
+      errors.push_back(std::string(who) + ": live object " +
+                       hex(pre.objects[s].addr) +
+                       " has no forwarding pointer");
+      total = false;
+    } else if (fwd.link[s] == Link::kShared) {
+      errors.push_back(std::string(who) +
+                       ": forwarding map not injective at copy " +
+                       hex(fwd.copy[s]));
+      total = false;
+    }
+  }
+  return total;
+}
+
+/// Injectivity and shape survival over the forwarded snapshot objects, in
+/// slot order. With `total` (SATB) an unforwarded object is a defect too.
+/// Returns false at the first defect that makes later checks unsound.
+bool check_copies(const char* who, const HeapSnapshot& pre, const Heap& post,
+                  const ForwardingTable& fwd, bool total,
+                  std::vector<std::string>& errors) {
+  using Link = ForwardingTable::Link;
+  for (std::size_t s = 0; s < pre.objects.size(); ++s) {
+    const HeapSnapshot::ObjectRecord& rec = pre.objects[s];
+    if (fwd.link[s] == Link::kMissing) {
+      if (!total) continue;  // disconnected mid-cycle: allowed
+      errors.push_back(std::string(who) + ": snapshot-live object " +
+                       hex(rec.addr) +
+                       " was never evacuated (SATB totality violated)");
+      return false;
+    }
+    if (fwd.link[s] == Link::kShared) {
+      errors.push_back(std::string(who) +
+                       ": forwarding map not injective at copy " +
+                       hex(fwd.copy[s]));
+      return false;
+    }
+    // Shape survival: the copy's header must describe the same object.
+    const Word cattrs = post.memory().load(attributes_addr(fwd.copy[s]));
+    if (pi_of(cattrs) != rec.pi || delta_of(cattrs) != rec.delta) {
+      errors.push_back(std::string(who) + ": copy of " + hex(rec.addr) +
+                       " changed shape");
+    }
+  }
+  return true;
+}
+
+/// The original root slots (the prefix before the mutator registers, which
+/// the mutators never write) must be redirected through the forwarding
+/// table, which check_copies found injective.
+void check_root_prefix(const char* who, const HeapSnapshot& pre,
+                       const Heap& post, const ForwardingTable& fwd,
+                       std::vector<std::string>& errors) {
+  const auto& roots = post.roots();
+  for (std::size_t i = 0; i < pre.roots.size() && i < roots.size(); ++i) {
+    const std::uint32_t slot = pre.root_slots[i];
+    if (slot == HeapSnapshot::kNoSlot) continue;
+    if (fwd.link[slot] == ForwardingTable::Link::kMissing) {
+      errors.push_back(std::string(who) + ": root " + std::to_string(i) +
+                       " referent " + hex(pre.roots[i]) +
+                       " was never evacuated");
+    } else if (roots[i] != fwd.copy[slot]) {
+      errors.push_back(std::string(who) + ": root " + std::to_string(i) +
+                       " not forwarded: holds " + hex(roots[i]) +
+                       ", copy is at " + hex(fwd.copy[slot]));
+    }
+  }
 }
 
 /// The concurrent collector's checks: its mutator may disconnect pre-live
@@ -25,84 +93,40 @@ std::string hex(Addr a) {
 /// extent [base, alloc_ptr), shapes survive, the untouched root prefix is
 /// redirected, and the collector's own counters agree with the subset.
 void check_concurrent_structure(const char* who, const HeapSnapshot& pre,
-                                const Heap& post, const CycleReport& report,
+                                const Heap& post, const ForwardingTable& fwd,
+                                const CycleReport& report,
                                 std::vector<std::string>& errors) {
-  const WordMemory& mem = post.memory();
-  const Addr base = post.layout().current_base();
-
-  std::unordered_map<Addr, Addr> fwd;
-  std::unordered_map<Addr, Addr> image_to_pre;
-  for (const auto& rec : pre.objects) {
-    const Word attrs = mem.load(attributes_addr(rec.addr));
-    if (!is_forwarded(attrs)) continue;  // disconnected mid-cycle: allowed
-    const Addr copy = mem.load(link_addr(rec.addr));
-    if (!image_to_pre.emplace(copy, rec.addr).second) {
-      errors.push_back(std::string(who) +
-                       ": forwarding map not injective at copy " + hex(copy));
-      return;
-    }
-    fwd.emplace(rec.addr, copy);
-    // Shape survival: the copy's header must describe the same object.
-    const Word cattrs = mem.load(attributes_addr(copy));
-    if (pi_of(cattrs) != rec.pi || delta_of(cattrs) != rec.delta) {
-      errors.push_back(std::string(who) + ": copy of " + hex(rec.addr) +
-                       " changed shape");
-    }
-  }
+  if (!check_copies(who, pre, post, fwd, /*total=*/false, errors)) return;
 
   // The evacuated copies must tile [base, alloc_ptr) exactly — evacuation
   // stays dense even while the mutator bump-allocates from the top.
-  std::vector<Addr> sorted;
-  sorted.reserve(image_to_pre.size());
-  for (const auto& [copy, from] : image_to_pre) {
-    (void)from;
-    sorted.push_back(copy);
-  }
-  std::sort(sorted.begin(), sorted.end());
-  Addr expect = base;
-  for (Addr copy : sorted) {
-    if (copy != expect) {
-      errors.push_back(std::string(who) +
-                       ": evacuated copies do not tile the evacuation "
-                       "extent: expected image at " +
-                       hex(expect) + ", next is " + hex(copy));
-      return;
-    }
-    expect += object_words(mem.load(attributes_addr(copy)));
-  }
-  if (expect != post.alloc_ptr()) {
+  const ForwardingTable::Tiling tiling = fwd.tile(post.memory());
+  if (tiling.gap) {
     errors.push_back(std::string(who) +
-                     ": evacuation extent ends at " + hex(expect) +
+                     ": evacuated copies do not tile the evacuation "
+                     "extent: expected image at " +
+                     hex(tiling.end) + ", next is " + hex(*tiling.gap));
+    return;
+  }
+  if (tiling.end != post.alloc_ptr()) {
+    errors.push_back(std::string(who) +
+                     ": evacuation extent ends at " + hex(tiling.end) +
                      ", published alloc pointer is " + hex(post.alloc_ptr()));
   }
-  const std::uint64_t evac_words = expect - base;
+  const std::uint64_t evac_words = tiling.end - fwd.base;
   if (report.words_copied != evac_words) {
     errors.push_back(std::string(who) + ": words_copied counter " +
                      std::to_string(report.words_copied) + " != " +
                      std::to_string(evac_words) + " evacuated words");
   }
-  if (report.evacuations != fwd.size()) {
+  const auto forwarded = static_cast<std::uint64_t>(
+      std::ranges::count(fwd.link, ForwardingTable::Link::kImage));
+  if (report.evacuations != forwarded) {
     errors.push_back(std::string(who) + ": evacuation count " +
                      std::to_string(report.evacuations) + " != " +
-                     std::to_string(fwd.size()) + " forwarded objects");
+                     std::to_string(forwarded) + " forwarded objects");
   }
-
-  // The original root slots (the prefix before the mutator's registers,
-  // which the mutator never writes) must be redirected through the map.
-  const auto& roots = post.roots();
-  for (std::size_t i = 0; i < pre.roots.size() && i < roots.size(); ++i) {
-    const Addr old_root = pre.roots[i];
-    if (old_root == kNullPtr) continue;
-    const auto it = fwd.find(old_root);
-    if (it == fwd.end()) {
-      errors.push_back(std::string(who) + ": root " + std::to_string(i) +
-                       " referent " + hex(old_root) + " was never evacuated");
-    } else if (roots[i] != it->second) {
-      errors.push_back(std::string(who) + ": root " + std::to_string(i) +
-                       " not forwarded: holds " + hex(roots[i]) +
-                       ", copy is at " + hex(it->second));
-    }
-  }
+  check_root_prefix(who, pre, post, fwd, errors);
 }
 
 /// The pauseless snapshot collector's checks. SATB gives a *stronger*
@@ -115,40 +139,23 @@ void check_concurrent_structure(const char* who, const HeapSnapshot& pre,
 /// pointer field lands on a copy start or null, every root slot does too,
 /// and the collector's counters agree with the walk.
 void check_snapshot_structure(const char* who, const HeapSnapshot& pre,
-                              const Heap& post, const CycleReport& report,
+                              const Heap& post, const ForwardingTable& fwd,
+                              const CycleReport& report,
                               std::vector<std::string>& errors) {
   const WordMemory& mem = post.memory();
   const Addr base = post.layout().current_base();
   const Addr end = post.alloc_ptr();
 
   // SATB totality + injectivity + shape survival over the snapshot set.
-  std::unordered_map<Addr, Addr> fwd;
-  std::unordered_set<Addr> images;
-  for (const auto& rec : pre.objects) {
-    const Word attrs = mem.load(attributes_addr(rec.addr));
-    if (!is_forwarded(attrs)) {
-      errors.push_back(std::string(who) + ": snapshot-live object " +
-                       hex(rec.addr) +
-                       " was never evacuated (SATB totality violated)");
-      return;
-    }
-    const Addr copy = mem.load(link_addr(rec.addr));
-    if (!images.insert(copy).second) {
-      errors.push_back(std::string(who) +
-                       ": forwarding map not injective at copy " + hex(copy));
-      return;
-    }
-    fwd.emplace(rec.addr, copy);
-    const Word cattrs = mem.load(attributes_addr(copy));
-    if (pi_of(cattrs) != rec.pi || delta_of(cattrs) != rec.delta) {
-      errors.push_back(std::string(who) + ": copy of " + hex(rec.addr) +
-                       " changed shape");
-    }
-  }
+  if (!check_copies(who, pre, post, fwd, /*total=*/true, errors)) return;
 
   // Walk the dense evacuation extent [base, alloc_ptr): snapshot copies
   // interleave with copies of newly reachable mid-cycle allocations.
-  std::unordered_set<Addr> starts;
+  std::vector<std::uint8_t> starts(
+      std::clamp<std::size_t>(end, base, mem.size()) - base, 0);
+  auto is_start = [&](Addr v) {
+    return v >= base && v - base < starts.size() && starts[v - base] != 0;
+  };
   std::uint64_t walked = 0;
   Addr a = base;
   while (a < end) {
@@ -158,7 +165,7 @@ void check_snapshot_structure(const char* who, const HeapSnapshot& pre,
                        " missing the copy-complete (black) bit");
       return;
     }
-    starts.insert(a);
+    starts[a - base] = 1;
     ++walked;
     a += object_words(attrs);
   }
@@ -167,22 +174,24 @@ void check_snapshot_structure(const char* who, const HeapSnapshot& pre,
                      "the published alloc pointer at " + hex(a));
     return;
   }
-  for (const Addr copy : images) {
-    if (starts.find(copy) == starts.end()) {
+  fwd.for_each_image([&](Addr copy) {
+    if (!is_start(copy)) {
       errors.push_back(std::string(who) + ": snapshot copy " + hex(copy) +
                        " lies outside the evacuation extent");
     }
-  }
+    return true;
+  });
   // Closure: no pointer field of any copy may dangle outside the extent.
-  for (const Addr s : starts) {
-    const Word attrs = mem.load(attributes_addr(s));
+  for (Addr c = base; c < end;) {
+    const Word attrs = mem.load(attributes_addr(c));
     for (Word i = 0; i < pi_of(attrs); ++i) {
-      const Addr v = mem.load(pointer_field_addr(s, i));
-      if (v != kNullPtr && starts.find(v) == starts.end()) {
+      const Addr v = mem.load(pointer_field_addr(c, i));
+      if (v != kNullPtr && !is_start(v)) {
         errors.push_back(std::string(who) + ": field " + std::to_string(i) +
-                         " of copy " + hex(s) + " dangles to " + hex(v));
+                         " of copy " + hex(c) + " dangles to " + hex(v));
       }
     }
+    c += object_words(attrs);
   }
 
   if (report.evacuations != walked) {
@@ -201,25 +210,12 @@ void check_snapshot_structure(const char* who, const HeapSnapshot& pre,
                      std::to_string(end - base) + " extent words");
   }
 
-  // Original root slots (the prefix before the mutator registers, which
-  // the mutators never write) are redirected through the snapshot map;
-  // every slot, mutator registers included, must land inside the extent.
+  // Original root slots are redirected through the snapshot map; every
+  // slot, mutator registers included, must land inside the extent.
+  check_root_prefix(who, pre, post, fwd, errors);
   const auto& roots = post.roots();
-  for (std::size_t i = 0; i < pre.roots.size() && i < roots.size(); ++i) {
-    const Addr old_root = pre.roots[i];
-    if (old_root == kNullPtr) continue;
-    const auto it = fwd.find(old_root);
-    if (it == fwd.end()) {
-      errors.push_back(std::string(who) + ": root " + std::to_string(i) +
-                       " referent " + hex(old_root) + " was never evacuated");
-    } else if (roots[i] != it->second) {
-      errors.push_back(std::string(who) + ": root " + std::to_string(i) +
-                       " not forwarded: holds " + hex(roots[i]) +
-                       ", copy is at " + hex(it->second));
-    }
-  }
   for (std::size_t i = 0; i < roots.size(); ++i) {
-    if (roots[i] != kNullPtr && starts.find(roots[i]) == starts.end()) {
+    if (roots[i] != kNullPtr && !is_start(roots[i])) {
       errors.push_back(std::string(who) + ": root " + std::to_string(i) +
                        " points outside the evacuation extent: " +
                        hex(roots[i]));
@@ -238,6 +234,56 @@ std::string ConformanceVerdict::summary() const {
     os << "\nschedule tail:\n" << report.schedule_tail;
   }
   return os.str();
+}
+
+void cross_compare_images(const char* a_name, const char* b_name,
+                          const HeapSnapshot& pre_a, const Heap& a,
+                          const ForwardingTable& fwd_a,
+                          const HeapSnapshot& pre_b, const Heap& b,
+                          const ForwardingTable& fwd_b,
+                          std::vector<std::string>& errors) {
+  if (!std::ranges::equal(pre_a.objects, pre_b.objects, {},
+                          &HeapSnapshot::ObjectRecord::addr,
+                          &HeapSnapshot::ObjectRecord::addr)) {
+    errors.push_back("materialization diverged between the two heaps");
+    return;
+  }
+  std::size_t child = 0;  // object s's first field in pre_a.children
+  for (std::size_t s = 0; s < pre_a.objects.size();
+       child += pre_a.objects[s].pi, ++s) {
+    const HeapSnapshot::ObjectRecord& rec = pre_a.objects[s];
+    const Addr ca = fwd_a.copy[s];
+    const Addr cb = fwd_b.copy[s];
+    const Word attrs_a = a.memory().load(attributes_addr(ca));
+    const Word attrs_b = b.memory().load(attributes_addr(cb));
+    if (pi_of(attrs_a) != pi_of(attrs_b) ||
+        delta_of(attrs_a) != delta_of(attrs_b)) {
+      errors.push_back("image shapes diverge for pre object " + hex(rec.addr));
+      continue;
+    }
+    for (Word i = 0; i < rec.pi; ++i) {
+      const Addr want_a = fwd_a.target(pre_a.children[child + i]);
+      const Addr want_b = fwd_b.target(pre_a.children[child + i]);
+      const Addr got_a = a.memory().load(pointer_field_addr(ca, i));
+      const Addr got_b = b.memory().load(pointer_field_addr(cb, i));
+      if (got_a != want_a || got_b != want_b) {
+        errors.push_back("pointer field " + std::to_string(i) +
+                         " of pre object " + hex(rec.addr) +
+                         " denotes different children: " + a_name + " " +
+                         hex(got_a) + "/" + hex(want_a) + ", " + b_name + " " +
+                         hex(got_b) + "/" + hex(want_b));
+      }
+    }
+    for (Word j = 0; j < rec.delta; ++j) {
+      const Word da = a.memory().load(data_field_addr(ca, rec.pi, j));
+      const Word db = b.memory().load(data_field_addr(cb, rec.pi, j));
+      if (da != db) {
+        errors.push_back("data word " + std::to_string(j) + " of pre object " +
+                         hex(rec.addr) + " diverges: " + std::to_string(da) +
+                         " != " + std::to_string(db));
+      }
+    }
+  }
 }
 
 double conformance_heap_factor(CollectorId id, const ConformanceCase& c) {
@@ -261,9 +307,9 @@ double conformance_heap_factor(CollectorId id, const ConformanceCase& c) {
   return factor * c.extra_heap_factor;
 }
 
-void check_post_structure(CollectorId id, const HeapSnapshot& pre,
-                          const Heap& post, const CycleReport& report,
-                          std::vector<std::string>& errors) {
+std::optional<ForwardingTable> check_post_structure(
+    CollectorId id, const HeapSnapshot& pre, const Heap& post,
+    const CycleReport& report, std::vector<std::string>& errors) {
   const CollectorTraits t = traits_of(id);
   const char* who = to_string(id);
 
@@ -275,7 +321,7 @@ void check_post_structure(CollectorId id, const HeapSnapshot& pre,
     const RecoveryReport& rec = *report.recovery;
     if (!rec.ok) {
       errors.push_back("recovery failed: " + rec.summary());
-      return;
+      return std::nullopt;
     }
     if (rec.faults_injected != rec.faults_requested) {
       errors.push_back("fault plan holds " +
@@ -307,27 +353,42 @@ void check_post_structure(CollectorId id, const HeapSnapshot& pre,
                      " shadow-graph validation mismatches");
   }
 
+  // Every check below reads this one table.
+  std::optional<ForwardingTable> fwd(std::in_place, pre, post);
   if (t.concurrent_mutator) {
-    check_snapshot_structure(who, pre, post, report, errors);
-    return;
+    check_snapshot_structure(who, pre, post, *fwd, report, errors);
+    return fwd;
   }
   if (!t.preserves_image) {
-    check_concurrent_structure(who, pre, post, report, errors);
-    return;
+    check_concurrent_structure(who, pre, post, *fwd, report, errors);
+    return fwd;
   }
 
   // Liveness preservation + (where promised) dense compaction.
   VerifyOptions opts;
   opts.require_dense = t.dense;
-  const VerifyResult vr = verify_collection(pre, post, opts);
+  const VerifyResult vr = verify_collection(pre, post, opts, &*fwd);
   for (const auto& e : vr.errors) {
     errors.push_back(std::string(who) + ": " + e);
   }
 
-  // Forwarding-map bijectivity; dense tiling where promised.
-  std::unordered_map<Addr, Addr> fwd;
-  if (extract_forwarding_map(who, pre, post, errors, fwd) && t.dense) {
-    check_dense_tiling(who, pre, post, fwd, errors);
+  // Forwarding-map bijectivity; where promised, the images tile the dense
+  // extent [base, base + live words) with the allocation pointer at its end.
+  if (check_forwarding_map(who, pre, *fwd, errors) && t.dense) {
+    const auto [expect, gap] = fwd->tile(post.memory());
+    if (gap) {
+      errors.push_back(std::string(who) +
+                       ": forwarding images do not tile tospace: " +
+                       "expected image at " + hex(expect) + ", next is " +
+                       hex(*gap));
+    } else if (expect != fwd->base + pre.live_words ||
+               post.alloc_ptr() != expect) {
+      errors.push_back(std::string(who) +
+                       ": forwarding map not onto the live extent (" +
+                       std::to_string(expect - fwd->base) + " image words, " +
+                       std::to_string(pre.live_words) +
+                       " live words, alloc at " + hex(post.alloc_ptr()) + ")");
+    }
   }
 
   // Single-evacuation counters: injectivity above rules out double copies,
@@ -361,6 +422,7 @@ void check_post_structure(CollectorId id, const HeapSnapshot& pre,
     errors.push_back(std::string(who) + ": dense collector reported " +
                      std::to_string(report.wasted_words) + " wasted words");
   }
+  return fwd;
 }
 
 ConformanceVerdict run_conformance_case(CollectorId id,
@@ -383,30 +445,24 @@ ConformanceVerdict run_conformance_case(CollectorId id,
     return v;
   }
 
-  {
-    std::vector<std::string> errs;
-    check_post_structure(id, pre, *w.heap, v.report, errs);
-    for (auto& e : errs) v.fail(std::move(e));
-  }
+  std::vector<std::string> errs;
+  const std::optional<ForwardingTable> fwd =
+      check_post_structure(id, pre, *w.heap, v.report, errs);
+  for (auto& e : errs) v.fail(std::move(e));
 
   // Cross-collector equivalence: the same plan through the sequential
-  // reference must yield the identical image modulo copy order.
+  // reference must yield the identical image modulo copy order. A clean
+  // verdict means the collector's own table already passed
+  // check_forwarding_map.
   if (t.preserves_image && c.cross_compare && v.ok) {
     Workload ref = materialize(c.plan, conformance_heap_factor(id, c));
     const HeapSnapshot pre_ref = HeapSnapshot::capture(*ref.heap);
-    if (pre_ref.objects.size() != pre.objects.size()) {
-      v.fail("materialization diverged between the two heaps");
-      return v;
-    }
     SequentialCheney::collect(*ref.heap);
-    std::vector<std::string> errs;
-    std::unordered_map<Addr, Addr> fwd, fwd_ref;
-    const bool a_ok = extract_forwarding_map(who, pre, *w.heap, errs, fwd);
-    const bool b_ok =
-        extract_forwarding_map("sequential", pre_ref, *ref.heap, errs, fwd_ref);
-    if (a_ok && b_ok) {
-      cross_compare_images(who, "sequential", pre, *w.heap, *ref.heap, fwd,
-                           fwd_ref, errs);
+    const ForwardingTable fwd_ref(pre_ref, *ref.heap);
+    errs.clear();
+    if (check_forwarding_map("sequential", pre_ref, fwd_ref, errs)) {
+      cross_compare_images(who, "sequential", pre, *w.heap, *fwd, pre_ref,
+                           *ref.heap, fwd_ref, errs);
     }
     for (auto& e : errs) v.fail(std::move(e));
   }
@@ -423,7 +479,7 @@ ConformanceVerdict run_conformance_case(CollectorId id,
              "cycle had " + std::to_string(pre.objects.size()));
       return v;
     }
-    std::vector<std::string> errs;
+    errs.clear();
     if (t.preserves_image) {
       CycleReport second;
       try {

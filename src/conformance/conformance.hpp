@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,9 +81,25 @@ double conformance_heap_factor(CollectorId id, const ConformanceCase& c);
 /// accounting, and counter consistency — everything that can be judged
 /// from (pre snapshot, post heap, report). Shared by run_conformance_case
 /// and the negative tests, which seed deliberate corruptions into the post
-/// heap and expect these checks to name them specifically.
-void check_post_structure(CollectorId id, const HeapSnapshot& pre,
-                          const Heap& post, const CycleReport& report,
+/// heap and expect these checks to name them specifically. Returns the
+/// forwarding table every check read, for further checks over the same
+/// heap; empty when the recovery ladder failed and nothing was collected.
+std::optional<ForwardingTable> check_post_structure(
+    CollectorId id, const HeapSnapshot& pre, const Heap& post,
+    const CycleReport& report, std::vector<std::string>& errors);
+
+/// Equivalence of two collectors' tospace images modulo copy order: each
+/// pre-live object's two copies must agree in shape, data words and the
+/// pre-cycle child each pointer field denotes (through each heap's own
+/// table). Objects pair up by slot, so both snapshots must list the same
+/// addresses in the same order, else the one diagnostic is
+/// "materialization diverged between the two heaps". `a_name`/`b_name`
+/// label the collectors. Call only with total, injective tables.
+void cross_compare_images(const char* a_name, const char* b_name,
+                          const HeapSnapshot& pre_a, const Heap& a,
+                          const ForwardingTable& fwd_a,
+                          const HeapSnapshot& pre_b, const Heap& b,
+                          const ForwardingTable& fwd_b,
                           std::vector<std::string>& errors);
 
 /// Runs one full conformance case for `id`.

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/sequential_cheney.hpp"
 #include "conformance/conformance.hpp"
 #include "conformance/harness.hpp"
 #include "heap/object_model.hpp"
@@ -116,6 +117,165 @@ TEST(ConformanceNegative, OverlappingLabCopiesAreNamed) {
         mem.store(link_addr(b), mem.load(link_addr(a)) + 1);
       });
   EXPECT_TRUE(has_error(errors, "overlapping copies")) << joined(errors);
+}
+
+// ---------------------------------------------------------------------------
+// Exact diagnostics of the forwarding helpers and the cross-collector image
+// comparison, on a three-object graph whose addresses are fixed by the plan.
+// ---------------------------------------------------------------------------
+
+using Errors = std::vector<std::string>;
+
+/// a -> {b, c}, b -> c; a is the only root. A leading garbage object
+/// shifts every live address by `shift` words.
+GraphPlan small_plan(Word shift = 0) {
+  GraphPlan p;
+  if (shift != 0) p.add(0, shift - kHeaderWords, /*garbage=*/true);
+  const auto a = p.add(2, 1);
+  const auto b = p.add(1, 2);
+  const auto c = p.add(0, 3);
+  p.link(a, 0, b);
+  p.link(a, 1, c);
+  p.link(b, 0, c);
+  p.add_root(a);
+  return p;
+}
+
+/// diagnose() over small_plan() with the sequential reference.
+template <typename Corrupt>
+Errors diagnose_small(Corrupt&& corrupt) {
+  Workload w = materialize(small_plan());
+  const HeapSnapshot pre = HeapSnapshot::capture(*w.heap);
+  const CycleReport report =
+      make_harness(CollectorId::kSequential)->collect(*w.heap);
+  corrupt(pre, *w.heap);
+  Errors errors;
+  check_post_structure(CollectorId::kSequential, pre, *w.heap, report, errors);
+  return errors;
+}
+
+TEST(ConformanceText, ImagesThatDoNotTileAreNamed) {
+  // Slide c's copy (the last one) up by two words and move its forwarding
+  // pointer, b's field and the allocation pointer along: the map stays a
+  // bijection, but the images leave a hole.
+  const Errors errors = diagnose_small([](const HeapSnapshot& pre, Heap& heap) {
+    WordMemory& mem = heap.memory();
+    const Addr old_c = pre.objects[2].addr;
+    const Addr c_copy = mem.load(link_addr(old_c));
+    const Word words = object_words(mem.load(attributes_addr(c_copy)));
+    for (Word i = words; i-- > 0;) {
+      mem.store(c_copy + 2 + i, mem.load(c_copy + i));
+    }
+    mem.store(link_addr(old_c), c_copy + 2);
+    const Addr a_copy = mem.load(link_addr(pre.objects[0].addr));
+    const Addr b_copy = mem.load(link_addr(pre.objects[1].addr));
+    mem.store(pointer_field_addr(a_copy, 1), c_copy + 2);
+    mem.store(pointer_field_addr(b_copy, 0), c_copy + 2);
+    heap.set_alloc_ptr(heap.alloc_ptr() + 2);
+  });
+  EXPECT_EQ(errors, (Errors{
+                "sequential: compaction hole: expected object at 0x5a, found "
+                "0x5c",
+                "sequential: tospace extent mismatch: 10 words copied, "
+                "snapshot had 15 live words",
+                "sequential: allocation pointer not at end of copied data: "
+                "0x61 != 0x5a",
+                "sequential: forwarding images do not tile tospace: expected "
+                "image at 0x5a, next is 0x5c",
+                "sequential: tospace accounting: 15 copied + 0 wasted != 17 "
+                "words consumed"}));
+}
+
+TEST(ConformanceText, ImagesNotOntoTheLiveExtentAreNamed) {
+  const Errors errors = diagnose_small([](const HeapSnapshot&, Heap& heap) {
+    heap.set_alloc_ptr(heap.alloc_ptr() + 4);
+  });
+  EXPECT_EQ(errors, (Errors{
+                "sequential: allocation pointer not at end of copied data: "
+                "0x63 != 0x5f",
+                "sequential: forwarding map not onto the live extent (15 "
+                "image words, 15 live words, alloc at 0x63)",
+                "sequential: tospace accounting: 15 copied + 0 wasted != 19 "
+                "words consumed"}));
+}
+
+/// Collects small_plan() twice with the sequential reference, corrupts the
+/// second image, and returns cross_compare_images' diagnostics.
+template <typename Corrupt>
+Errors cross_compare_small(Corrupt&& corrupt) {
+  Workload a = materialize(small_plan());
+  Workload b = materialize(small_plan());
+  const HeapSnapshot pre_a = HeapSnapshot::capture(*a.heap);
+  const HeapSnapshot pre_b = HeapSnapshot::capture(*b.heap);
+  SequentialCheney::collect(*a.heap);
+  SequentialCheney::collect(*b.heap);
+  corrupt(pre_b, *b.heap);
+  Errors errors;
+  const ForwardingTable fwd_a(pre_a, *a.heap);
+  const ForwardingTable fwd_b(pre_b, *b.heap);
+  cross_compare_images("coprocessor", "sequential", pre_a, *a.heap, fwd_a,
+                       pre_b, *b.heap, fwd_b, errors);
+  return errors;
+}
+
+Addr copy_in(const Heap& heap, const HeapSnapshot& pre, std::size_t slot) {
+  return heap.memory().load(link_addr(pre.objects[slot].addr));
+}
+
+TEST(ConformanceText, CrossCompareNamesDivergentShapes) {
+  const Errors errors =
+      cross_compare_small([](const HeapSnapshot& pre, Heap& heap) {
+        heap.memory().store(attributes_addr(copy_in(heap, pre, 2)),
+                            make_attributes(0, 2, kBlackBit));
+      });
+  EXPECT_EQ(errors, Errors{"image shapes diverge for pre object 0xb"});
+}
+
+TEST(ConformanceText, CrossCompareNamesDivergentChildren) {
+  const Errors errors =
+      cross_compare_small([](const HeapSnapshot& pre, Heap& heap) {
+        WordMemory& mem = heap.memory();
+        const Addr copy = copy_in(heap, pre, 0);
+        const Addr f0 = mem.load(pointer_field_addr(copy, 0));
+        const Addr f1 = mem.load(pointer_field_addr(copy, 1));
+        mem.store(pointer_field_addr(copy, 0), f1);
+        mem.store(pointer_field_addr(copy, 1), f0);
+      });
+  EXPECT_EQ(errors,
+            (Errors{"pointer field 0 of pre object 0x1 denotes different "
+                    "children: coprocessor 0x55/0x55, sequential 0x5a/0x55",
+                    "pointer field 1 of pre object 0x1 denotes different "
+                    "children: coprocessor 0x5a/0x5a, sequential 0x55/0x5a"}));
+}
+
+TEST(ConformanceText, CrossCompareNamesDivergentData) {
+  const Errors errors =
+      cross_compare_small([](const HeapSnapshot& pre, Heap& heap) {
+        WordMemory& mem = heap.memory();
+        const Addr word = data_field_addr(copy_in(heap, pre, 1), 1, 0);
+        mem.store(word, mem.load(word) + 7);
+      });
+  EXPECT_EQ(errors, Errors{"data word 0 of pre object 0x6 diverges: "
+                           "1592590467 != 1592590474"});
+}
+
+TEST(ConformanceText, CrossCompareNeedsTheSameSlotOrder) {
+  // Images are paired by slot: a reference heap whose snapshot lists other
+  // addresses cannot be compared object by object.
+  Workload a = materialize(small_plan());
+  Workload b = materialize(small_plan(/*shift=*/4));
+  const HeapSnapshot pre_a = HeapSnapshot::capture(*a.heap);
+  const HeapSnapshot pre_b = HeapSnapshot::capture(*b.heap);
+  ASSERT_EQ(pre_a.objects.size(), pre_b.objects.size());
+  SequentialCheney::collect(*a.heap);
+  SequentialCheney::collect(*b.heap);
+  const ForwardingTable fwd_a(pre_a, *a.heap);
+  const ForwardingTable fwd_b(pre_b, *b.heap);
+  Errors errors;
+  cross_compare_images("coprocessor", "sequential", pre_a, *a.heap, fwd_a,
+                       pre_b, *b.heap, fwd_b, errors);
+  EXPECT_EQ(errors,
+            Errors{"materialization diverged between the two heaps"});
 }
 
 TEST(ConformanceNegative, ShadowMismatchCounterIsNamed) {

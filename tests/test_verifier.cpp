@@ -3,9 +3,13 @@
 // that it actually fails (a verifier that always says OK proves nothing).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "baselines/sequential_cheney.hpp"
 #include "heap/object_model.hpp"
 #include "heap/verifier.hpp"
+#include "sim/abort.hpp"
 #include "workloads/benchmarks.hpp"
 
 namespace hwgc {
@@ -225,6 +229,153 @@ TEST(Verifier, CompactionHoleNamesTheDenseCheck) {
       << "pointers were consistently adjusted; only the hole may fire";
   // The loose mode tolerates exactly this kind of fragmentation.
   EXPECT_TRUE(verify_collection(pre, heap, {.require_dense = false}).ok);
+}
+
+// ---------------------------------------------------------------------------
+// Exact diagnostics: one corruption per remaining verifier branch, each
+// pinning the full error list (text and order) on a three-object graph
+// whose addresses are fixed by the plan.
+// ---------------------------------------------------------------------------
+
+/// a -> {b, c}, b -> c; a is the only root. Collected by the sequential
+/// reference, so the copies land at a fixed, dense layout.
+Collected collect_small() {
+  GraphPlan p;
+  const auto a = p.add(2, 1);
+  const auto b = p.add(1, 2);
+  const auto c = p.add(0, 3);
+  p.link(a, 0, b);
+  p.link(a, 1, c);
+  p.link(b, 0, c);
+  p.add_root(a);
+  Collected out{materialize(p), {}};
+  out.pre = HeapSnapshot::capture(*out.w.heap);
+  SequentialCheney::collect(*out.w.heap);
+  return out;
+}
+
+using Errors = std::vector<std::string>;
+
+Errors errors_of(const Collected& c, VerifyOptions options = {}) {
+  return verify_collection(c.pre, *c.w.heap, options).errors;
+}
+
+Addr copy_of(const Collected& c, std::size_t slot) {
+  return c.w.heap->memory().load(link_addr(c.pre.objects[slot].addr));
+}
+
+TEST(VerifierText, CleanSmallCollection) {
+  Collected c = collect_small();
+  ASSERT_EQ(c.pre.objects.size(), 3u);
+  EXPECT_EQ(errors_of(c), Errors{});
+}
+
+TEST(VerifierText, MissedFlip) {
+  Collected c = collect_small();
+  c.w.heap->flip();
+  EXPECT_EQ(errors_of(c), Errors{"heap was not flipped after collection"});
+}
+
+TEST(VerifierText, ForwardingPointerOutsideTospace) {
+  Collected c = collect_small();
+  WordMemory& mem = c.w.heap->memory();
+  mem.store(link_addr(c.pre.objects[1].addr), c.pre.objects[0].addr);
+  EXPECT_EQ(errors_of(c),
+            Errors{"forwarding pointer of 0x6 points outside tospace: 0x1"});
+}
+
+TEST(VerifierText, NonBlackCopy) {
+  Collected c = collect_small();
+  WordMemory& mem = c.w.heap->memory();
+  const Addr header = attributes_addr(copy_of(c, 1));
+  mem.store(header, mem.load(header) & ~kBlackBit);
+  EXPECT_EQ(errors_of(c), Errors{"copy 0x55 of 0x6 is not black"});
+}
+
+TEST(VerifierText, WrongShape) {
+  Collected c = collect_small();
+  c.w.heap->memory().store(attributes_addr(copy_of(c, 2)),
+                           make_attributes(0, 2, kBlackBit));
+  EXPECT_EQ(errors_of(c),
+            (Errors{"copy 0x5a has wrong shape: pi 0/0 delta 2/3",
+                    "tospace extent mismatch: 14 words copied, snapshot had "
+                    "15 live words",
+                    "allocation pointer not at end of copied data: 0x5f != "
+                    "0x5e"}));
+}
+
+TEST(VerifierText, CorruptedDataWord) {
+  Collected c = collect_small();
+  WordMemory& mem = c.w.heap->memory();
+  const Addr word = data_field_addr(copy_of(c, 1), 1, 1);
+  mem.store(word, mem.load(word) ^ 0x10);
+  EXPECT_EQ(errors_of(c), Errors{"data word 1 of copy 0x55 corrupted: "
+                                 "1592590484 != 1592590468"});
+}
+
+TEST(VerifierText, TospaceExtentMismatch) {
+  Collected c = collect_small();
+  c.pre.live_words += 1;
+  EXPECT_EQ(errors_of(c), Errors{"tospace extent mismatch: 15 words copied, "
+                                 "snapshot had 16 live words"});
+}
+
+TEST(VerifierText, AllocPtrNotAtEnd) {
+  Collected c = collect_small();
+  c.w.heap->set_alloc_ptr(c.w.heap->alloc_ptr() + 4);
+  EXPECT_EQ(errors_of(c), Errors{"allocation pointer not at end of copied "
+                                 "data: 0x63 != 0x5f"});
+}
+
+TEST(VerifierText, CopyPastAllocPtr) {
+  Collected c = collect_small();
+  c.w.heap->set_alloc_ptr(c.w.heap->alloc_ptr() - 1);
+  EXPECT_EQ(errors_of(c, {.require_dense = false}),
+            Errors{"copy extends past the published allocation pointer"});
+}
+
+TEST(VerifierText, RootCountChanged) {
+  Collected c = collect_small();
+  c.w.heap->roots().push_back(kNullPtr);
+  EXPECT_EQ(errors_of(c), Errors{"root count changed during collection"});
+}
+
+TEST(VerifierText, RootNotForwarded) {
+  Collected c = collect_small();
+  c.w.heap->roots()[0] = c.pre.roots[0];
+  EXPECT_EQ(errors_of(c), Errors{"root 0 not forwarded: 0x1 != 0x50"});
+}
+
+// The snapshot walks whatever the roots reach, inside the current space or
+// not; an address beyond the simulated memory aborts the walk.
+
+TEST(Snapshot, FollowsRootsOutsideTheCurrentSpace) {
+  Heap heap(64);
+  const Addr a = heap.allocate(1, 1);
+  const Addr b = heap.allocate(0, 2);
+  heap.set_pointer(a, 0, b);
+  heap.roots() = {a, b, a};
+  heap.flip();  // a and b now lie in the other semispace
+  const HeapSnapshot snap = HeapSnapshot::capture(heap);
+  ASSERT_EQ(snap.objects.size(), 2u);
+  EXPECT_EQ(snap.objects[0].addr, a);
+  EXPECT_EQ(snap.objects[1].addr, b);
+  EXPECT_EQ(snap.live_words, object_words(1, 1) + object_words(0, 2));
+}
+
+TEST(Snapshot, WildRootAbortsTheWalk) {
+  Heap heap(64);
+  const Addr a = heap.allocate(0, 1);
+  heap.roots() = {a, 5000};
+  try {
+    (void)HeapSnapshot::capture(heap);
+    FAIL() << "a root beyond memory must abort the snapshot";
+  } catch (const CollectionAbort& e) {
+    EXPECT_EQ(e.reason(), AbortReason::kWildAccess);
+    EXPECT_EQ(std::string(e.what()),
+              "wild memory access at word address 5000 (memory holds 129 "
+              "words)");
+  }
 }
 
 TEST(Verifier, DenseModeRejectsHolesButLooseModeAccepts) {
