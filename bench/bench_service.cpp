@@ -18,6 +18,7 @@
 // the schema is append-only, so bench_validate accepts them).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/flags.hpp"
 #include "service/heap_service.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -339,33 +341,35 @@ int run_perf_baseline(const SweepOptions& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // google-benchmark takes its --benchmark_* flags first and the sweep
+  // flags are what it leaves. --help waits until both have parsed.
+  char** const end = std::remove_if(argv + 1, argv + argc, [](const char* a) {
+    return std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0;
+  });
+  const bool help = end != argv + argc;
+  argc = static_cast<int>(end - argv);
+  benchmark::Initialize(&argc, argv);
   SweepOptions opt;
   bool json_mode = false;
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      json_mode = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json_mode = true;
-      opt.json_path = arg.substr(7);
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      opt.shards = std::strtoull(arg.c_str() + 9, nullptr, 10);
-    } else if (arg.rfind("--requests=", 0) == 0) {
-      opt.requests = std::strtoull(arg.c_str() + 11, nullptr, 10);
-    } else if (arg.rfind("--min-speedup=", 0) == 0) {
-      opt.min_speedup = std::strtod(arg.c_str() + 14, nullptr);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
+  cli::Parser p("bench_service", "[--json[=PATH] [options]]");
+  p.optional("--json[=PATH]", json_mode, opt.json_path,
+             "run the perf-baseline sweep instead of the\n"
+             "microbenches and write its records (default path\n"
+             "BENCH_service.json)")
+      .value("--shards N", opt.shards, "sweep fleet size (default 8)")
+      .value("--requests N", opt.requests, "sweep requests (default 6000)")
+      .value("--min-speedup F", opt.min_speedup,
+             "fail below this fast-forward speedup (default 0 =\n"
+             "no gate)");
+  p.parse(argc, argv);
+  if (help) {
+    std::printf("%smicrobench mode takes google-benchmark's flags:\n",
+                p.usage().c_str());
+    benchmark::PrintDefaultHelp();
+    return 0;
   }
   if (json_mode) return run_perf_baseline(opt);
 
-  int bench_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&bench_argc, passthrough.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc, passthrough.data())) {
-    return 1;
-  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

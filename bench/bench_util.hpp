@@ -1,29 +1,19 @@
 // Shared helpers for the benchmark harness binaries.
 //
 // Each bench binary regenerates one table or figure from the paper's
-// evaluation (Section VI) and prints it in a comparable layout. The
-// binaries accept:
-//   --scale=<f>   live-set scale factor (default 0.25; 1.0 is paper-sized.
-//                 The paper notes heap size has little influence on the
-//                 relative results, which bench_heapsize_ablation checks.)
-//   --seed=<n>    workload seed
-//   --bench=<name[,name...]>  subset of benchmarks to run
-//   --json[=path] additionally emit the aggregated metrics as stable-schema
-//                 JSONL (default path BENCH_<suite>.json; schema
-//                 hwgc-bench-v1, see src/telemetry/metrics.hpp)
-//   --profile-json[=path]  emit per-configuration stall attribution as
-//                 hwgc-profile-v1 JSONL (default path
-//                 BENCH_<suite>_profile.json; src/profile/)
+// evaluation (Section VI) and prints it in a comparable layout. All of
+// them share the flag table in parse_options (`--help`). --scale=1.0 is
+// paper-sized; the paper notes heap size has little influence on the
+// relative results, which bench_heapsize_ablation checks.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "cli/flags.hpp"
 #include "core/coprocessor.hpp"
 #include "profile/cycle_profiler.hpp"
 #include "sim/config.hpp"
@@ -44,47 +34,23 @@ struct Options {
 
 inline Options parse_options(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--scale=", 0) == 0) {
-      opt.scale = std::strtod(arg.c_str() + 8, nullptr);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--bench=", 0) == 0) {
-      opt.benchmarks.clear();
-      std::string list = arg.substr(8);
-      std::size_t pos = 0;
-      while (pos != std::string::npos) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string name = list.substr(
-            pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        for (BenchmarkId id : all_benchmarks()) {
-          if (benchmark_name(id) == name) opt.benchmarks.push_back(id);
-        }
-        pos = comma == std::string::npos ? comma : comma + 1;
-      }
-      if (opt.benchmarks.empty()) {
-        std::fprintf(stderr, "unknown benchmark list: %s\n", list.c_str());
-        std::exit(2);
-      }
-    } else if (arg == "--json") {
-      opt.json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      opt.json = true;
-      opt.json_path = arg.substr(7);
-    } else if (arg == "--profile-json") {
-      opt.profile_json = true;
-    } else if (arg.rfind("--profile-json=", 0) == 0) {
-      opt.profile_json = true;
-      opt.profile_json_path = arg.substr(15);
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--scale=F] [--seed=N] [--bench=a,b,...] [--json[=path]]"
-          " [--profile-json[=path]]\n",
-          argv[0]);
-      std::exit(0);
-    }
-  }
+  const std::string prog = argv[0];
+  cli::Parser p(prog.substr(prog.find_last_of('/') + 1), "[options]");
+  p.value("--scale F", opt.scale,
+          "live-set scale factor (default 0.25; 1 = paper size)")
+      .value("--seed N", opt.seed, "workload seed (default 42)")
+      .list("--bench a,b,..", opt.benchmarks,
+            "subset of benchmarks to run (default all)",
+            cli::one_of(all_benchmarks(), benchmark_name))
+      .optional("--json[=PATH]", opt.json, opt.json_path,
+                "also write the metrics as hwgc-bench-v1 JSONL\n"
+                "(default path BENCH_<suite>.json)")
+      .optional("--profile-json[=PATH]", opt.profile_json,
+                opt.profile_json_path,
+                "write per-configuration stall attribution as\n"
+                "hwgc-profile-v1 JSONL (default path\n"
+                "BENCH_<suite>_profile.json)");
+  p.parse(argc, argv);
   return opt;
 }
 

@@ -11,30 +11,30 @@
 // freshly produced BENCH_*.json artifacts so a schema drift fails the
 // build rather than silently breaking downstream dashboards.
 //
-// Usage: bench_validate FILE [FILE...]
 // Exit status: 0 all files valid, 1 any violation or unreadable file,
 //              2 usage error.
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "cli/flags.hpp"
 #include "service/service_metrics.hpp"
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: bench_validate FILE [FILE...]\n");
-    return 2;
-  }
+  std::vector<std::string> files;
+  hwgc::cli::Parser p("bench_validate", "FILE...");
+  p.rest("FILE...", files, "hwgc JSONL metric files to validate");
+  p.parse(argc, argv);
   bool all_ok = true;
-  for (int i = 1; i < argc; ++i) {
+  for (const std::string& file : files) {
     std::vector<std::string> errors;
-    const bool ok = hwgc::validate_metrics_jsonl_file(argv[i], &errors);
+    const bool ok = hwgc::validate_metrics_jsonl_file(file, &errors);
     if (ok) {
-      std::printf("%s: OK\n", argv[i]);
+      std::printf("%s: OK\n", file.c_str());
       continue;
     }
     all_ok = false;
-    std::printf("%s: INVALID\n", argv[i]);
+    std::printf("%s: INVALID\n", file.c_str());
     for (const auto& e : errors) std::printf("  %s\n", e.c_str());
   }
   return all_ok ? 0 : 1;

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <string>
 
+#include "cli/flags.hpp"
 #include "core/coprocessor.hpp"
 #include "workloads/graph_plan.hpp"
 
@@ -112,7 +113,8 @@ void run(const char* name, const GraphPlan& plan) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  cli::Parser("contention_lab", "(no options)").parse(argc, argv);
   std::printf("contention lab — 16 GC cores, default memory model\n\n");
   run("hub-storm", hub_storm());
   run("confetti", confetti());

@@ -16,41 +16,15 @@
 // shrinking while the oracle still fails), prints the failing schedule
 // tail and exits nonzero.
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "cli/flags.hpp"
 #include "core/schedule_policy.hpp"
 #include "fuzz/oracle.hpp"
 #include "trace/corpus.hpp"
 
 namespace {
-
-void usage() {
-  std::cout <<
-      "usage: fuzz_gc [options]\n"
-      "  --seed N           master seed; the whole case derives from it\n"
-      "  --count N          number of cases to run (seeds N..N+count-1, default 25)\n"
-      "  --no-minimize      skip reproducer minimization on failure\n"
-      "  --emit-trace FILE  write the (minimized) reproducer of the first\n"
-      "                     failing case as an hwgc-trace-v1 file; with no\n"
-      "                     failure, the last case's trace is written so the\n"
-      "                     flag always yields a replayable artifact\n"
-      "  -v, --verbose      print a stats digest for passing cases too\n"
-      "explicit-case flags (replay a minimized reproducer; disable derivation):\n"
-      "  --graph-seed N --schedule fixed|rotating|random|adversarial\n"
-      "  --schedule-seed N --cores N --fifo N --jitter N --subobject --earlyread\n"
-      "  --min-nodes N --max-nodes N --max-pi N --max-delta N --edge-prob X\n"
-      "  --garbage X --huge-frac X --huge-delta N --hubs N --mutation X\n"
-      "  --max-roots N\n"
-      "fault-injection flags (route the case through recovery; see fault_lab\n"
-      "for whole sweeps):\n"
-      "  --fault-events N    inject N seeded fault events (0 = off)\n"
-      "  --fault-seed N      fault plan seed\n"
-      "  --fault-mask M      bitmask of fault classes (bit i = class i)\n"
-      "  --fault-persistent X  fraction of events that are hard faults\n"
-      "  --fault-scale N     trigger-point scale (cycles / transaction counts)\n";
-}
 
 struct Options {
   std::uint64_t seed = 1;
@@ -62,112 +36,62 @@ struct Options {
   hwgc::FuzzCase fc;
 };
 
-bool parse_args(int argc, char** argv, Options& opt) {
-  const auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      std::exit(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const auto u64 = [&] { return std::strtoull(next(i), nullptr, 0); };
-    const auto f64 = [&] { return std::strtod(next(i), nullptr); };
-    if (a == "--seed") {
-      opt.seed = u64();
-    } else if (a == "--count") {
-      opt.count = static_cast<std::uint32_t>(u64());
-    } else if (a == "--no-minimize") {
-      opt.minimize = false;
-    } else if (a == "--emit-trace") {
-      opt.emit_trace = next(i);
-    } else if (a == "-v" || a == "--verbose") {
-      opt.verbose = true;
-    } else if (a == "--graph-seed") {
-      opt.fc.graph_seed = u64();
-      opt.explicit_case = true;
-    } else if (a == "--schedule") {
-      if (!hwgc::parse_schedule_policy(next(i), opt.fc.harness.schedule)) {
-        std::cerr << "unknown schedule policy\n";
-        return false;
-      }
-      opt.explicit_case = true;
-    } else if (a == "--schedule-seed") {
-      opt.fc.harness.schedule_seed = u64();
-      opt.explicit_case = true;
-    } else if (a == "--cores") {
-      opt.fc.harness.threads = static_cast<std::uint32_t>(u64());
-      opt.explicit_case = true;
-    } else if (a == "--fifo") {
-      opt.fc.harness.header_fifo_capacity = static_cast<std::uint32_t>(u64());
-      opt.explicit_case = true;
-    } else if (a == "--jitter") {
-      opt.fc.harness.latency_jitter = u64();
-      opt.explicit_case = true;
-    } else if (a == "--subobject") {
-      opt.fc.harness.subobject_copy = true;
-      opt.explicit_case = true;
-    } else if (a == "--earlyread") {
-      opt.fc.harness.markbit_early_read = true;
-      opt.explicit_case = true;
-    } else if (a == "--min-nodes") {
-      opt.fc.graph.min_nodes = static_cast<std::uint32_t>(u64());
-      opt.explicit_case = true;
-    } else if (a == "--max-nodes") {
-      opt.fc.graph.max_nodes = static_cast<std::uint32_t>(u64());
-      opt.explicit_case = true;
-    } else if (a == "--max-pi") {
-      opt.fc.graph.max_pi = static_cast<hwgc::Word>(u64());
-      opt.explicit_case = true;
-    } else if (a == "--max-delta") {
-      opt.fc.graph.max_delta = static_cast<hwgc::Word>(u64());
-      opt.explicit_case = true;
-    } else if (a == "--edge-prob") {
-      opt.fc.graph.edge_probability = f64();
-      opt.explicit_case = true;
-    } else if (a == "--garbage") {
-      opt.fc.graph.garbage_fraction = f64();
-      opt.explicit_case = true;
-    } else if (a == "--huge-frac") {
-      opt.fc.graph.huge_fraction = f64();
-      opt.explicit_case = true;
-    } else if (a == "--huge-delta") {
-      opt.fc.graph.huge_delta = static_cast<hwgc::Word>(u64());
-      opt.explicit_case = true;
-    } else if (a == "--hubs") {
-      opt.fc.graph.hubs = static_cast<std::uint32_t>(u64());
-      opt.explicit_case = true;
-    } else if (a == "--mutation") {
-      opt.fc.graph.mutation_fraction = f64();
-      opt.explicit_case = true;
-    } else if (a == "--max-roots") {
-      opt.fc.graph.max_roots = static_cast<std::uint32_t>(u64());
-      opt.explicit_case = true;
-    } else if (a == "--fault-events") {
-      opt.fc.harness.fault.events = static_cast<std::uint32_t>(u64());
-      opt.explicit_case = true;
-    } else if (a == "--fault-seed") {
-      opt.fc.harness.fault.seed = u64();
-      opt.explicit_case = true;
-    } else if (a == "--fault-mask") {
-      opt.fc.harness.fault.class_mask = static_cast<std::uint32_t>(u64());
-      opt.explicit_case = true;
-    } else if (a == "--fault-persistent") {
-      opt.fc.harness.fault.persistent_fraction = f64();
-      opt.explicit_case = true;
-    } else if (a == "--fault-scale") {
-      opt.fc.harness.fault.trigger_scale = static_cast<std::uint32_t>(u64());
-      opt.explicit_case = true;
-    } else if (a == "--help" || a == "-h") {
-      usage();
-      std::exit(0);
-    } else {
-      std::cerr << "unknown option " << a << "\n";
-      return false;
-    }
-  }
-  return true;
+void parse_args(int argc, char** argv, Options& opt) {
+  hwgc::FuzzCase& fc = opt.fc;
+  hwgc::HarnessConfig& h = fc.harness;
+  using Policy = hwgc::SchedulePolicyKind;
+  hwgc::cli::Parser p("fuzz_gc", "[options]");
+  p.value("--seed N", opt.seed, "master seed; the whole case derives from it")
+      .value("--count N", opt.count,
+             "cases to run (seeds N..N+count-1, default 25)")
+      .flag("--no-minimize", opt.minimize,
+            "skip reproducer minimization on failure", false)
+      .value("--emit-trace FILE", opt.emit_trace,
+             "write the (minimized) reproducer of the first failing\n"
+             "case as an hwgc-trace-v1 file; with no failure, the\n"
+             "last case's trace (always a replayable artifact)")
+      .flag("-v, --verbose", opt.verbose,
+            "print a stats digest for passing cases too");
+  p.section("explicit-case flags (replay a minimized reproducer; disable "
+            "derivation):",
+            &opt.explicit_case)
+      .value("--graph-seed N", fc.graph_seed, "object-graph seed")
+      .value("--schedule NAME", h.schedule,
+             "fixed|rotating|random|adversarial",
+             hwgc::cli::one_of(
+                 std::vector<Policy>{Policy::kFixedPriority, Policy::kRotating,
+                                     Policy::kRandom, Policy::kAdversarial},
+                 [](Policy k) { return hwgc::to_string(k); }))
+      .value("--schedule-seed N", h.schedule_seed, "schedule policy seed")
+      .value("--cores N", h.threads, "coprocessor cores")
+      .value("--fifo N", h.header_fifo_capacity, "header FIFO capacity")
+      .value("--jitter N", h.latency_jitter, "memory latency jitter")
+      .flag("--subobject", h.subobject_copy, "sub-object copying")
+      .flag("--earlyread", h.markbit_early_read, "mark-bit early read")
+      .value("--min-nodes N", fc.graph.min_nodes, "graph size floor")
+      .value("--max-nodes N", fc.graph.max_nodes, "graph size cap")
+      .value("--max-pi N", fc.graph.max_pi, "max pointer fields")
+      .value("--max-delta N", fc.graph.max_delta, "max data words")
+      .value("--edge-prob X", fc.graph.edge_probability, "edge probability")
+      .value("--garbage X", fc.graph.garbage_fraction, "garbage fraction")
+      .value("--huge-frac X", fc.graph.huge_fraction, "huge-object fraction")
+      .value("--huge-delta N", fc.graph.huge_delta, "huge-object data words")
+      .value("--hubs N", fc.graph.hubs, "hub objects")
+      .value("--mutation X", fc.graph.mutation_fraction, "mutation fraction")
+      .value("--max-roots N", fc.graph.max_roots, "max roots");
+  p.section("fault-injection flags (route the case through recovery; see "
+            "fault_lab\nfor whole sweeps):",
+            &opt.explicit_case)
+      .value("--fault-events N", h.fault.events,
+             "inject N seeded fault events (0 = off)")
+      .value("--fault-seed N", h.fault.seed, "fault plan seed")
+      .value("--fault-mask M", h.fault.class_mask,
+             "bitmask of fault classes (bit i = class i)")
+      .value("--fault-persistent X", h.fault.persistent_fraction,
+             "fraction of events that are hard faults")
+      .value("--fault-scale N", h.fault.trigger_scale,
+             "trigger-point scale (cycles / transaction counts)");
+  p.parse(argc, argv);
 }
 
 /// Runs one case; on failure prints the verdict, minimizes and prints the
@@ -206,10 +130,7 @@ bool run_one(const hwgc::FuzzCase& fc, const std::string& label,
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) {
-    usage();
-    return 2;
-  }
+  parse_args(argc, argv, opt);
 
   std::uint32_t failures = 0;
   // The case whose trace --emit-trace writes: the (minimized) reproducer of

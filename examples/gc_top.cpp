@@ -8,49 +8,29 @@
 // VI-A monitoring framework: the same hardware performance counters, read
 // once per collection instead of post-mortem.
 //
-// Usage:
-//   gc_top [options]
-//     --cores=N         GC cores (default 4)
-//     --heap-words=N    semispace size in words (default 8192)
-//     --collections=N   stop after N collection cycles (default 8)
-//     --every=N         mutator steps between forced collections (default 300)
-//     --interval-ms=N   frame delay (default 150; use 0 for CI/scripts)
-//     --seed=N          mutator seed (default 1)
-//     --faults=N        inject N seeded fault events per cycle and route
-//                       collections through the recovery machinery
-//     --no-clear        append frames instead of redrawing (logs, CI)
-//     --profile         cycle attribution drill-down (src/profile/): the
-//                       panel grows a critical-path line plus a per-class
-//                       share bar chart, and --json gains the
-//                       hwgc-profile-v1 attribution record
-//     --json=PATH       write the session's aggregated metrics (min/mean/
-//                       p50/p99 across all cycles) as hwgc-bench-v1 JSONL
-//     --trace-json=PATH export the whole session timeline — one telemetry
-//                       epoch per collection — as Chrome-trace JSON
+// Flags and defaults: `gc_top --help`. --profile grows the panel a
+// critical-path line plus a per-class share bar chart, and --json gains
+// the hwgc-profile-v1 attribution record. --trace-json exports the whole
+// session timeline, one telemetry epoch per collection.
 //
 // Service mode (--shards=N): instead of one runtime, drives a HeapService
 // fleet panel — one row per shard with occupancy, backlog, collections,
 // request latency percentiles and the stall share — serving --every
 // requests per frame for --collections frames under --scheduler. --json
-// then writes the hwgc-service-v1 section.
-//     --shards=N        fleet size; 0 (default) keeps the classic panel
-//     --scheduler=NAME  reactive | proactive | roundrobin | pauseless
-//                       (default proactive)
-//     --storm=PCT       fault-storm PCT% of the fleet (stormed shards are
-//                       marked *storm in the panel)
-//     --supervise       health supervision + checkpoint/restore; the panel
-//                       grows a health column and a transition ticker
+// then writes the hwgc-service-v1 section. Stormed shards (--storm) are
+// marked *storm in the panel; --supervise grows a health column and a
+// transition ticker.
 // With --profile in service mode the shard table grows a binding-resource
 // column and a per-shard drill-down panel (top stall classes by share,
 // slowest request so far); --json appends the hwgc-profile-v1 section.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
 
+#include "cli/flags.hpp"
 #include "profile/critical_path.hpp"
 #include "profile/profile_metrics.hpp"
 #include "profile/request_trace.hpp"
@@ -83,73 +63,52 @@ struct CliOptions {
   std::string trace_json;
 };
 
-bool parse_u32(const std::string& arg, const char* key, std::uint32_t& out) {
-  const std::string prefix = std::string(key) + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = static_cast<std::uint32_t>(
-      std::strtoul(arg.c_str() + prefix.size(), nullptr, 10));
-  return true;
-}
-
 CliOptions parse(int argc, char** argv) {
   CliOptions o;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    std::uint32_t v = 0;
-    if (parse_u32(a, "--cores", v)) {
-      o.cores = v;
-    } else if (parse_u32(a, "--heap-words", v)) {
-      o.heap_words = v;
-    } else if (parse_u32(a, "--collections", v)) {
-      o.collections = v;
-    } else if (parse_u32(a, "--every", v)) {
-      o.every = v;
-    } else if (parse_u32(a, "--interval-ms", v)) {
-      o.interval_ms = v;
-    } else if (parse_u32(a, "--faults", v)) {
-      o.faults = v;
-    } else if (parse_u32(a, "--shards", v)) {
-      o.shards = v;
-    } else if (parse_u32(a, "--storm", v)) {
-      o.storm_pct = v;
-    } else if (a == "--supervise") {
-      o.supervise = true;
-    } else if (a.rfind("--scheduler=", 0) == 0) {
-      const auto k = parse_scheduler(a.substr(12));
-      if (!k.has_value()) {
-        std::fprintf(stderr, "unknown scheduler: %s\n", a.c_str() + 12);
-        std::exit(2);
-      }
-      o.scheduler = *k;
-    } else if (a.rfind("--seed=", 0) == 0) {
-      o.seed = std::strtoull(a.c_str() + 7, nullptr, 10);
-    } else if (a == "--no-clear") {
-      o.no_clear = true;
-    } else if (a == "--profile") {
-      o.profile = true;
-    } else if (a.rfind("--json=", 0) == 0) {
-      o.json_path = a.substr(7);
-    } else if (a.rfind("--trace-json=", 0) == 0) {
-      o.trace_json = a.substr(13);
-    } else if (a == "--help" || a == "-h") {
-      std::printf(
-          "gc_top — live GC dashboard (see examples/gc_top.cpp for details)\n"
-          "  panel:   --cores=N --heap-words=N --collections=N --every=N\n"
-          "           --interval-ms=N --seed=N --faults=N --no-clear\n"
-          "  fleet:   --shards=N --scheduler=NAME --storm=PCT --supervise\n"
-          "  profile: --profile  adds the stall-attribution drill-down —\n"
-          "           a binding-resource column per shard, per-class share\n"
-          "           bars and the slowest request captured so far\n"
-          "  output:  --json=PATH --trace-json=PATH\n"
-          "keys: the dashboard is frame-driven, not keyboard-driven; the\n"
-          "only binding is Ctrl-C (quit). Use --no-clear to keep history\n"
-          "scrolling instead of redrawing in place.\n");
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-      std::exit(2);
-    }
-  }
+  cli::Parser p("gc_top", "[options]  (live GC dashboard)");
+  p.section("panel:")
+      .value("--cores N", o.cores, "GC cores (default 4)")
+      .value("--heap-words N", o.heap_words,
+             "semispace size in words (default 8192)")
+      .value("--collections N", o.collections,
+             "stop after N collection cycles (default 8)")
+      .value("--every N", o.every,
+             "mutator steps between forced collections (default 300)")
+      .value("--interval-ms N", o.interval_ms,
+             "frame delay (default 150; use 0 for CI/scripts)")
+      .value("--seed N", o.seed, "mutator seed (default 1)")
+      .value("--faults N", o.faults,
+             "inject N seeded fault events per cycle and route\n"
+             "collections through the recovery machinery")
+      .flag("--no-clear", o.no_clear,
+            "append frames instead of redrawing (logs, CI)");
+  p.section("fleet:")
+      .value("--shards N", o.shards,
+             "fleet size; 0 (default) keeps the classic panel")
+      .value("--scheduler NAME", o.scheduler,
+             "reactive|proactive|roundrobin|pauseless\n"
+             "(default proactive)",
+             cli::one_of(all_schedulers(),
+                         [](GcSchedulerKind k) { return to_string(k); }))
+      .value("--storm PCT", o.storm_pct, "fault-storm PCT% of the fleet",
+             cli::range(0u, 100u))
+      .flag("--supervise", o.supervise,
+            "health supervision + checkpoint/restore");
+  p.section("profile:")
+      .flag("--profile", o.profile,
+            "stall-attribution drill-down: a binding-resource\n"
+            "column per shard, per-class share bars and the\n"
+            "slowest request so far");
+  p.section("output:")
+      .value("--json PATH", o.json_path,
+             "the session's aggregated metrics (min/mean/p50/p99\n"
+             "across all cycles) as hwgc-bench-v1 JSONL")
+      .value("--trace-json PATH", o.trace_json,
+             "the session timeline as Chrome-trace JSON");
+  p.section("keys: the dashboard is frame-driven, not keyboard-driven; the\n"
+            "only binding is Ctrl-C (quit). Use --no-clear to keep history\n"
+            "scrolling instead of redrawing in place.");
+  p.parse(argc, argv);
   return o;
 }
 

@@ -4,38 +4,17 @@
 // prints the full measurement report (all counters behind the paper's
 // Tables I/II), optionally as CSV for scripting.
 //
-// Usage:
-//   gcsim [options]
-//     --workload=NAME   compress|cup|db|javac|javacc|jflex|jlisp|search
-//                       or random:<seed> (default: db)
-//     --scale=F         live-set scale (default 0.25)
-//     --seed=N          workload seed (default 42)
-//     --cores=N         GC cores, 1..16+ (default 8)
-//     --latency=N       body memory latency in cycles (default 4)
-//     --header-latency=N  header transaction latency (default 10)
-//     --bandwidth=N     accepted requests/cycle (default 4)
-//     --fifo=N          header FIFO capacity (default 32768)
-//     --header-cache=N  header cache entries (default 0 = off)
-//     --early-read      enable the mark-bit early-read optimization
-//     --subobject       enable cache-line-granularity copying
-//     --concurrent      run the mutator concurrently (read barrier)
-//     --csv             one CSV row instead of the report
-//     --profile         per-cycle stall attribution (src/profile/): prints
-//                       the critical-path summary (binding resource, knee
-//                       run) and the per-class cycle shares; with
-//                       --trace-json the binding stream is merged into the
-//                       timeline as "crit:" notes. Ignored by --concurrent.
-//     --verify          check the heap against a pre-cycle snapshot
-//     --trace-json=PATH export the cycle's full telemetry timeline
-//                       (phases, per-core activity/stall spans, lock holds,
-//                       FIFO/memory counters, merged signal samples) as
-//                       Chrome-trace JSON — load in ui.perfetto.dev
-//     --bench-json=PATH emit the run's metrics as hwgc-bench-v1 JSONL
+// Flags and defaults: `gcsim --help`. --profile prints the critical-path
+// summary (binding resource, knee run) and the per-class cycle shares;
+// with --trace-json the binding stream is merged into the timeline as
+// "crit:" notes (ignored by --concurrent). --trace-json exports phases,
+// per-core activity/stall spans, lock holds, FIFO/memory counters and the
+// merged signal samples as Chrome-trace JSON (load in ui.perfetto.dev).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 
+#include "cli/flags.hpp"
 #include "core/concurrent_cycle.hpp"
 #include "core/coprocessor.hpp"
 #include "heap/verifier.hpp"
@@ -52,6 +31,8 @@ namespace {
 
 struct CliOptions {
   std::string workload = "db";
+  std::optional<BenchmarkId> benchmark = BenchmarkId::kDb;  ///< else random
+  std::uint64_t random_seed = 0;  ///< the <seed> of --workload=random:<seed>
   double scale = 0.25;
   std::uint64_t seed = 42;
   SimConfig sim;
@@ -63,80 +44,69 @@ struct CliOptions {
   std::string bench_json;  ///< empty: no metrics export
 };
 
-bool parse_u32(const std::string& arg, const char* key, std::uint32_t& out) {
-  const std::string prefix = std::string(key) + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  out = static_cast<std::uint32_t>(
-      std::strtoul(arg.c_str() + prefix.size(), nullptr, 10));
-  return true;
+/// --workload: a benchmark name, or random:<seed>.
+std::string parse_workload(const std::string& what, const std::string& token,
+                           CliOptions& o) {
+  o.workload = token;
+  o.benchmark.reset();
+  if (token.rfind("random:", 0) == 0) {
+    return cli::parse_u64(what + " random:<seed>", token.substr(7),
+                          o.random_seed, 0, UINT64_MAX);
+  }
+  for (BenchmarkId id : all_benchmarks()) {
+    if (benchmark_name(id) == token) o.benchmark = id;
+  }
+  if (o.benchmark) return "";
+  return "unknown value \"" + token + "\" for " + what +
+         " (need a benchmark name or random:<seed>)";
 }
 
 CliOptions parse(int argc, char** argv) {
   CliOptions o;
   o.sim.coprocessor.num_cores = 8;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    std::uint32_t v = 0;
-    if (a.rfind("--workload=", 0) == 0) {
-      o.workload = a.substr(11);
-    } else if (a.rfind("--scale=", 0) == 0) {
-      o.scale = std::strtod(a.c_str() + 8, nullptr);
-    } else if (a.rfind("--seed=", 0) == 0) {
-      o.seed = std::strtoull(a.c_str() + 7, nullptr, 10);
-    } else if (parse_u32(a, "--cores", v)) {
-      o.sim.coprocessor.num_cores = v;
-    } else if (parse_u32(a, "--latency", v)) {
-      o.sim.memory.latency = v;
-    } else if (parse_u32(a, "--header-latency", v)) {
-      o.sim.memory.header_latency = v;
-    } else if (parse_u32(a, "--bandwidth", v)) {
-      o.sim.memory.bandwidth_per_cycle = v;
-    } else if (parse_u32(a, "--fifo", v)) {
-      o.sim.coprocessor.header_fifo_capacity = v;
-    } else if (parse_u32(a, "--header-cache", v)) {
-      o.sim.memory.header_cache_entries = v;
-    } else if (a == "--early-read") {
-      o.sim.coprocessor.markbit_early_read = true;
-    } else if (a == "--subobject") {
-      o.sim.coprocessor.subobject_copy = true;
-    } else if (a == "--concurrent") {
-      o.concurrent = true;
-    } else if (a == "--csv") {
-      o.csv = true;
-    } else if (a == "--profile") {
-      o.profile = true;
-    } else if (a == "--verify") {
-      o.verify = true;
-    } else if (a.rfind("--trace-json=", 0) == 0) {
-      o.trace_json = a.substr(13);
-    } else if (a.rfind("--bench-json=", 0) == 0) {
-      o.bench_json = a.substr(13);
-    } else if (a == "--help" || a == "-h") {
-      std::printf("see the header of examples/gcsim.cpp for options\n");
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", a.c_str());
-      std::exit(2);
-    }
-  }
+  cli::Parser p("gcsim", "[options]");
+  p.option("--workload NAME", "compress|cup|db|javac|javacc|jflex|jlisp|"
+           "search\nor random:<seed> (default db)",
+           [&o](const std::string& what, const std::string& token) {
+             return parse_workload(what, token, o);
+           })
+      .value("--scale F", o.scale, "live-set scale (default 0.25)")
+      .value("--seed N", o.seed, "workload seed (default 42)")
+      .value("--cores N", o.sim.coprocessor.num_cores,
+             "GC cores, 1..16+ (default 8)")
+      .value("--latency N", o.sim.memory.latency,
+             "body memory latency in cycles (default 4)")
+      .value("--header-latency N", o.sim.memory.header_latency,
+             "header transaction latency (default 10)")
+      .value("--bandwidth N", o.sim.memory.bandwidth_per_cycle,
+             "accepted requests/cycle (default 4)")
+      .value("--fifo N", o.sim.coprocessor.header_fifo_capacity,
+             "header FIFO capacity (default 32768)")
+      .value("--header-cache N", o.sim.memory.header_cache_entries,
+             "header cache entries (default 0 = off)")
+      .flag("--early-read", o.sim.coprocessor.markbit_early_read,
+            "enable the mark-bit early-read optimization")
+      .flag("--subobject", o.sim.coprocessor.subobject_copy,
+            "enable cache-line-granularity copying")
+      .flag("--concurrent", o.concurrent,
+            "run the mutator concurrently (read barrier)")
+      .flag("--csv", o.csv, "one CSV row instead of the report")
+      .flag("--profile", o.profile, "per-cycle stall attribution")
+      .flag("--verify", o.verify,
+            "check the heap against a pre-cycle snapshot")
+      .value("--trace-json PATH", o.trace_json,
+             "export the cycle's timeline as Chrome-trace JSON")
+      .value("--bench-json PATH", o.bench_json,
+             "emit the run's metrics as hwgc-bench-v1 JSONL");
+  p.parse(argc, argv);
   return o;
 }
 
 Workload build(const CliOptions& o) {
-  if (o.workload.rfind("random:", 0) == 0) {
-    const std::uint64_t seed =
-        std::strtoull(o.workload.c_str() + 7, nullptr, 10);
-    RandomGraphConfig cfg;
-    cfg.nodes = static_cast<std::uint32_t>(2000 * o.scale * 4);
-    return materialize(make_random_plan(seed, cfg));
-  }
-  for (BenchmarkId id : all_benchmarks()) {
-    if (benchmark_name(id) == o.workload) {
-      return make_benchmark(id, o.scale, o.seed);
-    }
-  }
-  std::fprintf(stderr, "unknown workload: %s\n", o.workload.c_str());
-  std::exit(2);
+  if (o.benchmark) return make_benchmark(*o.benchmark, o.scale, o.seed);
+  RandomGraphConfig cfg;
+  cfg.nodes = static_cast<std::uint32_t>(2000 * o.scale * 4);
+  return materialize(make_random_plan(o.random_seed, cfg));
 }
 
 void print_report(const CliOptions& o, const GcCycleStats& s) {

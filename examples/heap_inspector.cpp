@@ -7,8 +7,8 @@
 //
 // Usage: ./examples/heap_inspector [scale]
 #include <cstdio>
-#include <cstdlib>
 
+#include "cli/flags.hpp"
 #include "core/coprocessor.hpp"
 #include "heap/object_model.hpp"
 #include "heap/verifier.hpp"
@@ -16,7 +16,10 @@
 
 int main(int argc, char** argv) {
   using namespace hwgc;
-  const double scale = argc > 1 ? std::strtod(argv[1], nullptr) : 0.02;
+  double scale = 0.02;
+  cli::Parser p("heap_inspector", "[SCALE]");
+  p.positional("SCALE", scale, "jlisp live-set scale (default 0.02)");
+  p.parse(argc, argv);
 
   Workload w = make_benchmark(BenchmarkId::kJlisp, scale);
   Heap& heap = *w.heap;

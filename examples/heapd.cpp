@@ -18,83 +18,19 @@
 //         --load 0.5,1.0,2.0 --requests 20000 --json BENCH_heapd.json
 //   heapd --shards 4 --faults 2 --fault-shard 1 --requests 10000
 //
-// Options (space-separated values, fault_lab style):
-//   --shards a,b,..     shard counts to sweep (default 4)
-//   --scheduler a,b,..  policies: reactive proactive roundrobin
-//                       pauseless (default reactive)
-//   --load a,b,..       offered loads, open loop only (default 1.0)
-//   --requests N        requests per configuration (default 20000)
-//   --seed N            traffic seed (default 1)
-//   --sessions N        concurrent sessions (default 64)
-//   --heap-words N      per-shard semispace words (default 8192)
-//   --cores N           GC cores per shard coprocessor (default 4)
-//   --closed-loop       one outstanding request per session (default open)
-//   --host-threads N    host threads running shard work (default 1 =
-//                       serial; output is byte-identical either way).
-//                       0 = one per hardware thread. Ignored while
-//                       --trace-json is attached to a configuration
-//   --fast-forward B    1/0: event-driven clock fast-forward in each
-//                       shard's coprocessor (default 1; observationally
-//                       invisible, see DESIGN.md §13)
-//   --slo N             SLO bound in cycles (default 16384; 0 disables)
-//   --max-backlog N     admission-control backlog bound (default 0 = none)
-//   --faults N          seeded fault events per collection on the fault
-//                       shard (runs it through the recovery machinery)
-//   --fault-shard N     shard receiving the faults (default 0 with --faults)
-//   --fault-seed N      fault plan seed (default 1)
-//   --storm-fraction F  fault-storm: fraction of the fleet taking repeating
-//                       per-collection faults (0 disables; storm shards run
-//                       every collection through the recovery machinery)
-//   --storm-events N    fault events per collection on stormed shards
-//   --storm-seed N      storm plan seed (shard pick, phases, fault streams)
-//   --storm-burst N     burst window length in per-shard arrivals (0 = the
-//                       storm never pauses); --storm-calm N sets the gap
-//   --storm-crashes N   crash every Nth active arrival on a stormed shard
-//                       (requires --supervise)
-//   --supervise         enable health supervision + checkpoint/restore
-//   --deadline N        per-request deadline budget in cycles (enables
-//                       failover routing + load shedding; 0 = none)
-//   --retries N         max failover hops per request (default 2)
-//   --backoff N         retry backoff in cycles per failover hop
-//   --checkpoint-interval N  verified-clean cycles between checkpoints
-//   --restore-cost N    virtual cycles a checkpoint restore occupies
-//   --trace a,b,..      hwgc-trace-v1 files: sessions replay recorded op
-//                       streams (trace-per-session, session % files) instead
-//                       of seeded churn; read probes verify recorded digests.
-//                       Incompatible with --supervise/--deadline (checkpoint
-//                       restores would rewind roots under live trace cursors)
-//   --trace-ops N       trace mode: baseline replay ops per request
-//                       (default 16; scaled by request kind)
-//   --no-oracle         skip the per-cycle post-structure oracle
-//   --json PATH         write hwgc-bench-v1 (per-shard GC aggregates) +
-//                       hwgc-service-v1 (latency/SLO) JSONL sections
-//   --trace-json PATH   Chrome-trace timeline of the FIRST configuration
-//   --profile           per-cycle stall attribution + request tracing
-//                       (src/profile/): prints each shard's binding
-//                       resource and the fleet's slowest request
-//   --exemplars N       slow-request exemplars kept per shard and fleet-
-//                       wide (default 4; implies nothing by itself)
-//   --profile-json PATH hwgc-profile-v1 JSONL — per-shard attribution
-//                       records + exemplar span trees for every sweep
-//                       point (implies --profile)
-//   --flame PATH        Chrome-trace flame view of the FIRST
-//                       configuration's exemplar span trees (implies
-//                       --profile)
-//   -v, --verbose       per-shard table for every configuration
-//
-// Unknown options and malformed values exit 2 with a usage summary on
-// stderr — a sweep driven from CI must never silently ignore a typo.
+// Every flag, its default and its semantics are in the table in
+// parse_args (`heapd --help`). Unknown options and malformed values exit 2
+// with a usage summary on stderr — a sweep driven from CI must never
+// silently ignore a typo.
 #include <algorithm>
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli/flags.hpp"
 #include "profile/profile_metrics.hpp"
 #include "profile/request_trace.hpp"
 #include "profile/stall_class.hpp"
@@ -112,269 +48,149 @@ struct Options {
   std::vector<GcSchedulerKind> schedulers{GcSchedulerKind::kReactive};
   std::vector<double> loads{1.0};
   std::uint64_t requests = 20000;
-  std::uint64_t seed = 1;
-  std::uint32_t sessions = 64;
-  Word heap_words = 8192;
-  std::uint32_t cores = 4;
-  bool closed_loop = false;
-  std::size_t host_threads = 1;
-  bool fast_forward = true;
-  Cycle slo = 1u << 14;
-  Cycle max_backlog = 0;
-  std::uint32_t faults = 0;
-  std::size_t fault_shard = ServiceConfig::kNoShard;
-  std::uint64_t fault_seed = 1;
-  FaultStormConfig storm{};
-  ResilienceConfig resilience{};
+  ServiceConfig service;  ///< every other knob; the sweep sets the rest
   std::vector<std::string> trace_files;
-  std::shared_ptr<const std::vector<Trace>> traces;
-  std::uint32_t trace_ops = 16;
-  bool oracle = true;
   std::string json_path;
   std::string trace_json;
-  bool profile = false;
-  std::uint32_t exemplars = 4;
   std::string profile_json;
   std::string flame;
   bool verbose = false;
 };
 
-std::vector<std::string> split_list(const std::string& csv) {
-  std::vector<std::string> out;
-  std::istringstream is(csv);
-  std::string item;
-  while (std::getline(is, item, ',')) {
-    if (!item.empty()) out.push_back(item);
+void parse_args(int argc, char** argv, Options& opt) {
+  ServiceConfig& cfg = opt.service;
+  cfg.sim.coprocessor.num_cores = 4;
+  cli::Parser p("heapd", "[options]");
+  p.section("sweep:")
+      .list("--shards a,b,..", opt.shards, "shard counts to sweep (default 4)")
+      .list("--scheduler a,b,..", opt.schedulers,
+            "GC policies: reactive proactive roundrobin pauseless\n"
+            "(default reactive)",
+            cli::one_of(all_schedulers(),
+                        [](GcSchedulerKind k) { return to_string(k); }))
+      .list("--load a,b,..", opt.loads,
+            "offered loads, open loop only (default 1.0)")
+      .value("--requests N", opt.requests,
+             "requests per configuration (default 20000)")
+      .value("--seed N", cfg.traffic.seed, "traffic seed (default 1)")
+      .value("--sessions N", cfg.traffic.sessions,
+             "concurrent sessions (default 64)");
+  p.section("shard:")
+      .value("--heap-words N", cfg.semispace_words,
+             "per-shard semispace words (default 8192)")
+      .value("--cores N", cfg.sim.coprocessor.num_cores,
+             "GC cores per shard coprocessor (default 4)")
+      .flag("--closed-loop", cfg.traffic.open_loop,
+            "one outstanding request per session (default open)", false)
+      .value("--host-threads N", cfg.host_threads,
+             "host threads running shard work (default 1 = serial;\n"
+             "output is byte-identical either way); 0 = one per\n"
+             "hardware thread. Ignored while --trace-json is\n"
+             "attached to a configuration")
+      .value("--fast-forward B", cfg.sim.coprocessor.fast_forward,
+             "1/0: event-driven clock fast-forward in each shard's\n"
+             "coprocessor (default 1; observationally invisible)")
+      .value("--slo N", cfg.slo_cycles,
+             "SLO bound in cycles (default 16384; 0 off)")
+      .value("--max-backlog N", cfg.max_backlog,
+             "admission-control backlog bound (default 0 = none)")
+      .flag("--no-oracle", cfg.oracle,
+            "skip the per-cycle post-structure oracle", false);
+  p.section("faults:")
+      .value("--faults N", cfg.fault_events,
+             "seeded fault events per collection on the fault shard\n"
+             "(runs it through the recovery machinery)")
+      .value("--fault-shard N", cfg.fault_shard,
+             "shard receiving the faults (default 0 with --faults)")
+      .value("--fault-seed N", cfg.fault_seed, "fault plan seed (default 1)");
+  p.section("storm:")
+      .value("--storm-fraction F", cfg.storm.shard_fraction,
+             "fraction of the fleet taking repeating per-collection\n"
+             "faults (0 disables)",
+             cli::range(0.0, 1.0))
+      .value("--storm-events N", cfg.storm.events_per_collection,
+             "fault events per collection on stormed shards")
+      .value("--storm-seed N", cfg.storm.seed,
+             "storm plan seed (shard pick, phases, fault streams)")
+      .value("--storm-burst N", cfg.storm.burst_requests,
+             "burst window in per-shard arrivals (0 = never pauses)")
+      .value("--storm-calm N", cfg.storm.calm_requests,
+             "gap between burst windows")
+      .value("--storm-crashes N", cfg.storm.crash_period,
+             "crash every Nth active arrival on a stormed shard\n"
+             "(requires --supervise)");
+  p.section("resilience:")
+      .flag("--supervise", cfg.resilience.supervise,
+            "health supervision + checkpoint/restore")
+      .value("--deadline N", cfg.resilience.deadline_cycles,
+             "per-request deadline budget in cycles (enables\n"
+             "failover routing + load shedding; 0 = none)")
+      .value("--retries N", cfg.resilience.max_retries,
+             "max failover hops per request (default 2)")
+      .value("--backoff N", cfg.resilience.retry_backoff,
+             "retry backoff in cycles per failover hop")
+      .value("--checkpoint-interval N", cfg.resilience.checkpoint_interval,
+             "verified-clean cycles between checkpoints")
+      .value("--restore-cost N", cfg.resilience.restore_cost,
+             "virtual cycles a checkpoint restore occupies");
+  p.section("trace:")
+      .list("--trace FILE,..", opt.trace_files,
+            "hwgc-trace-v1 files: sessions replay recorded op\n"
+            "streams (session % files) instead of seeded churn;\n"
+            "read probes verify recorded digests")
+      .value("--trace-ops N", cfg.trace_ops_per_request,
+             "baseline replay ops per request (default 16; scaled by\n"
+             "request kind)",
+             cli::range<std::uint32_t>(1, UINT32_MAX));
+  p.section("output:")
+      .value("--json PATH", opt.json_path,
+             "hwgc-bench-v1 (per-shard GC aggregates) +\n"
+             "hwgc-service-v1 (latency/SLO) JSONL sections")
+      .value("--trace-json PATH", opt.trace_json,
+             "Chrome-trace timeline of the FIRST configuration")
+      .flag("-v, --verbose", opt.verbose,
+            "per-shard table for every configuration");
+  p.section("profile:")
+      .flag("--profile", cfg.profile.enabled,
+            "per-cycle stall attribution + request tracing: each\n"
+            "shard's binding resource, the fleet's slowest request")
+      .value("--exemplars N", cfg.profile.exemplars,
+             "slow-request exemplars kept per shard and fleet-wide\n"
+             "(default 4)")
+      .value("--profile-json PATH", opt.profile_json,
+             "hwgc-profile-v1 JSONL: attribution + exemplar span\n"
+             "trees for every sweep point (implies --profile)")
+      .value("--flame PATH", opt.flame,
+             "Chrome-trace flame view of the FIRST configuration's\n"
+             "exemplar span trees (implies --profile)");
+  p.parse(argc, argv);
+  if (cfg.host_threads == 0) {
+    cfg.host_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  return out;
-}
-
-void usage(std::FILE* to) {
-  std::fprintf(
-      to,
-      "usage: heapd [options]\n"
-      "  sweep:   --shards a,b,..  --scheduler\n"
-      "           reactive|proactive|roundrobin|pauseless,..\n"
-      "           --load a,b,..  --requests N  --seed N  --sessions N\n"
-      "  shard:   --heap-words N  --cores N  --closed-loop  --host-threads N\n"
-      "           --fast-forward 0|1  --slo N  --max-backlog N  --no-oracle\n"
-      "  faults:  --faults N  --fault-shard N  --fault-seed N\n"
-      "  storm:   --storm-fraction F  --storm-events N  --storm-seed N\n"
-      "           --storm-burst N  --storm-calm N  --storm-crashes N\n"
-      "  resil.:  --supervise  --deadline N  --retries N  --backoff N\n"
-      "           --checkpoint-interval N  --restore-cost N\n"
-      "  trace:   --trace FILE,..  --trace-ops N\n"
-      "  output:  --json PATH  --trace-json PATH  -v|--verbose\n"
-      "  profile: --profile  --exemplars N  --profile-json PATH"
-      "  --flame PATH\n"
-      "see the header of examples/heapd.cpp for semantics\n");
-}
-
-[[noreturn]] void die_usage(const char* fmt, const char* a0) {
-  std::fprintf(stderr, "heapd: ");
-  std::fprintf(stderr, fmt, a0);
-  std::fprintf(stderr, "\n");
-  usage(stderr);
-  std::exit(2);
-}
-
-/// Strict unsigned parse: the whole token must be a number. "12x", "",
-/// "-3" and overflow all reject — a malformed sweep value must never
-/// silently become 0 requests or shard 0.
-std::uint64_t parse_u64(const char* flag, const std::string& s) {
-  if (s.empty() || s.front() == '-') {
-    die_usage("malformed value for %s (need an unsigned integer)",
-              flag);
+  if (cfg.fault_events == 0) {
+    cfg.fault_shard = ServiceConfig::kNoShard;
+  } else if (cfg.fault_shard == ServiceConfig::kNoShard) {
+    cfg.fault_shard = 0;
   }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) {
-    die_usage("malformed value for %s (need an unsigned integer)", flag);
+  if (cfg.storm.crash_period > 0 && !cfg.resilience.supervise) {
+    p.fail("--storm-crashes requires --supervise (a crashed shard must be "
+           "quarantined and restored)");
   }
-  return v;
-}
-
-double parse_f64(const char* flag, const std::string& s) {
-  if (s.empty()) die_usage("malformed value for %s (need a number)", flag);
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) {
-    die_usage("malformed value for %s (need a number)", flag);
+  if (!opt.profile_json.empty() || !opt.flame.empty()) {
+    cfg.profile.enabled = true;
   }
-  return v;
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  const auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) die_usage("missing value for %s", argv[i]);
-    return argv[++i];
-  };
-  const auto next_u64 = [&](int& i) {
-    const char* flag = argv[i];
-    return parse_u64(flag, next(i));
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--shards") {
-      opt.shards.clear();
-      const char* flag = argv[i];
-      for (const auto& s : split_list(next(i))) {
-        opt.shards.push_back(
-            static_cast<std::size_t>(parse_u64(flag, s)));
-      }
-      if (opt.shards.empty()) die_usage("empty list for %s", flag);
-    } else if (a == "--scheduler") {
-      opt.schedulers.clear();
-      const char* flag = argv[i];
-      for (const auto& s : split_list(next(i))) {
-        const auto k = parse_scheduler(s);
-        if (!k.has_value()) die_usage("unknown scheduler \"%s\"", s.c_str());
-        opt.schedulers.push_back(*k);
-      }
-      if (opt.schedulers.empty()) die_usage("empty list for %s", flag);
-    } else if (a == "--load") {
-      opt.loads.clear();
-      const char* flag = argv[i];
-      for (const auto& s : split_list(next(i))) {
-        opt.loads.push_back(parse_f64(flag, s));
-      }
-      if (opt.loads.empty()) die_usage("empty list for %s", flag);
-    } else if (a == "--requests") {
-      opt.requests = next_u64(i);
-    } else if (a == "--seed") {
-      opt.seed = next_u64(i);
-    } else if (a == "--sessions") {
-      opt.sessions = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--heap-words") {
-      opt.heap_words = static_cast<Word>(next_u64(i));
-    } else if (a == "--cores") {
-      opt.cores = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--closed-loop") {
-      opt.closed_loop = true;
-    } else if (a == "--host-threads") {
-      opt.host_threads = static_cast<std::size_t>(next_u64(i));
-      if (opt.host_threads == 0) {
-        opt.host_threads =
-            std::max(1u, std::thread::hardware_concurrency());
-      }
-    } else if (a == "--fast-forward") {
-      opt.fast_forward = next_u64(i) != 0;
-    } else if (a == "--slo") {
-      opt.slo = next_u64(i);
-    } else if (a == "--max-backlog") {
-      opt.max_backlog = next_u64(i);
-    } else if (a == "--faults") {
-      opt.faults = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--fault-shard") {
-      opt.fault_shard = static_cast<std::size_t>(next_u64(i));
-    } else if (a == "--fault-seed") {
-      opt.fault_seed = next_u64(i);
-    } else if (a == "--storm-fraction") {
-      const char* flag = argv[i];
-      opt.storm.shard_fraction = parse_f64(flag, next(i));
-      if (opt.storm.shard_fraction < 0.0 || opt.storm.shard_fraction > 1.0) {
-        die_usage("%s must be in [0, 1]", flag);
-      }
-    } else if (a == "--storm-events") {
-      opt.storm.events_per_collection = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--storm-seed") {
-      opt.storm.seed = next_u64(i);
-    } else if (a == "--storm-burst") {
-      opt.storm.burst_requests = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--storm-calm") {
-      opt.storm.calm_requests = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--storm-crashes") {
-      opt.storm.crash_period = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--supervise") {
-      opt.resilience.supervise = true;
-    } else if (a == "--deadline") {
-      opt.resilience.deadline_cycles = next_u64(i);
-    } else if (a == "--retries") {
-      opt.resilience.max_retries = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--backoff") {
-      opt.resilience.retry_backoff = next_u64(i);
-    } else if (a == "--checkpoint-interval") {
-      opt.resilience.checkpoint_interval =
-          static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--restore-cost") {
-      opt.resilience.restore_cost = next_u64(i);
-    } else if (a == "--trace") {
-      const char* flag = argv[i];
-      opt.trace_files = split_list(next(i));
-      if (opt.trace_files.empty()) die_usage("empty list for %s", flag);
-    } else if (a == "--trace-ops") {
-      opt.trace_ops = static_cast<std::uint32_t>(next_u64(i));
-      if (opt.trace_ops == 0) {
-        die_usage("%s", "--trace-ops must be >= 1");
-      }
-    } else if (a == "--no-oracle") {
-      opt.oracle = false;
-    } else if (a == "--json") {
-      opt.json_path = next(i);
-    } else if (a == "--trace-json") {
-      opt.trace_json = next(i);
-    } else if (a == "--profile") {
-      opt.profile = true;
-    } else if (a == "--exemplars") {
-      opt.exemplars = static_cast<std::uint32_t>(next_u64(i));
-    } else if (a == "--profile-json") {
-      opt.profile_json = next(i);
-    } else if (a == "--flame") {
-      opt.flame = next(i);
-    } else if (a == "-v" || a == "--verbose") {
-      opt.verbose = true;
-    } else if (a == "--help" || a == "-h") {
-      usage(stdout);
-      std::exit(0);
-    } else {
-      die_usage("unknown option: %s", a.c_str());
-    }
+  if (!opt.trace_files.empty() && cfg.resilience.enabled()) {
+    p.fail("--trace is incompatible with --supervise/--deadline (checkpoint "
+           "restores would rewind the root table under live trace cursors)");
   }
-  if (opt.faults > 0 && opt.fault_shard == ServiceConfig::kNoShard) {
-    opt.fault_shard = 0;
-  }
-  if (opt.storm.crash_period > 0 && !opt.resilience.supervise) {
-    die_usage("%s", "--storm-crashes requires --supervise (a crashed shard "
-                    "must be quarantined and restored)");
-  }
-  if (!opt.profile_json.empty() || !opt.flame.empty()) opt.profile = true;
-  if (!opt.trace_files.empty() && opt.resilience.enabled()) {
-    die_usage("%s", "--trace is incompatible with --supervise/--deadline "
-                    "(checkpoint restores would rewind the root table under "
-                    "live trace cursors)");
-  }
-  return true;
 }
 
 ServiceConfig make_config(const Options& o, std::size_t shards,
                           GcSchedulerKind sched, double load) {
-  ServiceConfig cfg;
+  ServiceConfig cfg = o.service;
   cfg.shards = shards;
-  cfg.semispace_words = o.heap_words;
-  cfg.sim.coprocessor.num_cores = o.cores;
-  cfg.traffic.seed = o.seed;
-  cfg.traffic.sessions = o.sessions;
-  cfg.traffic.open_loop = !o.closed_loop;
-  cfg.traffic.load = load;
-  cfg.host_threads = o.host_threads;
-  cfg.sim.coprocessor.fast_forward = o.fast_forward;
   cfg.scheduler = sched;
-  cfg.max_backlog = o.max_backlog;
-  cfg.slo_cycles = o.slo;
-  cfg.oracle = o.oracle;
-  if (o.faults > 0) {
-    cfg.fault_shard = o.fault_shard;
-    cfg.fault_events = o.faults;
-    cfg.fault_seed = o.fault_seed;
-  }
-  cfg.storm = o.storm;
-  cfg.resilience = o.resilience;
-  cfg.traces = o.traces;
-  cfg.trace_ops_per_request = o.trace_ops;
-  cfg.profile.enabled = o.profile;
-  cfg.profile.exemplars = o.exemplars;
+  cfg.traffic.load = load;
   return cfg;
 }
 
@@ -497,9 +313,9 @@ bool run_config(const Options& o, const ServiceConfig& cfg,
       key.benchmark = "heapd/" + std::string(to_string(cfg.scheduler)) +
                       "/shard" + std::to_string(i) + "of" +
                       std::to_string(cfg.shards);
-      key.cores = o.cores;
+      key.cores = cfg.sim.coprocessor.num_cores;
       key.scale = cfg.traffic.load;
-      key.seed = o.seed;
+      key.seed = cfg.traffic.seed;
       const Runtime& rt = service.runtime(i);
       for (const auto& s : rt.gc_history()) {
         registry.record(key, cfg.sim, s);
@@ -541,7 +357,7 @@ bool run_config(const Options& o, const ServiceConfig& cfg,
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  parse_args(argc, argv, opt);
 
   if (!opt.trace_files.empty()) {
     auto loaded = std::make_shared<std::vector<Trace>>();
@@ -553,7 +369,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    opt.traces = std::move(loaded);
+    opt.service.traces = std::move(loaded);
     std::printf("trace mode: %zu trace(s), sessions pinned session %% %zu\n",
                 opt.trace_files.size(), opt.trace_files.size());
   }

@@ -8,45 +8,27 @@
 // --record captures the whole evaluation as an hwgc-trace-v1 stream through
 // the Runtime trace sink; replay it with `tracectl replay session.jsonl`.
 #include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
+#include "cli/flags.hpp"
 #include "trace/recorder.hpp"
 #include "workloads/lisp.hpp"
 
 using namespace hwgc;
-
-namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--fib N] [--range N] [--record FILE] [--binary]\n",
-               argv0);
-  return 2;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   unsigned fib_n = 16;
   unsigned range_n = 60;
   std::string record_path;
   bool binary = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fib" && i + 1 < argc) {
-      fib_n = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (arg == "--range" && i + 1 < argc) {
-      range_n = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (arg == "--record" && i + 1 < argc) {
-      record_path = argv[++i];
-    } else if (arg == "--binary") {
-      binary = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
+  cli::Parser p("lisp_interpreter", "[options]");
+  p.value("--fib N", fib_n, "fib argument of the demo session (default 16)")
+      .value("--range N", range_n, "range/sum length (default 60)")
+      .value("--record FILE", record_path,
+             "capture the evaluation as an hwgc-trace-v1 stream")
+      .flag("--binary", binary, "write --record in the binary serialization");
+  p.parse(argc, argv);
 
   Lisp lisp;
   TraceRecorder recorder([] {

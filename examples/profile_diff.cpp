@@ -16,42 +16,24 @@
 // snapshot so an attribution shift — a new stall class eating cycles, a
 // binding-resource flip — fails the build instead of rotting silently.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli/flags.hpp"
 #include "profile/profile_metrics.hpp"
 
 int main(int argc, char** argv) {
   using namespace hwgc;
   double tolerance = 0.05;
-  std::vector<std::string> files;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--tolerance=", 0) == 0) {
-      char* end = nullptr;
-      tolerance = std::strtod(arg.c_str() + 12, &end);
-      if (end == nullptr || *end != '\0' || tolerance < 0) {
-        std::fprintf(stderr, "profile_diff: bad tolerance: %s\n", arg.c_str());
-        return 2;
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf("usage: %s BASELINE CURRENT [--tolerance=F]\n", argv[0]);
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "profile_diff: unknown option: %s\n", arg.c_str());
-      return 2;
-    } else {
-      files.push_back(arg);
-    }
-  }
-  if (files.size() != 2) {
-    std::fprintf(stderr, "usage: %s BASELINE CURRENT [--tolerance=F]\n",
-                 argv[0]);
-    return 2;
-  }
-
+  std::vector<std::string> files(2);
+  cli::Parser p("profile_diff", "BASELINE CURRENT [--tolerance=F]");
+  p.positional("BASELINE", files[0], "reference hwgc-profile-v1 file", true)
+      .positional("CURRENT", files[1], "file compared against it", true)
+      .value("--tolerance F", tolerance,
+             "max absolute share drift per stall class\n"
+             "(default 0.05)",
+             cli::range(0.0, 1.0));
+  p.parse(argc, argv);
   bool ok = true;
   for (const std::string& path : files) {
     std::vector<std::string> errors;

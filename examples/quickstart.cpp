@@ -9,11 +9,13 @@
 //   $ ./examples/quickstart
 #include <cstdio>
 
+#include "cli/flags.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/counters.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace hwgc;
+  cli::Parser("quickstart", "(no options)").parse(argc, argv);
 
   // A heap of 64k words per semispace, collected by an 8-core coprocessor.
   SimConfig cfg;

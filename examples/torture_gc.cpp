@@ -20,13 +20,13 @@
 // structurally verified at any width; the exit status is the number of
 // failing configurations (capped at 125).
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli/flags.hpp"
 #include "conformance/conformance.hpp"
 #include "conformance/harness.hpp"
 #include "workloads/random_graph.hpp"
@@ -34,36 +34,6 @@
 namespace {
 
 using namespace hwgc;
-
-void usage() {
-  std::cout <<
-      "usage: torture_gc [options]\n"
-      "  --collectors LIST  comma-separated collector names or 'all'\n"
-      "                     (coprocessor, sequential, naive, chunked,\n"
-      "                      packets, stealing, concurrent, snapshot)\n"
-      "  --concurrent-mutator\n"
-      "                     preset: the pauseless snapshot collector only,\n"
-      "                     sweeping real mutator threads 1,2,4 against\n"
-      "                     every (seed, worker) cell\n"
-      "  --mutator-threads LIST\n"
-      "                     mutator-thread counts for the snapshot\n"
-      "                     collector (default 2)\n"
-      "  --seeds N          graph seeds per (collector, threads) cell "
-      "(default 4)\n"
-      "  --seed-base N      first graph seed (default 1)\n"
-      "  --threads LIST     comma-separated thread/core counts\n"
-      "                     (default 1,2,4,8,16 — 16 oversubscribes)\n"
-      "  --nodes N          graph size in objects (default 96)\n"
-      "  --torture-seed N   agitator seed base (default derived per case)\n"
-      "  --no-torture       disable schedule perturbation\n"
-      "  --no-idempotence   skip the re-collection pass\n"
-      "  --no-cross         skip cross-comparison vs the sequential "
-      "reference\n"
-      "  --quick            CI preset: 2 seeds, threads 2,8, 64-node "
-      "graphs\n"
-      "  --repro-file PATH  append one reproducer line per failing config\n"
-      "  -v, --verbose      print every configuration, not just failures\n";
-}
 
 struct Options {
   std::vector<CollectorId> collectors = all_collectors();
@@ -82,91 +52,61 @@ struct Options {
   std::string repro_file;
 };
 
-std::vector<std::string> split_commas(const std::string& s) {
-  std::vector<std::string> parts;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) parts.push_back(item);
-  }
-  return parts;
-}
-
-bool parse_args(int argc, char** argv, Options& opt) {
-  const auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) {
-      std::cerr << "missing value for " << argv[i] << "\n";
-      std::exit(2);
-    }
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const auto u64 = [&] { return std::strtoull(next(i), nullptr, 0); };
-    if (a == "--collectors") {
-      const std::string v = next(i);
-      if (v == "all") continue;
-      opt.collectors.clear();
-      for (const auto& name : split_commas(v)) {
-        const auto id = parse_collector(name);
-        if (!id) {
-          std::cerr << "unknown collector: " << name << "\n";
-          return false;
-        }
-        opt.collectors.push_back(*id);
-      }
-    } else if (a == "--seeds") {
-      opt.seeds = static_cast<std::uint32_t>(u64());
-    } else if (a == "--seed-base") {
-      opt.seed_base = u64();
-    } else if (a == "--threads") {
-      opt.threads.clear();
-      for (const auto& t : split_commas(next(i))) {
-        opt.threads.push_back(
-            static_cast<std::uint32_t>(std::strtoul(t.c_str(), nullptr, 0)));
-      }
-    } else if (a == "--nodes") {
-      opt.nodes = static_cast<std::uint32_t>(u64());
-    } else if (a == "--concurrent-mutator") {
-      opt.collectors = {CollectorId::kSnapshot};
-      opt.mutator_threads = {1, 2, 4};
-    } else if (a == "--mutator-threads") {
-      opt.mutator_threads.clear();
-      for (const auto& t : split_commas(next(i))) {
-        opt.mutator_threads.push_back(
-            static_cast<std::uint32_t>(std::strtoul(t.c_str(), nullptr, 0)));
-      }
-    } else if (a == "--torture-seed") {
-      opt.torture_seed = u64();
-    } else if (a == "--no-torture") {
-      opt.torture = false;
-    } else if (a == "--no-idempotence") {
-      opt.idempotence = false;
-    } else if (a == "--no-cross") {
-      opt.cross = false;
-    } else if (a == "--quick") {
-      opt.seeds = 2;
-      opt.threads = {2, 8};
-      opt.nodes = 64;
-    } else if (a == "--repro-file") {
-      opt.repro_file = next(i);
-    } else if (a == "-v" || a == "--verbose") {
-      opt.verbose = true;
-    } else if (a == "-h" || a == "--help") {
-      usage();
-      std::exit(0);
-    } else {
-      std::cerr << "unknown option: " << a << "\n";
-      usage();
-      return false;
-    }
-  }
-  if (opt.collectors.empty() || opt.threads.empty() || opt.seeds == 0 ||
-      opt.mutator_threads.empty()) {
-    std::cerr << "empty matrix\n";
-    return false;
-  }
-  return true;
+void parse_args(int argc, char** argv, Options& opt) {
+  cli::Parser p("torture_gc", "[options]");
+  p.option("--collectors LIST",
+           "comma-separated collector names or 'all'\n"
+           "(coprocessor, sequential, naive, chunked,\n"
+           " packets, stealing, concurrent, snapshot)",
+           [&opt](const std::string& what, const std::string& token) {
+             if (token != "all") {
+               return cli::parse_list<CollectorId>(
+                   what, token, opt.collectors,
+                   cli::one_of(all_collectors(),
+                               [](CollectorId id) { return to_string(id); }));
+             }
+             opt.collectors = all_collectors();
+             return std::string();
+           })
+      .flag("--concurrent-mutator",
+            [&opt] {
+              opt.collectors = {CollectorId::kSnapshot};
+              opt.mutator_threads = {1, 2, 4};
+            },
+            "preset: the pauseless snapshot collector only,\n"
+            "sweeping real mutator threads 1,2,4 against\n"
+            "every (seed, worker) cell")
+      .list("--mutator-threads LIST", opt.mutator_threads,
+            "mutator-thread counts for the snapshot\n"
+            "collector (default 2)")
+      .value("--seeds N", opt.seeds,
+             "graph seeds per (collector, threads) cell (default 4)",
+             cli::range<std::uint32_t>(1, UINT32_MAX))
+      .value("--seed-base N", opt.seed_base, "first graph seed (default 1)")
+      .list("--threads LIST", opt.threads,
+            "comma-separated thread/core counts\n"
+            "(default 1,2,4,8,16 — 16 oversubscribes)")
+      .value("--nodes N", opt.nodes, "graph size in objects (default 96)")
+      .value("--torture-seed N", opt.torture_seed,
+             "agitator seed base (default derived per case)")
+      .flag("--no-torture", opt.torture, "disable schedule perturbation",
+            false)
+      .flag("--no-idempotence", opt.idempotence,
+            "skip the re-collection pass", false)
+      .flag("--no-cross", opt.cross,
+            "skip cross-comparison vs the sequential reference", false)
+      .flag("--quick",
+            [&opt] {
+              opt.seeds = 2;
+              opt.threads = {2, 8};
+              opt.nodes = 64;
+            },
+            "CI preset: 2 seeds, threads 2,8, 64-node graphs")
+      .value("--repro-file PATH", opt.repro_file,
+             "append one reproducer line per failing config")
+      .flag("-v, --verbose", opt.verbose,
+            "print every configuration, not just failures");
+  p.parse(argc, argv);
 }
 
 std::string repro_line(const Options& opt, CollectorId id, std::uint64_t seed,
@@ -184,7 +124,7 @@ std::string repro_line(const Options& opt, CollectorId id, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   Options opt;
-  if (!parse_args(argc, argv, opt)) return 2;
+  parse_args(argc, argv, opt);
 
   std::uint64_t cases = 0, failures = 0;
   std::ofstream repro;

@@ -15,12 +15,12 @@
 // post-structure oracle, every read probe matched its recorded digest, and
 // (under --all) every collector produced the same live-graph digest.
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cli/flags.hpp"
 #include "trace/corpus.hpp"
 #include "trace/recorder.hpp"
 #include "trace/replayer.hpp"
@@ -29,34 +29,20 @@ using namespace hwgc;
 
 namespace {
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: tracectl <command> [options]\n"
-      "  record    --out FILE [--binary] and one source:\n"
-      "            --benchmark NAME [--scale S] [--seed N] | --fuzz-seed N |\n"
-      "            --churn-seed N [--steps N] | --lisp [--fib N] [--range N]\n"
-      "  corpus    [--dir DIR]        regenerate the committed corpus\n"
-      "  replay    FILE [--collector NAME | --all] [--threads N] [--seed N]\n"
-      "  validate  FILE...            verify digest + structural invariants\n"
-      "  stats     FILE...            header + op-kind histogram\n"
-      "  minimize  --seed N --out FILE [--budget N]   fuzz-case -> trace\n"
-      "  transform FILE --scale-sizes F --out FILE [--binary]\n"
-      "            rescale object data sizes, re-deriving read digests\n");
-  return 2;
-}
-
-std::optional<BenchmarkId> parse_benchmark(const std::string& name) {
-  for (BenchmarkId id : all_benchmarks()) {
-    if (name == benchmark_name(id)) return id;
-  }
-  return std::nullopt;
-}
+constexpr const char* kCommands =
+    "usage: tracectl <command> [options]   (tracectl <command> --help)\n"
+    "  record    capture a trace from a benchmark, fuzz case, churn or lisp\n"
+    "  corpus    regenerate the committed corpus\n"
+    "  replay    replay a trace under one collector or all of them\n"
+    "  validate  verify digest + structural invariants\n"
+    "  stats     header + op-kind histogram\n"
+    "  minimize  fuzz-case -> trace bridge\n"
+    "  transform rescale object data sizes, re-deriving read digests\n";
 
 int cmd_record(int argc, char** argv) {
   std::string out;
   bool binary = false;
-  std::string benchmark;
+  std::optional<BenchmarkId> benchmark;
   double scale = 0.002;
   std::uint64_t seed = 42;
   std::optional<std::uint64_t> fuzz_seed;
@@ -65,31 +51,26 @@ int cmd_record(int argc, char** argv) {
   bool lisp = false;
   unsigned fib_n = 8;
   unsigned range_n = 16;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) out = argv[++i];
-    else if (arg == "--binary") binary = true;
-    else if (arg == "--benchmark" && i + 1 < argc) benchmark = argv[++i];
-    else if (arg == "--scale" && i + 1 < argc) scale = std::atof(argv[++i]);
-    else if (arg == "--seed" && i + 1 < argc) seed = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg == "--fuzz-seed" && i + 1 < argc) fuzz_seed = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg == "--churn-seed" && i + 1 < argc) churn_seed = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg == "--steps" && i + 1 < argc) steps = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg == "--lisp") lisp = true;
-    else if (arg == "--fib" && i + 1 < argc) fib_n = static_cast<unsigned>(std::atoi(argv[++i]));
-    else if (arg == "--range" && i + 1 < argc) range_n = static_cast<unsigned>(std::atoi(argv[++i]));
-    else return usage();
-  }
-  if (out.empty()) return usage();
+  cli::Parser p("tracectl record", "--out FILE [--binary] <one source>");
+  p.value("--out FILE", out, "trace file to write (required)")
+      .flag("--binary", binary, "binary serialization instead of JSONL");
+  p.section("sources:")
+      .value("--benchmark NAME", benchmark, "one benchmark shape",
+             cli::optional_of(cli::one_of(all_benchmarks(), benchmark_name)))
+      .value("--scale S", scale, "benchmark live-set scale (default 0.002)")
+      .value("--seed N", seed, "benchmark seed (default 42)")
+      .value("--fuzz-seed N", fuzz_seed, "adversarial fuzz graph")
+      .value("--churn-seed N", churn_seed, "shadow-mutator churn")
+      .value("--steps N", steps, "churn steps (default 600)")
+      .flag("--lisp", lisp, "lisp session")
+      .value("--fib N", fib_n, "lisp fib argument (default 8)")
+      .value("--range N", range_n, "lisp range length (default 16)");
+  p.parse(argc, argv);
+  if (out.empty()) p.fail("missing --out");
 
   Trace trace;
-  if (!benchmark.empty()) {
-    const auto id = parse_benchmark(benchmark);
-    if (!id) {
-      std::fprintf(stderr, "unknown benchmark '%s'\n", benchmark.c_str());
-      return 2;
-    }
-    trace = trace_from_benchmark(*id, scale, seed);
+  if (benchmark) {
+    trace = trace_from_benchmark(*benchmark, scale, seed);
   } else if (fuzz_seed) {
     trace = trace_from_fuzz_seed(*fuzz_seed);
   } else if (churn_seed) {
@@ -97,7 +78,7 @@ int cmd_record(int argc, char** argv) {
   } else if (lisp) {
     trace = trace_from_lisp(fib_n, range_n);
   } else {
-    return usage();
+    p.fail("need a source: --benchmark, --fuzz-seed, --churn-seed or --lisp");
   }
   save_trace(out, trace, binary);
   std::printf("%s: %zu events, %zu objects, digest 0x%llx\n", out.c_str(),
@@ -108,11 +89,9 @@ int cmd_record(int argc, char** argv) {
 
 int cmd_corpus(int argc, char** argv) {
   std::string dir = "traces";
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--dir" && i + 1 < argc) dir = argv[++i];
-    else return usage();
-  }
+  cli::Parser p("tracectl corpus", "[--dir DIR]");
+  p.value("--dir DIR", dir, "corpus directory (default traces)");
+  p.parse(argc, argv);
   const std::size_t n = write_corpus(dir);
   std::printf("wrote %zu corpus traces to %s/\n", n, dir.c_str());
   return 0;
@@ -120,32 +99,25 @@ int cmd_corpus(int argc, char** argv) {
 
 int cmd_replay(int argc, char** argv) {
   std::string file;
-  std::string collector = "coprocessor";
+  CollectorId collector = CollectorId::kCoprocessor;
   bool all = false;
   ReplayConfig cfg;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--collector" && i + 1 < argc) collector = argv[++i];
-    else if (arg == "--all") all = true;
-    else if (arg == "--threads" && i + 1 < argc) cfg.threads = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    else if (arg == "--seed" && i + 1 < argc) cfg.schedule_seed = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg.rfind("--", 0) == 0) return usage();
-    else if (file.empty()) file = arg;
-    else return usage();
-  }
-  if (file.empty()) return usage();
+  cli::Parser p("tracectl replay", "FILE [options]");
+  p.positional("FILE", file, "trace to replay", true)
+      .value("--collector NAME", collector, "collector (default coprocessor)",
+             cli::one_of(all_collectors(),
+                         [](CollectorId c) { return to_string(c); }))
+      .flag("--all", all, "every collector, cross-checking digests")
+      .value("--threads N", cfg.threads, "worker threads / GC cores")
+      .value("--seed N", cfg.schedule_seed, "schedule seed");
+  p.parse(argc, argv);
 
   const Trace trace = load_trace(file);
   std::vector<CollectorId> ids;
   if (all) {
     ids = all_collectors();
   } else {
-    const auto id = parse_collector(collector);
-    if (!id) {
-      std::fprintf(stderr, "unknown collector '%s'\n", collector.c_str());
-      return 2;
-    }
-    ids.push_back(*id);
+    ids.push_back(collector);
   }
 
   bool ok = true;
@@ -166,17 +138,27 @@ int cmd_replay(int argc, char** argv) {
   return ok ? 0 : 1;
 }
 
+/// The FILE... argument list of validate and stats.
+std::vector<std::string> parse_files(const char* command, const char* help,
+                                     int argc, char** argv) {
+  std::vector<std::string> files;
+  cli::Parser p(std::string("tracectl ") + command, "FILE...");
+  p.rest("FILE...", files, help);
+  p.parse(argc, argv);
+  return files;
+}
+
 int cmd_validate(int argc, char** argv) {
-  if (argc == 0) return usage();
   bool ok = true;
-  for (int i = 0; i < argc; ++i) {
+  for (const std::string& file : parse_files(
+           "validate", "verify digest + structural invariants", argc, argv)) {
     try {
-      const Trace t = load_trace(argv[i]);
-      std::printf("%s: ok (%zu events, digest 0x%llx)\n", argv[i],
+      const Trace t = load_trace(file);
+      std::printf("%s: ok (%zu events, digest 0x%llx)\n", file.c_str(),
                   t.ops.size(),
                   static_cast<unsigned long long>(t.digest()));
     } catch (const TraceError& e) {
-      std::printf("%s: %s\n", argv[i], e.what());
+      std::printf("%s: %s\n", file.c_str(), e.what());
       ok = false;
     }
   }
@@ -184,11 +166,11 @@ int cmd_validate(int argc, char** argv) {
 }
 
 int cmd_stats(int argc, char** argv) {
-  if (argc == 0) return usage();
-  for (int i = 0; i < argc; ++i) {
-    const Trace t = load_trace(argv[i]);
+  for (const std::string& file :
+       parse_files("stats", "header + op-kind histogram", argc, argv)) {
+    const Trace t = load_trace(file);
     const TraceHeader& h = t.header;
-    std::printf("%s\n", argv[i]);
+    std::printf("%s\n", file.c_str());
     std::printf("  name=%s semispace=%llu cores=%u fifo=%u schedule=%s "
                 "seed=%llu jitter=%llu\n",
                 h.name.c_str(),
@@ -214,14 +196,12 @@ int cmd_minimize(int argc, char** argv) {
   std::optional<std::uint64_t> seed;
   std::string out;
   std::uint32_t budget = 48;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--seed" && i + 1 < argc) seed = std::strtoull(argv[++i], nullptr, 0);
-    else if (arg == "--out" && i + 1 < argc) out = argv[++i];
-    else if (arg == "--budget" && i + 1 < argc) budget = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    else return usage();
-  }
-  if (!seed || out.empty()) return usage();
+  cli::Parser p("tracectl minimize", "--seed N --out FILE [--budget N]");
+  p.value("--seed N", seed, "fuzz master seed (required)")
+      .value("--out FILE", out, "trace file to write (required)")
+      .value("--budget N", budget, "minimization budget (default 48)");
+  p.parse(argc, argv);
+  if (!seed || out.empty()) p.fail("need both --seed and --out");
 
   FuzzCase fc = case_from_seed(*seed);
   const ConformanceVerdict verdict = run_fuzz_case(fc);
@@ -246,16 +226,13 @@ int cmd_transform(int argc, char** argv) {
   std::string out;
   bool binary = false;
   std::optional<double> scale;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--scale-sizes" && i + 1 < argc) scale = std::atof(argv[++i]);
-    else if (arg == "--out" && i + 1 < argc) out = argv[++i];
-    else if (arg == "--binary") binary = true;
-    else if (arg.rfind("--", 0) == 0) return usage();
-    else if (in.empty()) in = arg;
-    else return usage();
-  }
-  if (in.empty() || out.empty() || !scale) return usage();
+  cli::Parser p("tracectl transform", "FILE --scale-sizes F --out FILE");
+  p.positional("FILE", in, "trace to read", true)
+      .value("--scale-sizes F", scale, "object data size factor (required)")
+      .value("--out FILE", out, "trace file to write (required)")
+      .flag("--binary", binary, "binary serialization instead of JSONL");
+  p.parse(argc, argv);
+  if (out.empty() || !scale) p.fail("need both --scale-sizes and --out");
 
   const Trace trace = load_trace(in);
   const Trace scaled = scale_trace_sizes(trace, *scale);
@@ -273,19 +250,30 @@ int cmd_transform(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
+  using Command = int (*)(int, char**);
+  const std::map<std::string, Command> commands = {
+      {"record", cmd_record},     {"corpus", cmd_corpus},
+      {"replay", cmd_replay},     {"validate", cmd_validate},
+      {"stats", cmd_stats},       {"minimize", cmd_minimize},
+      {"transform", cmd_transform}};
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  if (cmd == "-h" || cmd == "--help") {
+    std::fputs(kCommands, stdout);
+    return 0;
+  }
+  const auto it = commands.find(cmd);
+  if (it == commands.end()) {
+    std::fprintf(stderr, "tracectl: %s\n%s",
+                 cmd.empty() ? "missing command"
+                             : ("unknown command \"" + cmd + "\"").c_str(),
+                 kCommands);
+    return 2;
+  }
   try {
-    if (cmd == "record") return cmd_record(argc - 2, argv + 2);
-    if (cmd == "corpus") return cmd_corpus(argc - 2, argv + 2);
-    if (cmd == "replay") return cmd_replay(argc - 2, argv + 2);
-    if (cmd == "validate") return cmd_validate(argc - 2, argv + 2);
-    if (cmd == "stats") return cmd_stats(argc - 2, argv + 2);
-    if (cmd == "minimize") return cmd_minimize(argc - 2, argv + 2);
-    if (cmd == "transform") return cmd_transform(argc - 2, argv + 2);
+    // The command's own parser sees argv[1] as its program name.
+    return it->second(argc - 1, argv + 1);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tracectl: %s\n", e.what());
     return 1;
   }
-  return usage();
 }
