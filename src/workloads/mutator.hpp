@@ -9,10 +9,25 @@
 // *arbitrarily many* collection cycles preserve every reachable object,
 // pointer and data word — not just the single cycle the HeapSnapshot
 // verifier covers.
+//
+// The live set. live_ holds the shadow slots the RNG picks from, so its
+// contents and order are part of the step stream every simulated number
+// depends on. It is ascending (slots are allocated in order and only ever
+// filtered), a superset of the objects reachable from rooted ones between
+// releases (an unlink, or a link that overwrites a pointer field, may orphan
+// an object that stays listed), and exactly the reachable set after each
+// release.
+//
+// The shadow graph is flat and slot-indexed: per-slot shape, rooted flag and
+// rooted_in count (edges from rooted objects), children as int32 slots at
+// stride max_pi, data words at stride max_delta. A release marks only when
+// something since the last mark could have cut reachability, and the mark
+// walks only unrooted slots (DESIGN.md "Shadow model" gives the argument).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "runtime/runtime.hpp"
@@ -64,12 +79,12 @@ class ShadowMutator {
   /// validate() this is O(object), cheap enough to run per request.
   std::size_t probe(Runtime& rt, std::size_t* mismatches = nullptr);
 
-  std::size_t live_rooted() const noexcept;
+  std::size_t live_rooted() const noexcept { return rooted_; }
   std::uint64_t allocations() const noexcept { return allocations_; }
 
-  /// One shadow object. Public only so Image below can be a value type the
-  /// service-layer checkpoint stores and digests; not part of the mutation
-  /// API.
+  /// One shadow object as Image stores it. Public only so Image below can
+  /// be a value type the service-layer checkpoint stores and digests; not
+  /// part of the mutation API.
   struct ShadowObj {
     Runtime::Ref ref;  ///< valid while rooted
     bool rooted = false;
@@ -92,24 +107,60 @@ class ShadowMutator {
   };
 
   Image save_image() const;
+  /// Throws std::invalid_argument when an object's shape exceeds this
+  /// mutator's max_pi/max_delta (the image belongs to another config).
   void restore_image(const Image& img);
 
-  /// FNV-1a 64 over a data-word vector — the shadow-side counterpart of
+  /// FNV-1a 64 over data words — the shadow-side counterpart of
   /// Runtime::read_probe's heap-side digest (identical byte order), so a
   /// probe can compare one digest instead of every word.
-  static std::uint64_t data_digest(const std::vector<Word>& data);
+  static std::uint64_t data_digest(std::span<const Word> data);
 
  private:
-  /// Drops shadow objects that are no longer reachable from any rooted
-  /// shadow object (they are garbage in the real heap too).
-  void shadow_collect();
+  struct Slot {
+    Runtime::Ref ref;  ///< valid while rooted
+    std::uint32_t pi = 0;
+    std::uint32_t delta = 0;
+    std::uint32_t rooted_in = 0;  ///< edges into this slot from rooted ones
+    bool rooted = false;
+  };
+
+  std::int32_t* children(std::size_t slot) {
+    return children_.data() + slot * cfg_.max_pi;
+  }
+  const std::int32_t* children(std::size_t slot) const {
+    return children_.data() + slot * cfg_.max_pi;
+  }
+  Word* data(std::size_t slot) {
+    return data_.data() + slot * cfg_.max_delta;
+  }
+  const Word* data(std::size_t slot) const {
+    return data_.data() + slot * cfg_.max_delta;
+  }
+
+  /// Removes one edge from a rooted object to `child`; an unrooted child
+  /// left without rooted in-edges may have become unreachable.
+  void drop_rooted_edge(std::int32_t child);
+
+  /// Drops from live_ the slots no longer reachable from a rooted one
+  /// (garbage in the real heap too).
+  void mark_live();
 
   std::size_t pick_live();
 
   Config cfg_;
   Rng rng_;
-  std::vector<ShadowObj> objs_;
-  std::vector<std::size_t> live_;  ///< indices of reachable shadow objects
+  std::vector<Slot> slots_;
+  std::vector<std::int32_t> children_;  ///< stride max_pi, -1 = null
+  std::vector<Word> data_;              ///< stride max_delta
+  std::vector<std::size_t> live_;       ///< see the contract at the top
+  std::vector<std::size_t> unrooted_;   ///< live_'s unrooted slots, ascending
+  std::size_t rooted_ = 0;              ///< rooted slots (all in live_)
+  /// Set when reachability may have shrunk since the last mark.
+  bool live_stale_ = false;
+  std::vector<std::uint32_t> marks_;  ///< epoch-stamped per slot
+  std::uint32_t epoch_ = 0;
+  std::vector<std::size_t> mark_stack_;
   std::uint64_t allocations_ = 0;
 };
 

@@ -76,6 +76,18 @@ TEST(Checkpoint, RestoreRoundTripsBitIdentically) {
   EXPECT_EQ(m.validate(rt), 0u);
 }
 
+TEST(Checkpoint, ChurnDigestPinned) {
+  // The digest covers the heap image and the full shadow state, so this pin
+  // holds the mutator's step stream (and its Runtime calls) fixed.
+  Runtime rt(4096, sim_config());
+  ShadowMutator m(mutator_config());
+  churn(rt, m, 300);
+  rt.collect();
+  churn(rt, m, 400);
+  const ShardCheckpoint cp = ShardCheckpoint::capture(0, 8, rt, m, 1);
+  EXPECT_EQ(cp.digest, 0xc95410ef86339a2eULL);
+}
+
 TEST(Checkpoint, RestoredShardReplaysDeterministically) {
   // Run A: checkpoint, then K more steps -> image1. Restore, run the SAME
   // K steps -> image2. The mutator RNG is part of the checkpoint, so the

@@ -1,12 +1,19 @@
-// Workload substrate: graph plans, materialization and the eight
-// benchmark-shape generators.
+// Workload substrate: graph plans, materialization, the eight
+// benchmark-shape generators and the ShadowMutator's shadow model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "heap/object_model.hpp"
 #include "runtime/runtime.hpp"
+#include "sim/rng.hpp"
 #include "workloads/benchmarks.hpp"
 #include "workloads/mutator.hpp"
 #include "workloads/random_graph.hpp"
@@ -180,6 +187,263 @@ TEST(RandomGraph, DeterministicAndInBounds) {
   }
   const GraphPlan c = make_random_plan(4);
   EXPECT_NE(a.edges.size(), c.edges.size());
+}
+
+// --- ShadowMutator shadow model -------------------------------------------
+//
+// The live-set contract (mutator.hpp): live is ascending, a superset of the
+// objects reachable from rooted ones between releases, and exactly that set
+// after each release. The RNG indexes into live, so any drift changes every
+// later step; these tests check the contract against a reachability walk
+// over save_image() and pin the stream itself.
+
+/// Slots reachable from rooted objects in `img`, ascending.
+std::vector<std::size_t> reachable(const ShadowMutator::Image& img) {
+  std::vector<char> seen(img.objs.size(), 0);
+  std::vector<std::size_t> stack;
+  for (std::size_t i = 0; i < img.objs.size(); ++i) {
+    if (img.objs[i].rooted) {
+      seen[i] = 1;
+      stack.push_back(i);
+    }
+  }
+  while (!stack.empty()) {
+    const std::size_t i = stack.back();
+    stack.pop_back();
+    for (std::int64_t c : img.objs[i].children) {
+      if (c >= 0 && !seen[static_cast<std::size_t>(c)]) {
+        seen[static_cast<std::size_t>(c)] = 1;
+        stack.push_back(static_cast<std::size_t>(c));
+      }
+    }
+  }
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    if (seen[i]) out.push_back(i);
+  }
+  return out;
+}
+
+/// Checks the live-set contract on one image; `released` says the step that
+/// produced it lowered live_rooted(), so live must be exact.
+void expect_live_contract(const ShadowMutator::Image& img, bool released,
+                          std::size_t step) {
+  const std::vector<std::size_t> reach = reachable(img);
+  ASSERT_TRUE(std::adjacent_find(img.live.begin(), img.live.end(),
+                                 [](std::size_t a, std::size_t b) {
+                                   return a >= b;
+                                 }) == img.live.end())
+      << "live not strictly ascending after step " << step;
+  ASSERT_TRUE(std::includes(img.live.begin(), img.live.end(), reach.begin(),
+                            reach.end()))
+      << "live misses a reachable object after step " << step;
+  if (released) {
+    ASSERT_EQ(img.live, reach)
+        << "live is not exactly the reachable set after the release at step "
+        << step;
+  }
+}
+
+/// FNV-1a 64 over every field of an Image, in declaration order.
+std::uint64_t image_fnv(const ShadowMutator::Image& img) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (i * 8)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (std::uint64_t w : img.rng) mix(w);
+  mix(img.objs.size());
+  for (const ShadowMutator::ShadowObj& o : img.objs) {
+    mix(o.ref.slot_index());
+    mix(o.rooted ? 1 : 0);
+    mix(o.pi);
+    mix(o.delta);
+    mix(o.children.size());
+    for (std::int64_t c : o.children) mix(static_cast<std::uint64_t>(c));
+    mix(o.data.size());
+    for (Word w : o.data) mix(w);
+  }
+  mix(img.live.size());
+  for (std::size_t i : img.live) mix(i);
+  mix(img.allocations);
+  return h;
+}
+
+struct ShadowCase {
+  std::uint64_t seed;
+  const char* name;
+  Word max_pi;
+  Word max_delta;
+  std::size_t target_live;
+};
+
+void PrintTo(const ShadowCase& c, std::ostream* os) {
+  *os << c.name << " seed " << c.seed;
+}
+
+std::vector<ShadowCase> shadow_cases() {
+  std::vector<ShadowCase> out;
+  const ShadowMutator::Config d;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    out.push_back({seed, "default", d.max_pi, d.max_delta, d.target_live});
+    out.push_back({seed, "pi1", 1, d.max_delta, d.target_live});
+    out.push_back({seed, "live4", d.max_pi, d.max_delta, 4});
+    out.push_back({seed, "delta0", d.max_pi, 0, d.target_live});
+  }
+  return out;
+}
+
+class ShadowLiveSet : public ::testing::TestWithParam<ShadowCase> {};
+
+TEST_P(ShadowLiveSet, LiveIsReachableSetAfterEveryRelease) {
+  const ShadowCase c = GetParam();
+  Runtime rt(1 << 14);
+  ShadowMutator mut({.seed = c.seed,
+                     .max_pi = c.max_pi,
+                     .max_delta = c.max_delta,
+                     .target_live = c.target_live});
+  std::size_t releases = 0;
+  for (std::size_t step = 0; step < 5000; ++step) {
+    const std::size_t rooted_before = mut.live_rooted();
+    mut.step(rt);
+    const bool released = mut.live_rooted() < rooted_before;
+    releases += released ? 1 : 0;
+    expect_live_contract(mut.save_image(), released, step);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(releases, 100u) << "the churn must actually release roots";
+  EXPECT_EQ(mut.validate(rt), 0u);
+}
+
+std::string shadow_case_name(const ::testing::TestParamInfo<ShadowCase>& info) {
+  return std::string(info.param.name) + "_seed" +
+         std::to_string(info.param.seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, ShadowLiveSet,
+                         ::testing::ValuesIn(shadow_cases()),
+                         shadow_case_name);
+
+/// A completed link the next step performs, replayed from the image taken
+/// before it: the RNG draws of ShadowMutator::step's link branch.
+struct Link {
+  std::size_t parent;
+  Word field;
+  std::size_t child;
+};
+
+std::optional<Link> replay_link(const ShadowMutator::Image& before,
+                                const ShadowMutator::Image& after) {
+  if (after.objs.size() != before.objs.size()) return std::nullopt;  // alloc
+  Rng rng;
+  rng.set_state(before.rng);
+  if (rng.uniform01() >= 0.65) return std::nullopt;
+  const std::size_t n = before.live.size();
+  const std::size_t p = before.live[rng.below(n)];
+  if (!before.objs[p].rooted || before.objs[p].pi == 0) return std::nullopt;
+  const std::size_t c = before.live[rng.below(n)];
+  if (!before.objs[c].rooted) return std::nullopt;
+  return Link{p, static_cast<Word>(rng.below(before.objs[p].pi)), c};
+}
+
+TEST(ShadowLiveSet, SelfLinkReleaseAndSameChildRelink) {
+  // One rooted object at a time makes the edge cases common: a link picks
+  // the same object as parent and child, a second link rewrites the field
+  // with the child it already holds, and the release drops an object whose
+  // only rooted in-edge is its own.
+  std::size_t self_link_releases = 0;
+  std::size_t same_child_relinks = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Runtime rt(1 << 12);
+    ShadowMutator mut({.seed = seed, .max_pi = 1, .target_live = 1});
+    ShadowMutator::Image before = mut.save_image();
+    for (std::size_t step = 0; step < 3000; ++step) {
+      const std::size_t rooted_before = mut.live_rooted();
+      mut.step(rt);
+      const ShadowMutator::Image after = mut.save_image();
+      const bool released = mut.live_rooted() < rooted_before;
+      expect_live_contract(after, released, step);
+      if (::testing::Test::HasFatalFailure()) return;
+      if (const std::optional<Link> l = replay_link(before, after)) {
+        const auto& held = before.objs[l->parent].children;
+        if (held[l->field] == static_cast<std::int64_t>(l->child)) {
+          ++same_child_relinks;
+        }
+      }
+      if (released) {
+        for (std::size_t i = 0; i < before.objs.size(); ++i) {
+          const auto& o = before.objs[i];
+          if (o.rooted && !after.objs[i].rooted &&
+              std::count(o.children.begin(), o.children.end(),
+                         static_cast<std::int64_t>(i)) > 0) {
+            ++self_link_releases;
+          }
+        }
+      }
+      before = after;
+    }
+    EXPECT_EQ(mut.validate(rt), 0u);
+  }
+  EXPECT_GT(self_link_releases, 0u);
+  EXPECT_GT(same_child_relinks, 0u);
+}
+
+TEST(ShadowMutatorConfig, RestoreRejectsImageOfWiderShapes) {
+  // The flat layout reserves max_pi children and max_delta words per slot,
+  // so an image from a wider config cannot be laid out.
+  Runtime rt(1 << 14);
+  ShadowMutator wide({.seed = 3, .max_pi = 4, .target_live = 16});
+  wide.run(rt, 200);
+  ShadowMutator narrow({.seed = 3, .max_pi = 1, .target_live = 16});
+  EXPECT_THROW(narrow.restore_image(wide.save_image()), std::invalid_argument);
+}
+
+TEST(ShadowMutatorStream, ImageDigestsPinned) {
+  // The RNG draw sequence, the live order and every Runtime call are part of
+  // the simulated results (corpus traces, service goldens): pin the full
+  // shadow state after a long churn for three seeds.
+  const std::pair<std::uint64_t, std::uint64_t> pins[] = {
+      {1, 0x9d88a6ee700e9f67ULL},
+      {7, 0x2e3929b06e3e66e1ULL},
+      {42, 0xf83365a927ee9a00ULL},
+  };
+  for (const auto& [seed, pin] : pins) {
+    Runtime rt(1 << 14);
+    ShadowMutator mut({.seed = seed});
+    mut.run(rt, 20000);
+    EXPECT_EQ(image_fnv(mut.save_image()), pin) << "seed " << seed;
+  }
+}
+
+TEST(ShadowMutatorStream, RestoreWhileLiveIsStaleResumesTheSameStream) {
+  // Capture at a step where live still holds an unreachable object (an
+  // unlink or overwrite orphaned it and no release has marked since),
+  // restore into a fresh mutator and runtime, and run both on.
+  Runtime rt(1 << 14);
+  ShadowMutator mut({.seed = 5, .target_live = 16});
+  std::size_t steps = 0;
+  for (; steps < 20000; ++steps) {
+    mut.step(rt);
+    const ShadowMutator::Image img = mut.save_image();
+    if (steps > 500 && img.live != reachable(img)) break;
+  }
+  ASSERT_LT(steps, 20000u) << "no step left live stale";
+
+  Runtime rt2(1 << 14);
+  rt2.restore_image(rt.save_image());
+  ShadowMutator copy({.seed = 99, .target_live = 16});
+  copy.restore_image(mut.save_image());
+  EXPECT_EQ(image_fnv(copy.save_image()), image_fnv(mut.save_image()));
+
+  for (int i = 0; i < 3000; ++i) {
+    mut.step(rt);
+    copy.step(rt2);
+  }
+  EXPECT_EQ(image_fnv(copy.save_image()), image_fnv(mut.save_image()));
+  EXPECT_EQ(rt2.save_image().words, rt.save_image().words);
+  EXPECT_EQ(copy.validate(rt2), 0u);
 }
 
 }  // namespace
