@@ -2,11 +2,13 @@
 //
 // The one oracle of the repository: the conformance matrix, the torture
 // driver, the schedule fuzzer (src/fuzz/oracle.hpp) and the fault matrix
-// all run their cases through run_conformance_case, and the trace replayer
-// and heapd apply its check_post_structure around every cycle. One case =
-// one graph plan + one harness configuration; the oracle materializes the
-// plan, runs the collector behind its CollectorHarness, and checks the
-// properties the collector's traits promise:
+// all run their cases through run_conformance_case, and every Runtime
+// collection in heapd and trace replay goes through the one per-cycle
+// oracle, CycleOracle (harness.hpp), which applies check_post_structure to
+// the cycle's report — a recovered cycle's RecoveryReport included. One
+// case = one graph plan + one harness configuration; the oracle
+// materializes the plan, runs the collector behind its CollectorHarness,
+// and checks the properties the collector's traits promise:
 //
 //   * forwarding-map bijectivity — total over the pre-live set and
 //     injective (image-preserving collectors), injective over the

@@ -4,6 +4,7 @@
 #include "baselines/naive_parallel.hpp"
 #include "baselines/work_packets.hpp"
 #include "baselines/work_stealing.hpp"
+#include "conformance/conformance.hpp"
 #include "core/coprocessor.hpp"
 #include "core/schedule_policy.hpp"
 
@@ -106,6 +107,15 @@ CycleReport report_from(const GcCycleStats& s) {
   return r;
 }
 
+CycleReport report_from(const RecoveryReport& rec) {
+  CycleReport r = report_from(rec.stats);
+  // The sequential fallback reports no per-core counters; like the
+  // sequential harness, it evacuated every object it copied.
+  if (rec.used_sequential_fallback) r.evacuations = r.objects_copied;
+  r.recovery = rec;
+  return r;
+}
+
 namespace {
 
 std::uint64_t parallel_sync_ops(const ParallelGcStats& s) {
@@ -132,14 +142,8 @@ class CoprocessorHarness final : public CollectorHarness {
   CycleReport collect(Heap& heap) override {
     schedule_ = ScheduleTrace();
     if (cfg_.fault.enabled()) {
-      RecoveryReport rec =
-          RecoveringCollector(sim_config_from(cfg_), heap).collect();
-      CycleReport r = report_from(rec.stats);
-      // The sequential fallback reports no per-core counters; like the
-      // sequential harness, it evacuated every object it copied.
-      if (rec.used_sequential_fallback) r.evacuations = r.objects_copied;
-      r.recovery = std::move(rec);
-      return r;
+      return report_from(
+          RecoveringCollector(sim_config_from(cfg_), heap).collect());
     }
     Coprocessor coproc(sim_config_from(cfg_), heap);
     CycleReport r = report_from(coproc.collect(nullptr, &schedule_));
@@ -306,6 +310,58 @@ std::unique_ptr<CollectorHarness> make_harness(CollectorId id,
       break;
   }
   return nullptr;
+}
+
+HarnessPlugin::HarnessPlugin(CollectorId id, HarnessConfig cfg) : id_(id) {
+  if (id == CollectorId::kConcurrent) cfg.mutator_registers = 0;
+  if (id == CollectorId::kSnapshot) cfg.mutator_threads = 0;
+  harness_ = make_harness(id, cfg);
+}
+
+GcCycleStats HarnessPlugin::collect(Heap& heap) {
+  last_ = harness_->collect(heap);
+  if (last_.coproc.has_value()) return *last_.coproc;
+  GcCycleStats stats;
+  stats.objects_copied = last_.objects_copied;
+  stats.words_copied = last_.words_copied;
+  stats.lock_order_violations = last_.lock_order_violations;
+  if (last_.snapshot.has_value()) {
+    // The pauseless collector has a virtual clock of its own: total wall
+    // time is the two pauses plus the overlapped concurrent phase, and the
+    // barrier/reconciliation counters ride the coprocessor stat block into
+    // hwgc-bench-v1.
+    stats.total_cycles =
+        last_.snapshot->pause_cycles + last_.snapshot->concurrent_cycles;
+    stats.snapshot_stores = last_.snapshot->snapshot_stores;
+    stats.reconciliation_repairs = last_.snapshot->reconciliation_repairs;
+    stats.safe_point_waits = last_.snapshot->safe_point_waits;
+  }
+  // Software collectors run outside the coprocessor clock; the stats they
+  // cannot fill stay zero and restart_stores_drained stays true (their
+  // stores are plain memory writes, committed before collect() returns).
+  return stats;
+}
+
+void CycleOracle::before_collection(Runtime& rt) {
+  pre_ = HeapSnapshot::capture(rt.heap());
+  recoveries_ = rt.recovery_history().size();
+}
+
+void CycleOracle::after_collection(Runtime& rt, const GcCycleStats& stats) {
+  std::vector<std::string> errors;
+  if (plugin_ != nullptr) {
+    check_post_structure(plugin_->id(), pre_, rt.heap(),
+                         plugin_->last_report(), errors);
+  } else {
+    const std::vector<RecoveryReport>& recoveries = rt.recovery_history();
+    const CycleReport report = recoveries.size() > recoveries_
+                                   ? report_from(recoveries.back())
+                                   : report_from(stats);
+    check_post_structure(CollectorId::kCoprocessor, pre_, rt.heap(), report,
+                         errors);
+  }
+  pre_ = HeapSnapshot{};  // hold no snapshot memory between cycles
+  sink_(std::move(errors));
 }
 
 }  // namespace hwgc

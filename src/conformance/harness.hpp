@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,6 +26,8 @@
 #include "core/concurrent_cycle.hpp"
 #include "fault/recovery.hpp"
 #include "heap/heap.hpp"
+#include "heap/verifier.hpp"
+#include "runtime/runtime.hpp"
 #include "sim/config.hpp"
 #include "sim/counters.hpp"
 #include "sim/types.hpp"
@@ -179,8 +182,63 @@ SimConfig sim_config_from(const HarnessConfig& cfg);
 /// The uniform report of one coprocessor cycle.
 CycleReport report_from(const GcCycleStats& s);
 
+/// The uniform report of one coprocessor cycle run through the recovery
+/// ladder: the successful attempt's counters plus the ladder's account.
+CycleReport report_from(const RecoveryReport& rec);
+
 /// Builds the harness for `id` with the matrix knobs applied.
 std::unique_ptr<CollectorHarness> make_harness(CollectorId id,
                                                const HarnessConfig& cfg = {});
+
+/// Runtime::CollectorPlugin adapter over a CollectorHarness: routes the
+/// runtime's collection cycles (explicit and exhaustion-triggered) through
+/// any collector in the inventory. The concurrent collector runs quiescent
+/// (mutator_registers forced to 0) and the snapshot collector spawns no
+/// mutator threads (mutator_threads forced to 0): the runtime's own
+/// mutator — a replayed op stream, a heapd shard's sessions — is the only
+/// one, so its reads and data must not be perturbed by a synthetic one.
+class HarnessPlugin final : public CollectorPlugin {
+ public:
+  HarnessPlugin(CollectorId id, HarnessConfig cfg);
+
+  GcCycleStats collect(Heap& heap) override;
+
+  CollectorId id() const noexcept { return id_; }
+  /// Report of the most recent cycle (for the per-cycle oracle).
+  const CycleReport& last_report() const noexcept { return last_; }
+
+ private:
+  CollectorId id_;
+  std::unique_ptr<CollectorHarness> harness_;
+  CycleReport last_;
+};
+
+/// The one per-cycle oracle for Runtime collections — explicit and
+/// exhaustion-triggered alike, in heapd shards and trace replay. Before a
+/// cycle it snapshots the heap; after it, it picks the cycle's report —
+/// the plugin's last_report() when a collector plugin ran it, else this
+/// cycle's RecoveryReport when the recovery ladder ran it, else the
+/// coprocessor's stats — and runs check_post_structure, so a recovered
+/// cycle meets the same coprocessor contract as the fault matrix. The
+/// findings go to the sink, once per cycle (empty when clean); formatting
+/// and counting them is the caller's business.
+class CycleOracle final : public CollectionObserver {
+ public:
+  using Sink = std::function<void(std::vector<std::string>&&)>;
+
+  /// `plugin`: the runtime's collector backend, null for the built-in
+  /// coprocessor path.
+  CycleOracle(const HarnessPlugin* plugin, Sink sink)
+      : plugin_(plugin), sink_(std::move(sink)) {}
+
+  void before_collection(Runtime& rt) override;
+  void after_collection(Runtime& rt, const GcCycleStats& stats) override;
+
+ private:
+  const HarnessPlugin* plugin_;
+  Sink sink_;
+  HeapSnapshot pre_;
+  std::size_t recoveries_ = 0;  ///< recovery_history().size() at snapshot
+};
 
 }  // namespace hwgc

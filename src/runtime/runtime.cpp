@@ -150,31 +150,18 @@ const GcCycleStats& Runtime::collect_now() {
   CycleProfiler profiler;
   CycleProfiler* prof = profiling_ ? &profiler : nullptr;
   // Allocation into the current space is dense, so alloc_ptr is already
-  // consistent; the coprocessor flips the heap and republishes it.
+  // consistent; every backend flips the heap and republishes it.
+  const bool recovering = cfg_.fault.enabled() || cfg_.recovery.enabled;
   if (plugin_ != nullptr) {
-    if (cfg_.fault.enabled() || cfg_.recovery.enabled) {
+    if (recovering) {
       throw std::logic_error(
           "Runtime: a collector plugin cannot be combined with fault "
           "injection/recovery (the recovery ladder owns the cycle)");
     }
+    // Plugin cycles run outside the coprocessor clock: the profiler stays
+    // untouched and its profile invalid.
     history_.push_back(plugin_->collect(heap_));
-    // Plugin cycles run outside the coprocessor clock: keep
-    // profile_history_ index-aligned with an invalid profile.
-    if (prof != nullptr) profile_history_.emplace_back();
-    if (!history_.back().restart_stores_drained) {
-      ++drain_violations_;
-      if (prof != nullptr) profile_history_.pop_back();
-      history_.pop_back();
-      throw std::logic_error(
-          "Runtime: mutator restart with undrained GC store buffers "
-          "(Section V-E restart condition violated)");
-    }
-    if (observer_ != nullptr) {
-      observer_->after_collection(*this, history_.back());
-    }
-    return history_.back();
-  }
-  if (cfg_.fault.enabled() || cfg_.recovery.enabled) {
+  } else if (recovering) {
     RecoveringCollector collector(cfg_, heap_);
     RecoveryReport report = collector.collect(nullptr, telemetry_, prof);
     if (!report.ok) {
@@ -200,8 +187,7 @@ const GcCycleStats& Runtime::collect_now() {
         "Runtime: mutator restart with undrained GC store buffers "
         "(Section V-E restart condition violated)");
   }
-  // Kept aligned with history_: pushed only once the cycle is accepted
-  // (the drain-violation path above pops and never reaches here).
+  // Kept aligned with history_: pushed only once the cycle is accepted.
   if (prof != nullptr) profile_history_.push_back(profiler.take_profile());
   if (observer_ != nullptr) observer_->after_collection(*this, history_.back());
   return history_.back();

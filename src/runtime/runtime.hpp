@@ -26,14 +26,15 @@ class Runtime;
 class SignalTrace;
 
 /// Observation seam around every collection cycle the runtime runs —
-/// explicit or allocation-triggered. The service layer (src/service/)
-/// hooks it to snapshot the live graph before a cycle and run the
-/// conformance post-structure oracle after it, and to account GC-induced
-/// request stall; tests hook it to prove exhaustion-triggered cycles are
-/// observed too. Callbacks run on the mutator's thread, before_collection
-/// with the pre-cycle heap, after_collection once the flipped heap has
-/// been published to the mutator (never for refused or unrecoverable
-/// cycles).
+/// explicit or allocation-triggered. The per-cycle oracle (CycleOracle,
+/// conformance/harness.hpp) hooks it to snapshot the live graph before a
+/// cycle and run the conformance post-structure check after it, for heapd
+/// shards and trace replay alike; the service layer also accounts
+/// GC-induced request stall here, and tests hook it to prove
+/// exhaustion-triggered cycles are observed too. Callbacks run on the
+/// mutator's thread, before_collection with the pre-cycle heap,
+/// after_collection once the flipped heap has been published to the
+/// mutator (never for refused or unrecoverable cycles).
 class CollectionObserver {
  public:
   virtual ~CollectionObserver() = default;
@@ -77,12 +78,13 @@ class RuntimeTraceSink {
   virtual void on_collect(Runtime&) {}
 };
 
-/// Pluggable collection backend (src/trace/): when attached, explicit and
+/// Pluggable collection backend: when attached, explicit and
 /// allocation-triggered cycles run through it instead of the built-in
 /// coprocessor. The plugin must leave the heap flipped with roots
 /// redirected and the allocation pointer published (the CollectorHarness
-/// contract). The replayer uses this to drive one recorded trace under any
-/// collector in the inventory.
+/// contract). HarnessPlugin (conformance/harness.hpp) adapts any collector
+/// in the inventory: the replayer drives one recorded trace under each,
+/// and heapd's pauseless shards collect through the snapshot collector.
 class CollectorPlugin {
  public:
   virtual ~CollectorPlugin() = default;
@@ -177,7 +179,8 @@ class Runtime {
   /// Forces a collection cycle now.
   ///
   /// Section V-E restart condition: the main processor may only resume
-  /// once every GC store has been committed. The runtime enforces it —
+  /// once every GC store has been committed. The runtime enforces it for
+  /// every backend (collector plugin, recovery ladder, bare coprocessor) —
   /// a cycle that reports undrained store buffers (only possible through
   /// the skip_store_drain_for_test backdoor) is refused with
   /// std::logic_error and counted in drain_violations().

@@ -7,7 +7,6 @@
 
 #include <map>
 
-#include "conformance/conformance.hpp"
 #include "conformance/harness.hpp"
 #include "heap/object_model.hpp"
 #include "service/checkpoint.hpp"
@@ -61,9 +60,6 @@ struct HeapService::ShardState final : CollectionObserver {
   ShardState(std::size_t index_, const ServiceConfig& cfg,
              const FaultStorm& storm)
       : index(index_),
-        fault_injected((cfg.fault_shard == index_ && cfg.fault_events > 0) ||
-                       (storm.enabled() && storm.stormed(index_))),
-        oracle(cfg.oracle),
         resilient(cfg.resilience.enabled()),
         profiling(cfg.profile.enabled),
         pauseless(cfg.scheduler == GcSchedulerKind::kPauseless),
@@ -85,6 +81,17 @@ struct HeapService::ShardState final : CollectionObserver {
       hc.threads = 1;
       plugin = std::make_unique<HarnessPlugin>(CollectorId::kSnapshot, hc);
       rt.set_collector(plugin.get());
+    }
+    if (cfg.oracle) {
+      // Every finding counts in oracle_failures; the first 16 are kept.
+      oracle.emplace(plugin.get(), [this](std::vector<std::string>&& errors) {
+        stats.oracle_failures += errors.size();
+        for (std::string& e : errors) {
+          if (oracle_diagnostics.size() >= 16) break;
+          oracle_diagnostics.push_back("shard " + std::to_string(index) +
+                                       ": " + std::move(e));
+        }
+      });
     }
     if (profiling) rt.enable_profiling();
     if (resilient) {
@@ -135,7 +142,7 @@ struct HeapService::ShardState final : CollectionObserver {
   // --- CollectionObserver ---------------------------------------------------
 
   void before_collection(Runtime& r) override {
-    if (oracle) pre.emplace(HeapSnapshot::capture(r.heap()));
+    if (oracle) oracle->before_collection(r);
   }
 
   void after_collection(Runtime& r, const GcCycleStats& s) override {
@@ -145,8 +152,7 @@ struct HeapService::ShardState final : CollectionObserver {
     // concurrent copying phase becomes debt drained as per-request service
     // overhead (execute_request) instead of stall.
     Cycle blocking = s.total_cycles;
-    if (pauseless && plugin != nullptr && plugin->has_report() &&
-        plugin->last_report().snapshot.has_value()) {
+    if (pauseless && plugin->last_report().snapshot.has_value()) {
       const SnapshotGcStats& snap = *plugin->last_report().snapshot;
       blocking = snap.pause_cycles;
       concurrent_debt += snap.concurrent_cycles;
@@ -172,15 +178,13 @@ struct HeapService::ShardState final : CollectionObserver {
         ++escalations;
       }
     }
-    std::size_t errors = 0;
-    if (oracle && pre.has_value()) {
-      errors = run_oracle(r, s);
-      pre.reset();
-    }
+    const std::uint64_t failures_before = stats.oracle_failures;
+    if (oracle) oracle->after_collection(r, s);
     // Verified-clean cycle boundary: the only place a checkpoint may be
     // taken (the service never checkpoints state it has not verified —
     // with the oracle off, every completed cycle counts as clean).
-    if (resilient && checkpoint_interval > 0 && errors == 0) {
+    if (resilient && checkpoint_interval > 0 &&
+        stats.oracle_failures == failures_before) {
       if (++clean_cycles >= checkpoint_interval) {
         take_checkpoint();
         clean_cycles = 0;
@@ -222,36 +226,21 @@ struct HeapService::ShardState final : CollectionObserver {
     next_free = std::max(next_free, ready);
   }
 
-  /// Post-structure oracle over the cycle that just ran. Fault-free shards
-  /// get the conformance kit's full coprocessor contract (forwarding
-  /// bijectivity, dense tiling, single-evacuation counters); the
-  /// fault-injected shard may have finished through the recovery ladder's
-  /// sequential fallback, whose counters are a different family, so it is
-  /// held to the image properties only (liveness + dense compaction).
-  std::size_t run_oracle(Runtime& r, const GcCycleStats& s) {
-    std::vector<std::string> errors;
-    if (pauseless && plugin != nullptr && plugin->has_report()) {
-      // The snapshot collector has its own structure oracle (SATB totality,
-      // injectivity, dense extent, reconciliation counters) keyed off the
-      // full CycleReport the plugin kept.
-      check_post_structure(CollectorId::kSnapshot, *pre, r.heap(),
-                           plugin->last_report(), errors);
-    } else if (fault_injected) {
-      const VerifyResult vr = verify_collection(*pre, r.heap());
-      errors = vr.errors;
-    } else {
-      check_post_structure(CollectorId::kCoprocessor, *pre, r.heap(),
-                           report_from(s), errors);
+  /// Runs `work`, a piece of this shard's lane work that may collect. A
+  /// resilient shard survives an unrecoverable collection or heap
+  /// exhaustion (std::runtime_error): it counts the failure for the
+  /// supervisor and returns false. Any other shard rethrows, so the error
+  /// reaches serve()'s caller.
+  template <typename Work>
+  bool survive(Work&& work) {
+    try {
+      work();
+      return true;
+    } catch (const std::runtime_error&) {
+      if (!resilient) throw;
+      ++failures;
+      return false;
     }
-    stats.oracle_failures += errors.size();
-    if (!errors.empty() && oracle_diagnostics.size() < 16) {
-      for (const auto& e : errors) {
-        if (oracle_diagnostics.size() >= 16) break;
-        oracle_diagnostics.push_back("shard " + std::to_string(index) + ": " +
-                                     e);
-      }
-    }
-    return errors.size();
   }
 
   bool trace_mode() const noexcept { return traces != nullptr; }
@@ -282,8 +271,6 @@ struct HeapService::ShardState final : CollectionObserver {
   }
 
   const std::size_t index;
-  const bool fault_injected;
-  const bool oracle;
   const bool resilient;
   const bool profiling;
   const bool pauseless;
@@ -297,6 +284,8 @@ struct HeapService::ShardState final : CollectionObserver {
   /// Pauseless mode: the shard's snapshot-collector backend (installed as
   /// the runtime's CollectorPlugin at construction; null otherwise).
   std::unique_ptr<HarnessPlugin> plugin;
+  /// The per-cycle oracle (empty with ServiceConfig::oracle off).
+  std::optional<CycleOracle> oracle;
   std::map<std::uint32_t, TraceCursor> cursors;  ///< per-session replay
 
   Cycle next_free = 0;          ///< virtual cycle the backlog drains
@@ -314,7 +303,6 @@ struct HeapService::ShardState final : CollectionObserver {
   std::vector<GcCharge> uncharged;        ///< charge twins of gc_backlog
   std::vector<RequestExemplar> exemplars; ///< this lane's K slowest
 
-  std::optional<HeapSnapshot> pre;
   SloStats stats;
   std::vector<std::string> oracle_diagnostics;
 
@@ -448,20 +436,11 @@ std::vector<ShardObservation> HeapService::observations(Cycle at) const {
 void HeapService::run_scheduled_collection(ShardState& shard, Cycle at) {
   shard.pending_gc = 0;
   shard.pending_charges.clear();
-  if (shard.resilient) {
-    // A scheduler-forced cycle can die on a stormed shard too; record the
-    // failure for the supervisor instead of unwinding the conductor. The
-    // failed attempt published nothing (observer never ran), so neither
-    // collections nor scheduled_collections counts it.
-    try {
-      shard.rt.collect();
-    } catch (const std::runtime_error&) {
-      ++shard.failures;
-      return;
-    }
-  } else {
-    shard.rt.collect();  // observer handles oracle + per-cycle accounting
-  }
+  // The observer handles oracle + per-cycle accounting. A scheduler-forced
+  // cycle can die on a stormed shard too; the failed attempt published
+  // nothing (observer never ran), so neither collections nor
+  // scheduled_collections counts it.
+  if (!shard.survive([&] { shard.rt.collect(); })) return;
   const Cycle dur = shard.take_pending_gc();
   shard.next_free = std::max(shard.next_free, at) + dur;
   shard.gc_backlog += dur;
@@ -518,16 +497,7 @@ void HeapService::execute_request(ShardState& sh, const Request& req,
         trace_ops_for(req.kind, cfg_.trace_ops_per_request);
     const std::uint64_t mismatches_before = cursor.read_mismatches();
     std::size_t applied = 0;
-    if (sh.resilient) {
-      try {
-        applied = cursor.apply(sh.rt, budget);
-      } catch (const std::runtime_error&) {
-        failed = true;
-        ++sh.failures;
-      }
-    } else {
-      applied = cursor.apply(sh.rt, budget);
-    }
+    failed = !sh.survive([&] { applied = cursor.apply(sh.rt, budget); });
     sh.stats.read_mismatches += cursor.read_mismatches() - mismatches_before;
     if (req.kind == RequestKind::kRead) {
       read_words = applied;
@@ -540,22 +510,16 @@ void HeapService::execute_request(ShardState& sh, const Request& req,
     sh.stats.read_mismatches += mismatches;
   } else {
     steps = steps_for(req.kind, traffic_.config().steps_per_request);
-    if (sh.resilient) {
-      // Graceful degradation: an unrecoverable collection (every rung of
-      // the escalation ladder failed) or heap exhaustion kills THIS
-      // request, not the fleet. The heap still holds the recovery
-      // ladder's restored pre-cycle image and the shadow was only mutated
-      // by fully completed steps, so shard state stays consistent; the
-      // supervisor quarantines and restores at the next conductor join.
-      try {
-        for (std::uint32_t i = 0; i < steps; ++i) sh.mutator.step(sh.rt);
-      } catch (const std::runtime_error&) {
-        failed = true;
-        ++sh.failures;
-      }
-    } else {
+    // Graceful degradation on a resilient shard: an unrecoverable
+    // collection (every rung of the escalation ladder failed) or heap
+    // exhaustion kills THIS request, not the fleet. The heap still holds
+    // the recovery ladder's restored pre-cycle image and the shadow was
+    // only mutated by fully completed steps, so shard state stays
+    // consistent; the supervisor quarantines and restores at the next
+    // conductor join.
+    failed = !sh.survive([&] {
       for (std::uint32_t i = 0; i < steps; ++i) sh.mutator.step(sh.rt);
-    }
+    });
   }
   // Cycles of exhaustion-triggered collection during this request's own
   // execution (harvested from the observer).
@@ -781,9 +745,6 @@ void HeapService::serve(std::uint64_t requests) {
     // build (the big O(shards)-per-request cost at 1000-shard scale).
     std::optional<std::size_t> pick;
     switch (needs) {
-      case ObservationNeeds::kNone:
-        pick = scheduler_->pick(fleet_size_view_);
-        break;
       case ObservationNeeds::kFleetSize:
         pick = scheduler_->pick(fleet_size_view_);
         break;

@@ -22,7 +22,7 @@ class ReactiveScheduler final : public GcScheduler {
     return GcSchedulerKind::kReactive;
   }
   ObservationNeeds needs() const noexcept override {
-    return ObservationNeeds::kNone;
+    return ObservationNeeds::kFleetSize;
   }
   std::optional<std::size_t> pick(
       const std::vector<ShardObservation>&) override {

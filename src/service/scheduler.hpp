@@ -87,8 +87,7 @@ struct SchedulerConfig {
 /// skip building observations — and, for kFull, to know it must join every
 /// shard lane first, since a full observation reads live shard state.
 enum class ObservationNeeds : std::uint8_t {
-  kNone = 0,   ///< pick() ignores the fleet entirely
-  kFleetSize,  ///< pick() reads only fleet.size() and fleet[i].shard
+  kFleetSize,  ///< pick() reads at most fleet.size() and fleet[i].shard
   kFull,       ///< pick() reads per-shard occupancy/backlog/etc.
 };
 

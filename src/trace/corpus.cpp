@@ -39,7 +39,8 @@ Trace trace_from_plan(const GraphPlan& plan, TraceHeader header) {
   }
   header.semispace_words = std::max(total + total / 2, 2 * live) + 64;
 
-  Runtime rt(header.semispace_words, header.sim_config());
+  Runtime rt(header.semispace_words,
+             sim_config_from(header.harness_config()));
   TraceRecorder recorder(header);
   recorder.attach(rt);
 
@@ -134,7 +135,8 @@ Trace trace_from_churn(std::uint64_t seed, std::size_t steps) {
   header.semispace_words = 2048;
   header.cores = 4;
 
-  Runtime rt(header.semispace_words, header.sim_config());
+  Runtime rt(header.semispace_words,
+             sim_config_from(header.harness_config()));
   TraceRecorder recorder(header);
   recorder.attach(rt);
 
@@ -162,7 +164,8 @@ Trace trace_from_lisp(unsigned fib_n, unsigned range_n) {
   // same allocation boundaries), with explicit hints between statements.
   header.semispace_words = 1200;
 
-  Lisp lisp(header.semispace_words, header.sim_config());
+  Lisp lisp(header.semispace_words,
+            sim_config_from(header.harness_config()));
   TraceRecorder recorder(header);
   recorder.attach(lisp.runtime());
   for (const std::string& src : Lisp::demo_program(fib_n, range_n)) {

@@ -1,9 +1,9 @@
 #include "trace/replayer.hpp"
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
-#include "heap/verifier.hpp"
 #include "trace/recorder.hpp"
 
 namespace hwgc {
@@ -21,40 +21,6 @@ void fnv_u64(std::uint64_t& h, std::uint64_t v) {
 }
 
 }  // namespace
-
-HarnessPlugin::HarnessPlugin(CollectorId id, HarnessConfig cfg) : id_(id) {
-  // The recorded op stream is the only mutator a replay may have: run the
-  // concurrent cycle's synthetic mutator and the snapshot collector's real
-  // mutator threads quiescent.
-  if (id == CollectorId::kConcurrent) cfg.mutator_registers = 0;
-  if (id == CollectorId::kSnapshot) cfg.mutator_threads = 0;
-  harness_ = make_harness(id, cfg);
-}
-
-GcCycleStats HarnessPlugin::collect(Heap& heap) {
-  last_ = harness_->collect(heap);
-  has_report_ = true;
-  if (last_.coproc.has_value()) return *last_.coproc;
-  GcCycleStats stats;
-  stats.objects_copied = last_.objects_copied;
-  stats.words_copied = last_.words_copied;
-  stats.lock_order_violations = last_.lock_order_violations;
-  if (last_.snapshot.has_value()) {
-    // The pauseless collector has a virtual clock of its own: total wall
-    // time is the two pauses plus the overlapped concurrent phase, and the
-    // barrier/reconciliation counters ride the coprocessor stat block into
-    // hwgc-bench-v1.
-    stats.total_cycles =
-        last_.snapshot->pause_cycles + last_.snapshot->concurrent_cycles;
-    stats.snapshot_stores = last_.snapshot->snapshot_stores;
-    stats.reconciliation_repairs = last_.snapshot->reconciliation_repairs;
-    stats.safe_point_waits = last_.snapshot->safe_point_waits;
-  }
-  // Software collectors run outside the coprocessor clock; the stats they
-  // cannot fill stay zero and restart_stores_drained stays true (their
-  // stores are plain memory writes, committed before collect() returns).
-  return stats;
-}
 
 TraceCursor::TraceCursor(const Trace* trace, bool wrap)
     : trace_(trace), wrap_(wrap) {
@@ -168,46 +134,6 @@ void TraceCursor::apply_one(Runtime& rt, const TraceOp& op) {
   }
 }
 
-namespace {
-
-/// Per-cycle conformance check: snapshot before, post-structure oracle
-/// after — for explicit and exhaustion-triggered cycles alike.
-class OracleObserver final : public CollectionObserver {
- public:
-  OracleObserver(CollectorId id, const HarnessPlugin* plugin,
-                 ReplayResult& result)
-      : id_(id), plugin_(plugin), result_(result) {}
-
-  void before_collection(Runtime& rt) override {
-    pre_ = HeapSnapshot::capture(rt.heap());
-  }
-
-  void after_collection(Runtime& rt, const GcCycleStats& stats) override {
-    const CycleReport report = (plugin_ != nullptr && plugin_->has_report())
-                                   ? plugin_->last_report()
-                                   : report_from(stats);
-    std::vector<std::string> errors;
-    check_post_structure(id_, pre_, rt.heap(), report, errors);
-    const std::string where =
-        "cycle " + std::to_string(result_.collections) + ": ";
-    for (std::string& e : errors) {
-      if (result_.findings.size() < 64) {
-        result_.findings.push_back(where + std::move(e));
-      }
-      result_.ok = false;
-    }
-    ++result_.collections;
-  }
-
- private:
-  CollectorId id_;
-  const HarnessPlugin* plugin_;
-  ReplayResult& result_;
-  HeapSnapshot pre_;
-};
-
-}  // namespace
-
 std::string ReplayResult::summary() const {
   std::ostringstream os;
   os << (ok ? "ok" : "FAIL") << ": " << ops_applied << " ops, " << collections
@@ -221,28 +147,34 @@ std::string ReplayResult::summary() const {
 ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
   ReplayResult result;
   const TraceHeader& h = trace.header;
+  HarnessConfig hc = h.harness_config();
+  if (cfg.schedule_seed != ~std::uint64_t{0}) {
+    hc.schedule_seed = hc.torture.seed = cfg.schedule_seed;
+  }
   const Word semispace =
       cfg.semispace_words != 0 ? cfg.semispace_words : h.semispace_words;
-  Runtime rt(semispace, h.sim_config());
+  Runtime rt(semispace, sim_config_from(hc));
 
   std::unique_ptr<HarnessPlugin> plugin;
   if (cfg.collector != CollectorId::kCoprocessor) {
-    HarnessConfig hc;
-    hc.threads = cfg.threads;
-    hc.schedule = h.schedule;
-    hc.schedule_seed =
-        cfg.schedule_seed == ~std::uint64_t{0} ? h.schedule_seed
-                                               : cfg.schedule_seed;
-    hc.torture.seed = hc.schedule_seed;
-    hc.latency_jitter = h.latency_jitter;
-    hc.header_fifo_capacity = h.header_fifo_capacity;
+    hc.threads = cfg.threads;  // the plugin's workers, not the header's cores
     plugin = std::make_unique<HarnessPlugin>(cfg.collector, hc);
     rt.set_collector(plugin.get());
   } else if (cfg.signal_trace != nullptr) {
     rt.set_signal_trace(cfg.signal_trace);
   }
 
-  OracleObserver oracle(cfg.collector, plugin.get(), result);
+  CycleOracle oracle(plugin.get(), [&result](std::vector<std::string>&& errs) {
+    const std::string where =
+        "cycle " + std::to_string(result.collections) + ": ";
+    for (std::string& e : errs) {
+      if (result.findings.size() < 64) {
+        result.findings.push_back(where + std::move(e));
+      }
+      result.ok = false;
+    }
+    ++result.collections;
+  });
   if (cfg.oracle) rt.set_collection_observer(&oracle);
 
   TraceRecorder rerec(h);

@@ -12,15 +12,14 @@
 // byte-identical round trip and why per-cycle GcCycleStats and SignalTrace
 // streams reproduce bit-for-bit on the coprocessor path.
 //
-// Self-verification: every collection is checked by the conformance
-// post-structure oracle (pre-cycle HeapSnapshot vs post heap), and every
+// Self-verification: every collection is checked by the per-cycle oracle
+// (CycleOracle, conformance/harness.hpp; heapd shards use it too), and every
 // kRead op recomputes the FNV-1a data digest recorded at capture time — a
 // replay that passes has proven the collector under test preserved the
 // recorded workload's entire observable behavior.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,29 +29,6 @@
 #include "trace/trace_format.hpp"
 
 namespace hwgc {
-
-/// Runtime::CollectorPlugin adapter over a CollectorHarness: routes the
-/// runtime's collection cycles (explicit and exhaustion-triggered) through
-/// any collector in the inventory. The concurrent collector runs quiescent
-/// (mutator_registers forced to 0): the recorded op stream is the only
-/// mutator, so its reads/data must not be perturbed by a synthetic one.
-class HarnessPlugin final : public CollectorPlugin {
- public:
-  HarnessPlugin(CollectorId id, HarnessConfig cfg);
-
-  GcCycleStats collect(Heap& heap) override;
-
-  CollectorId id() const noexcept { return id_; }
-  /// Report of the most recent cycle (for the per-cycle oracle).
-  const CycleReport& last_report() const noexcept { return last_; }
-  bool has_report() const noexcept { return has_report_; }
-
- private:
-  CollectorId id_;
-  std::unique_ptr<CollectorHarness> harness_;
-  CycleReport last_;
-  bool has_report_ = false;
-};
 
 /// Incremental trace application — the heapd session driver. Owns the
 /// per-id Ref table; apply() advances through the op stream in request-
@@ -137,7 +113,9 @@ struct ReplayResult {
 };
 
 /// Replays a whole trace against a fresh Runtime built from the trace
-/// header (semispace, cores, FIFO, schedule, jitter). The trace must have
+/// header's harness_config() (semispace, cores, FIFO, schedule, jitter,
+/// collector features), with ReplayConfig's seed override applied to the
+/// coprocessor and the plugin alike. The trace must have
 /// come through load_trace/check_trace — replay assumes structural
 /// validity.
 ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg = {});

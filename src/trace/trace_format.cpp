@@ -107,19 +107,17 @@ const char* to_string(TraceOp::Kind k) noexcept {
   return "?";
 }
 
-SimConfig TraceHeader::sim_config() const {
-  SimConfig cfg;
-  cfg.coprocessor.num_cores = cores;
-  cfg.coprocessor.header_fifo_capacity = header_fifo_capacity;
-  cfg.coprocessor.schedule = schedule;
-  cfg.coprocessor.schedule_seed = schedule_seed;
-  cfg.coprocessor.subobject_copy = subobject_copy;
-  cfg.coprocessor.markbit_early_read = markbit_early_read;
-  cfg.memory.latency_jitter = latency_jitter;
-  // Same derivation as the conformance harness: one seed knob drives both
-  // the schedule permutation and the memory-jitter stream.
-  cfg.memory.jitter_seed = schedule_seed ^ 0x9e3779b97f4a7c15ull;
-  return cfg;
+HarnessConfig TraceHeader::harness_config() const {
+  HarnessConfig hc;
+  hc.threads = cores;
+  hc.header_fifo_capacity = header_fifo_capacity;
+  hc.schedule = schedule;
+  hc.schedule_seed = schedule_seed;
+  hc.torture.seed = schedule_seed;
+  hc.latency_jitter = latency_jitter;
+  hc.subobject_copy = subobject_copy;
+  hc.markbit_early_read = markbit_early_read;
+  return hc;
 }
 
 std::uint64_t Trace::digest() const {

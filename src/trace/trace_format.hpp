@@ -27,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/config.hpp"
+#include "conformance/harness.hpp"
 #include "sim/types.hpp"
 
 namespace hwgc {
@@ -92,9 +92,13 @@ struct TraceHeader {
   bool subobject_copy = false;
   bool markbit_early_read = false;
 
-  /// The coprocessor configuration for replaying this trace (jitter seed
-  /// derived from schedule_seed exactly like the conformance harness).
-  SimConfig sim_config() const;
+  /// The one configuration a trace header describes: cores, FIFO,
+  /// schedule and seed, jitter and collector features, with the schedule
+  /// seed also seeding the software baselines' torture stream.
+  /// sim_config_from() of it is the coprocessor configuration the trace
+  /// was recorded under; a replay builds its collector plugin from the
+  /// same value.
+  HarnessConfig harness_config() const;
 
   friend bool operator==(const TraceHeader& x, const TraceHeader& y) noexcept {
     return x.name == y.name && x.version == y.version &&

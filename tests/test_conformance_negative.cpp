@@ -1,9 +1,12 @@
 // Negative conformance tests: seed a deliberate corruption into a
 // correctly collected heap and require the oracle to name that specific
 // failure — a conformance kit that cannot distinguish "dropped an object"
-// from "copied it twice" would be useless for debugging a collector.
+// from "copied it twice" would be useless for debugging a collector. The
+// last group drives the per-cycle oracle heapd and trace replay share
+// (CycleOracle) through fault-injected Runtime cycles.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "conformance/harness.hpp"
 #include "heap/object_model.hpp"
 #include "heap/verifier.hpp"
+#include "runtime/runtime.hpp"
 #include "workloads/random_graph.hpp"
 
 namespace hwgc {
@@ -344,6 +348,119 @@ TEST(ConformanceNegative, FaultLogSizeMismatchIsNamed) {
   const auto errors = diagnose_recovery(
       [](RecoveryReport& r) { r.fault_log.push_back("phantom firing"); });
   EXPECT_TRUE(has_error(errors, "fault log holds")) << joined(errors);
+}
+
+// --- The shared per-cycle oracle on Runtime cycles ----------------------
+
+/// Forwards to the per-cycle oracle the way a heapd shard does, running
+/// `corrupt` on the published heap before the oracle checks it.
+class CorruptingObserver final : public CollectionObserver {
+ public:
+  CorruptingObserver(CycleOracle& oracle,
+                     std::function<void(Runtime&)> corrupt)
+      : oracle_(oracle), corrupt_(std::move(corrupt)) {}
+  void before_collection(Runtime& rt) override {
+    oracle_.before_collection(rt);
+  }
+  void after_collection(Runtime& rt, const GcCycleStats& s) override {
+    corrupt_(rt);
+    oracle_.after_collection(rt, s);
+  }
+
+ private:
+  CycleOracle& oracle_;
+  std::function<void(Runtime&)> corrupt_;
+};
+
+struct OracleCycle {
+  std::vector<std::string> findings;
+  RecoveryReport recovery;  ///< the recovery ladder's account of the cycle
+};
+
+/// One explicit Runtime collection under `cfg` over a rooted 40-object
+/// chain (two data words each) plus garbage, checked by the shared oracle.
+/// `corrupt` gets the published heap and the chain's head before the check.
+OracleCycle oracle_cycle(
+    const SimConfig& cfg,
+    const std::function<void(Runtime&, Runtime::Ref)>& corrupt =
+        [](Runtime&, Runtime::Ref) {}) {
+  Runtime rt(2048, cfg);
+  const Runtime::Ref head = rt.alloc(1, 2);
+  rt.set_data(head, 0, 1000);
+  rt.set_data(head, 1, 1001);
+  Runtime::Ref prev = head;
+  for (Word i = 1; i < 40; ++i) {
+    const Runtime::Ref obj = rt.alloc(1, 2);
+    rt.set_data(obj, 0, 1000 + 2 * i);
+    rt.set_data(obj, 1, 1001 + 2 * i);
+    rt.set_ptr(prev, 0, obj);
+    if (i % 4 == 0) rt.release(rt.alloc(2, 3));  // garbage
+    if (prev.slot_index() != head.slot_index()) rt.release(prev);
+    prev = obj;
+  }
+
+  OracleCycle out;
+  CycleOracle oracle(nullptr, [&out](std::vector<std::string>&& errors) {
+    out.findings = std::move(errors);
+  });
+  CorruptingObserver observer(oracle,
+                              [&](Runtime& r) { corrupt(r, head); });
+  rt.set_collection_observer(&observer);
+  rt.collect();
+  out.recovery = rt.recovery_history().back();
+  return out;
+}
+
+/// A fault plan the recovery ladder recovers on the coprocessor: at least
+/// one fault fires, and no attempt falls back to the software collector.
+SimConfig recovered_fault_config() {
+  SimConfig cfg;
+  cfg.coprocessor.num_cores = 4;
+  cfg.fault.seed = 2;
+  cfg.fault.events = 3;
+  cfg.fault.trigger_scale = 48;
+  return cfg;
+}
+
+TEST(CycleOracle, RecoveredFaultCyclePassesTheCoprocessorContract) {
+  const OracleCycle c = oracle_cycle(recovered_fault_config());
+  EXPECT_GT(c.recovery.faults_fired, 0u) << c.recovery.summary();
+  EXPECT_GT(c.recovery.attempts.size(), 1u) << c.recovery.summary();
+  EXPECT_FALSE(c.recovery.used_sequential_fallback);
+  EXPECT_TRUE(c.findings.empty()) << joined(c.findings);
+}
+
+TEST(CycleOracle, TospaceWordFlippedAfterARecoveredCycleIsNamed) {
+  std::string expected;
+  const OracleCycle c = oracle_cycle(
+      recovered_fault_config(), [&](Runtime& rt, Runtime::Ref head) {
+        const Addr copy = rt.address_of(head);
+        const Addr word = data_field_addr(copy, rt.pi(head), 0);
+        WordMemory& mem = rt.heap().memory();
+        const Word good = mem.load(word);
+        mem.store(word, good ^ 0x10);
+        expected = "coprocessor: data word 0 of copy " + hex(copy) +
+                   " corrupted: " + std::to_string(good ^ 0x10) + " != " +
+                   std::to_string(good);
+      });
+  EXPECT_GT(c.recovery.faults_fired, 0u) << c.recovery.summary();
+  EXPECT_EQ(c.findings, std::vector<std::string>{expected});
+}
+
+TEST(CycleOracle, SequentialFallbackCyclePassesTheCounterChecks) {
+  // A one-cycle watchdog budget aborts every coprocessor attempt, so the
+  // ladder bottoms out in the sequential software collector, which has no
+  // per-core evacuation counters: the oracle must take its evacuation
+  // count from objects_copied and still check both against the live set.
+  SimConfig cfg;
+  cfg.coprocessor.num_cores = 4;
+  cfg.recovery.enabled = true;
+  cfg.recovery.watchdog_base = 1;
+  cfg.recovery.watchdog_per_live_word = 0;
+  const OracleCycle c = oracle_cycle(cfg);
+  ASSERT_TRUE(c.recovery.used_sequential_fallback) << c.recovery.summary();
+  EXPECT_GT(c.recovery.stats.objects_copied, 0u);
+  EXPECT_TRUE(c.findings.empty()) << joined(c.findings);
 }
 
 }  // namespace
