@@ -102,14 +102,21 @@ void BM_HeaderFifoPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_HeaderFifoPushPop);
 
+// One whole collection per iteration, no observer attached (as fig5 runs
+// it): range(0) is the core count, range(1) the fast_forward flag — 0 is
+// the ticked reference, 1 parks waiting cores and jumps quiescent windows.
+// The shape is a template argument: javacc, and cup, fig5's costliest cell
+// at 16 cores.
+template <BenchmarkId kShape>
 void BM_FullCollection(benchmark::State& state) {
   const auto cores = static_cast<std::uint32_t>(state.range(0));
   std::uint64_t sim_cycles = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    Workload w = make_benchmark(BenchmarkId::kJavacc, 0.05);
+    Workload w = make_benchmark(kShape, 0.05);
     SimConfig cfg;
     cfg.coprocessor.num_cores = cores;
+    cfg.coprocessor.fast_forward = state.range(1) != 0;
     Coprocessor coproc(cfg, *w.heap);
     state.ResumeTiming();
     const GcCycleStats s = coproc.collect();
@@ -119,7 +126,13 @@ void BM_FullCollection(benchmark::State& state) {
   state.counters["sim_cycles/s"] = benchmark::Counter(
       static_cast<double>(sim_cycles), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_FullCollection)->Arg(1)->Arg(8)->Arg(16)
+BENCHMARK_TEMPLATE(BM_FullCollection, BenchmarkId::kJavacc)
+    ->ArgNames({"cores", "ff"})
+    ->ArgsProduct({{1, 8, 16}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_FullCollection, BenchmarkId::kCup)
+    ->ArgNames({"cores", "ff"})
+    ->ArgsProduct({{16}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 // One observed Fig. 6 configuration (jflex, 4 cores, +20 latency, bus +

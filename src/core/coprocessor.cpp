@@ -1,5 +1,6 @@
 #include "core/coprocessor.hpp"
 
+#include <bit>
 #include <stdexcept>
 #include <vector>
 
@@ -62,9 +63,9 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   Cycle now = 0;
   const std::uint64_t start_gen = sb.barrier_generation();
 
-  // Done bookkeeping: kDone is absorbing, so a per-core flag plus a count
-  // replaces the every-cycle all-cores scan, and (fault-free) lets the
-  // step loop skip finished cores entirely.
+  // Done bookkeeping, kept by the step loop: kDone is absorbing, so a
+  // per-core flag plus a count tells when every core has halted, and
+  // (fault-free) lets the step loop skip finished cores entirely.
   std::vector<std::uint8_t> core_done(n, 0);
   std::uint32_t done_count = 0;
 
@@ -73,10 +74,58 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   // stopped making progress — a fail-stopped core misses its clock.
   std::vector<Cycle> last_change(n, 0);
 
+  // Parked cores (DESIGN.md §13). A fault-free core that waits on an
+  // in-flight load repeats that stall, touching nothing, until the load
+  // retires; one that only polled SyncBlock state (a spin on an
+  // empty worklist, a wait for a held lock) repeats the poll until the
+  // SyncBlock's work_version() moves. Either is parked from the next cycle
+  // on (`parked_since`) and not stepped while its condition holds: until
+  // the memory system's wake list names it, or until the version it parked
+  // at (`parked_version`) is stale at its turn. The skipped cycles are
+  // charged on wake in one absorb(k). Fault runs keep consulting every
+  // core's fate every cycle, and fast_forward=false stays the pure ticked
+  // reference.
+  constexpr Cycle kAwake = ~Cycle{0};
+  constexpr std::uint64_t kOnLoad = ~std::uint64_t{0};
+  const bool park_active = cfg_.coprocessor.fast_forward && fault == nullptr;
+  std::vector<Cycle> parked_since(n, kAwake);
+  std::vector<std::uint64_t> parked_version(n, kOnLoad);
+
+  // With no observer to feed and the fixed order, the step loop walks only
+  // the runnable cores as set bits in index order: a core leaves the set
+  // while it waits on a load or once it has finished. (A polling core
+  // stays: a version check at its turn is what wakes it.) Otherwise the
+  // loop walks step_order and passes over parked cores.
+  const bool sparse_walk = park_active && fixed_order && obs == nullptr;
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::uint64_t> runnable(words, ~std::uint64_t{0});
+  if (n % 64 != 0) runnable.back() = (std::uint64_t{1} << (n % 64)) - 1;
+  const auto set_runnable = [&](CoreId c, bool on) {
+    const std::uint64_t bit = std::uint64_t{1} << (c % 64);
+    runnable[c / 64] = on ? runnable[c / 64] | bit : runnable[c / 64] & ~bit;
+  };
+  const auto park = [&](CoreId c, std::uint64_t version) {
+    parked_since[c] = now + 1;
+    parked_version[c] = version;
+    if (version == kOnLoad) set_runnable(c, false);
+  };
+  // A parked core whose next step would still repeat its record.
+  const auto still_parked = [&](CoreId c) {
+    return parked_since[c] != kAwake &&
+           (parked_version[c] == kOnLoad ||
+            parked_version[c] == sb.work_version());
+  };
+  const auto wake = [&](CoreId c) {
+    cores[c].absorb(now - parked_since[c]);
+    parked_since[c] = kAwake;
+    set_runnable(c, true);
+  };
+
   bool cores_halted = false;
   Cycle halted_at = 0;
   bool in_scan_phase = false;
   bool worklist_empty = false;  // Table I condition of the last cycle
+  bool busy_recorded = false;   // some core's record of the last cycle: kBusy
 
   // Watchdog expiry (shared by the ticked path and the fast-forward jump
   // to the budget boundary). Localize a suspect before aborting. First
@@ -93,7 +142,10 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
       Cycle worst = cfg_.coprocessor.watchdog_cycles / 8;
       for (CoreId c = 0; c < n; ++c) {
         if (cores[c].done()) continue;
-        const Cycle stale = now - last_change[c];
+        // A parked core is clocked every cycle, stepped or not.
+        const Cycle seen =
+            parked_since[c] != kAwake ? now - 1 : last_change[c];
+        const Cycle stale = now - seen;
         if (stale > worst) {
           worst = stale;
           suspect = c;
@@ -110,22 +162,14 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
                           suspect, now);
   };
 
-  // Done and progress bookkeeping, from each core's record of cycle `at`.
-  const auto note_progress = [&](Cycle at) {
-    for (CoreId c = 0; c < n; ++c) {
-      if (core_done[c] == 0 && cores[c].done()) {
-        core_done[c] = 1;
-        ++done_count;
-      }
-      if (cores[c].cycle().activity != CoreActivity::kOff) last_change[c] = at;
-    }
-  };
-
   // The cycle just observed repeats k more times: the per-core counters,
-  // the Table-I counter and every subscriber fold it in bulk.
+  // the Table-I counter and every subscriber fold it in bulk. A parked core
+  // is charged on wake for every cycle since it parked, jumps included.
   const auto absorb = [&](Cycle k) {
     stats.fast_forwarded_cycles += k;
-    for (GcCore& core : cores) core.absorb(k);
+    for (CoreId c = 0; c < n; ++c) {
+      if (parked_since[c] == kAwake) cores[c].absorb(k);
+    }
     if (worklist_empty) stats.worklist_empty_cycles += k;
     if (obs != nullptr) obs->absorb(k);
   };
@@ -140,6 +184,8 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   const bool ff_active = cfg_.coprocessor.fast_forward && fixed_order;
   std::vector<GcCore::FfPoll> polls(n);
   const auto try_fast_forward = [&]() -> Cycle {
+    // A busy record never repeats: no steady poll below can match it.
+    if (busy_recorded) return 0;
     // Memory gate: nothing acceptable queued, no completion due this cycle.
     if (!mem.ff_quiescent()) return 0;
     const Cycle completion = mem.next_completion();
@@ -162,11 +208,7 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     // Every core must be steady, repeating its record of the last cycle.
     // An injected fate (fail-stop, latched stall window) overrides the
     // state machine, exactly as core_fate() does before step().
-    bool all_idle_steady = true;
-    for (CoreId c = 0; c < n && all_idle_steady; ++c) {
-      all_idle_steady = !sb.busy_raw(c) &&
-                        (fault == nullptr || !fault->stuck_busy_steady(c));
-    }
+    const bool all_idle_steady = sb.busy_count() == 0;
     for (CoreId c = 0; c < n; ++c) {
       GcCore::FfPoll& p = polls[c];
       const CoreFate fate =
@@ -177,6 +219,10 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
         if (fate == CoreFate::kStall) {
           p.cycle = {CoreActivity::kStall, StallReason::kFault};
         }
+      } else if (parked_since[c] != kAwake && parked_version[c] == kOnLoad) {
+        p = GcCore::FfPoll{};
+        p.steady = true;  // still waiting on its load
+        p.cycle = cores[c].cycle();
       } else {
         p = cores[c].ff_poll();
         if (p.cycle.activity == CoreActivity::kIdle && all_idle_steady &&
@@ -213,7 +259,13 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
       if (skipped > 0) {
         absorb(skipped);
         now += skipped;
-        note_progress(now - 1);
+        // The jump repeated every record, so no core finished; each core
+        // clocked in the observed cycle was clocked through the jump too.
+        for (CoreId c = 0; c < n; ++c) {
+          if (cores[c].cycle().activity != CoreActivity::kOff) {
+            last_change[c] = now - 1;
+          }
+        }
         if (now >= cfg_.coprocessor.watchdog_cycles) {
           // Mirror the ticked run exactly: its last begin_clock() before
           // the expiry was for the final (here: skipped) cycle, and the
@@ -229,10 +281,41 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     }
     if (fault != nullptr) fault->begin_clock(now);
     mem.tick(now);
+    for (CoreId c : mem.woken()) {
+      if (parked_since[c] != kAwake) wake(c);
+    }
     if (!cores_halted) {
       sb.begin_cycle();
-      for (CoreId c : step_order) {
+      busy_recorded = false;
+      // The walk: the runnable set, or step_order. Stepping a core changes
+      // only its own runnable bit, so each word is read once.
+      std::size_t pos = 0;
+      std::size_t w = 0;
+      std::uint64_t bits = runnable[0];
+      const auto next_core = [&](CoreId& c) {
+        if (!sparse_walk) {
+          if (pos == step_order.size()) return false;
+          c = step_order[pos++];
+          return true;
+        }
+        while (bits == 0) {
+          if (++w == words) return false;
+          bits = runnable[w];
+        }
+        c = static_cast<CoreId>(w * 64 + std::countr_zero(bits));
+        bits &= bits - 1;
+        return true;
+      };
+      for (CoreId c = 0; next_core(c);) {
         GcCore& core = cores[c];
+        if (still_parked(c)) {
+          // Its record of this cycle repeats.
+          if (obs != nullptr) obs->on_core_cycle(c, core.cycle());
+          continue;
+        }
+        if (parked_since[c] != kAwake) {
+          wake(c);  // the state it polls has changed: step it
+        }
         if (fault != nullptr) {
           const CoreFate fate = fault->core_fate(c, sb.holds_free(c));
           if (fate == CoreFate::kStopped) {
@@ -244,12 +327,28 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
           }
         } else if (core_done[c] != 0) {
           core.miss_clock();  // fault-free: a finished core's step is a no-op
+          set_runnable(c, false);
         } else {
           core.step(now);
         }
-        if (obs != nullptr) obs->on_core_cycle(c, core.cycle());
+        const CoreCycle rec = core.cycle();
+        if (obs != nullptr) obs->on_core_cycle(c, rec);
+        if (rec.activity != CoreActivity::kOff) last_change[c] = now;
+        if (rec.activity == CoreActivity::kBusy) busy_recorded = true;
+        if (core_done[c] == 0 && core.done()) {
+          core_done[c] = 1;
+          ++done_count;
+        }
+        // Park once this cycle's record is out. A core that just issued
+        // the load it waits on parks too: its next step would stall.
+        if (park_active) {
+          if (core.park_on_load()) {
+            park(c, kOnLoad);
+          } else if (core.polling()) {
+            park(c, sb.work_version());
+          }
+        }
       }
-      note_progress(now);
       cores_halted = done_count == n;
       // Table I: cycles during which the worklist is empty. Counted over
       // the parallel scan phase (after the start barrier released).
@@ -269,6 +368,7 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
         // Store drain: from here on every core misses its clock.
         halted_at = now;
         for (GcCore& core : cores) core.miss_clock();
+        busy_recorded = false;
       }
     } else if (obs != nullptr) {
       obs->on_cycle_end({now, true});

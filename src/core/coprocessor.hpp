@@ -50,7 +50,11 @@ class Coprocessor {
   ///
   /// Cores are stepped each cycle in the order produced by the configured
   /// SchedulePolicy (cfg.coprocessor.schedule; fixed index order — the
-  /// prototype's static prioritization — by default).
+  /// prototype's static prioritization — by default). With
+  /// cfg.coprocessor.fast_forward and no fault injector, a core waiting on
+  /// a load, spinning on an empty worklist or waiting for a held lock is
+  /// parked instead of stepped until what it waits for can change
+  /// (DESIGN.md §13), with an identical result.
   ///
   /// `fault`, when non-null, is threaded through to the SyncBlock and the
   /// memory scheduler and consulted for each core's fate every cycle; the

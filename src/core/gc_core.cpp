@@ -62,16 +62,16 @@ GcCore::FfPoll GcCore::ff_poll() const {
     case State::kFetchHeaderWait:
     case State::kChildPeekWait:
     case State::kChildHeaderWait:
-      if (!ctx_.mem.load_pending(id_, Port::kHeader)) return p;
-      return steady(stalled(StallReason::kHeaderLoad));
     case State::kPtrLoadWait:
     case State::kDataLoadWait:
-    case State::kStripeLoadWait:
-      // The store-buffer-busy sub-cases of these states never coexist with
-      // a fast-forward window: a waiting store sits in the scheduler queue
-      // and is acceptable, which already fails the memory gate.
-      if (!ctx_.mem.load_pending(id_, Port::kBody)) return p;
-      return steady(stalled(StallReason::kBodyLoad));
+    case State::kStripeLoadWait: {
+      // The store-buffer-busy sub-cases of the body waits never coexist
+      // with a fast-forward window: a waiting store sits in the scheduler
+      // queue and is acceptable, which already fails the memory gate.
+      const StallReason r = load_wait();
+      if (r == StallReason::kNone) return p;
+      return steady(stalled(r));
+    }
     case State::kChildLock: {
       const CoreId holder =
           ctx_.sb.header_lock_holder(id_, attributes_addr(child_));

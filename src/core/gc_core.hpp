@@ -55,8 +55,62 @@ class GcCore {
   /// This core's record of the last cycle the clock loop ran.
   CoreCycle cycle() const noexcept { return cycle_; }
 
-  /// Charges `k` more copies of the last cycle's record (fast-forward).
+  /// Charges `k` more copies of the last cycle's record (fast-forward, or
+  /// the cycles a parked core was not stepped).
   void absorb(Cycle k) noexcept { counters_.add(cycle_, k); }
+
+  /// The stall every step() records while the core waits on a load still
+  /// in flight — kHeaderLoad or kBodyLoad, touching no shared state until
+  /// the load retires — or kNone when it is not waiting on one.
+  StallReason load_wait() const noexcept {
+    switch (state_) {
+      case State::kFetchHeaderWait:
+      case State::kChildPeekWait:
+      case State::kChildHeaderWait:
+        return ctx_.mem.load_pending(id_, Port::kHeader)
+                   ? StallReason::kHeaderLoad
+                   : StallReason::kNone;
+      case State::kPtrLoadWait:
+      case State::kDataLoadWait:
+      case State::kStripeLoadWait:
+        return ctx_.mem.load_pending(id_, Port::kBody) ? StallReason::kBodyLoad
+                                                       : StallReason::kNone;
+      default:
+        return StallReason::kNone;
+    }
+  }
+
+  /// Parking on a load: when the core waits on one (load_wait()), makes
+  /// that stall its cycle() — the record its skipped cycles repeat, even
+  /// if the last step issued the load — and returns true. The clock loop
+  /// then skips its steps and absorbs them once the load retires.
+  bool park_on_load() noexcept {
+    const StallReason r = load_wait();
+    if (r == StallReason::kNone) return false;
+    cycle_ = {CoreActivity::kStall, r};
+    return true;
+  }
+
+  /// True when the last step only polled SyncBlock state and every
+  /// further step() repeats it, touching nothing, until the SyncBlock's
+  /// work_version() moves: a spin on an empty worklist while termination
+  /// does not hold and no stripe work waits, or a wait for a scan or
+  /// header lock that another core holds. Fault-free runs only (all_idle()
+  /// would consult the injector, and an injected grant suppression ends on
+  /// its own).
+  bool polling() const noexcept {
+    const SyncBlock& sb = ctx_.sb;
+    if (cycle_.activity == CoreActivity::kIdle) {
+      return sb.worklist_empty() && !(sb.all_idle() && sb.stripes_idle()) &&
+             !(ctx_.cfg.subobject_copy && sb.stripe_work_available());
+    }
+    if (cycle_ == CoreCycle{CoreActivity::kStall, StallReason::kScanLock}) {
+      // Held across cycles, not merely granted to another core this cycle.
+      const CoreId owner = sb.scan_owner();
+      return owner != SyncBlock::kNoOwner && owner != id_;
+    }
+    return cycle_ == CoreCycle{CoreActivity::kStall, StallReason::kHeaderLock};
+  }
 
   /// True once the core has observed global termination (scan == free with
   /// every busy bit clear) and left the scan loop.

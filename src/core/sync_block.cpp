@@ -50,6 +50,7 @@ void SyncBlock::unlock_scan(CoreId core) {
   assert(scan_owner_ == core && "unlock by non-owner");
   (void)core;
   scan_owner_ = kNoOwner;
+  ++work_version_;
   if (obs_ != nullptr) obs_->on_lock_released(SbLock::kScan, core);
 }
 
@@ -98,6 +99,7 @@ bool SyncBlock::try_lock_header(CoreId core, Addr addr) {
 void SyncBlock::unlock_header(CoreId core) {
   assert(header_locks_[core] != kNullPtr && "unlock of unheld header lock");
   header_locks_[core] = kNullPtr;
+  ++work_version_;
 }
 
 bool SyncBlock::busy(CoreId core) const {
@@ -105,14 +107,14 @@ bool SyncBlock::busy(CoreId core) const {
   return fault_ != nullptr && fault_->busy_stuck(core);
 }
 
-bool SyncBlock::all_idle() const {
+bool SyncBlock::all_idle_consulting() const {
   for (CoreId c = 0; c < num_cores(); ++c) {
     if (busy(c)) return false;
   }
   return true;
 }
 
-std::uint32_t SyncBlock::busy_count() const {
+std::uint32_t SyncBlock::busy_count_latched() const {
   std::uint32_t count = 0;
   for (CoreId c = 0; c < num_cores(); ++c) {
     if (busy_[c] != 0 ||
@@ -128,6 +130,7 @@ bool SyncBlock::stripe_publish(Addr orig, Addr copy, Word attrs) {
     if (!stripe_slot_active_[s]) {
       stripe_slot_active_[s] = true;
       stripe_slots_[s] = StripeJob{orig, copy, attrs, 0, 0};
+      ++work_version_;
       return true;
     }
   }
@@ -151,6 +154,7 @@ bool SyncBlock::stripe_grab(Word stripe_words, StripeTask& out) {
     job.next_offset += out.length;
     ++job.outstanding;
     stripe_grabbed_this_cycle_ = true;
+    ++work_version_;
     return true;
   }
   return false;
@@ -161,6 +165,7 @@ bool SyncBlock::stripe_complete(std::uint32_t slot) {
   StripeJob& job = stripe_slots_[slot];
   assert(job.outstanding > 0);
   --job.outstanding;
+  ++work_version_;
   if (job.outstanding == 0 && job.next_offset >= delta_of(job.attrs)) {
     stripe_slot_active_[slot] = false;  // job done; caller blackens
     return true;

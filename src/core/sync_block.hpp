@@ -54,8 +54,20 @@ class SyncBlock {
 
   Addr scan() const noexcept { return scan_; }
   Addr free() const noexcept { return free_; }
-  void set_scan(Addr a) noexcept { scan_ = a; }
-  void set_free(Addr a) noexcept { free_ = a; }
+  void set_scan(Addr a) noexcept {
+    scan_ = a;
+    ++work_version_;
+  }
+  void set_free(Addr a) noexcept {
+    free_ = a;
+    ++work_version_;
+  }
+
+  /// Advances on every change that can end a core's poll: a write to the
+  /// scan or free register, a busy bit or the stripe dispenser, and a scan-
+  /// or header-lock release. While it stands still, a core that spins on
+  /// an empty worklist or waits for a held lock repeats its last poll.
+  std::uint64_t work_version() const noexcept { return work_version_; }
 
   /// Upper bound for evacuation allocation. In stop-the-world cycles this
   /// is the tospace end; in concurrent cycles the mutator bump-allocates
@@ -118,7 +130,18 @@ class SyncBlock {
 
   // --- ScanState (termination detection) ----------------------------------
 
-  void set_busy(CoreId core, bool b) noexcept { busy_[core] = b; }
+  /// Sets or clears the core's ScanState bit. A count of set bits is kept
+  /// alongside, so the fault-free termination poll is O(1).
+  void set_busy(CoreId core, bool b) noexcept {
+    if ((busy_[core] != 0) == b) return;
+    busy_[core] = b;
+    ++work_version_;
+    if (b) {
+      ++busy_bits_;
+    } else {
+      --busy_bits_;
+    }
+  }
 
   /// Reads the ScanState bit as the hardware would — including any injected
   /// stuck-at-1 fault on it.
@@ -129,13 +152,19 @@ class SyncBlock {
   bool busy_raw(CoreId core) const noexcept { return busy_[core] != 0; }
 
   /// True when no core's busy bit is set — combined with scan == free this
-  /// is the termination condition of Section IV.
-  bool all_idle() const;
+  /// is the termination condition of Section IV. Without a fault injector
+  /// no bit can read stuck, so the set-bit count decides in O(1); with one,
+  /// every core's bit is read through busy() and its stuck-at consult.
+  bool all_idle() const {
+    return fault_ == nullptr ? busy_bits_ == 0 : all_idle_consulting();
+  }
 
   /// Number of ScanState bits set as a monitor tap sees them: the
   /// architectural bits plus any stuck-at-1 fault already latched. Unlike
   /// busy() it consults no fault hook, so observing it fires nothing.
-  std::uint32_t busy_count() const;
+  std::uint32_t busy_count() const {
+    return fault_ == nullptr ? busy_bits_ : busy_count_latched();
+  }
 
   // --- stripe dispenser (Section VII future work 1) -------------------------
   //
@@ -228,6 +257,10 @@ class SyncBlock {
   enum class Acquiring : std::uint8_t { kScan, kHeader };
   void audit(CoreId core, Acquiring what);
 
+  // The fault-injected forms of all_idle() and busy_count().
+  bool all_idle_consulting() const;
+  std::uint32_t busy_count_latched() const;
+
   FaultInjector* fault_ = nullptr;
   ClockObserver* obs_ = nullptr;
   Addr scan_ = 0;
@@ -242,6 +275,8 @@ class SyncBlock {
   std::array<bool, kStripeSlots> stripe_slot_active_{};
   std::vector<Addr> header_locks_;  // kNullPtr = unlocked
   std::vector<std::uint8_t> busy_;
+  std::uint32_t busy_bits_ = 0;  // set bits in busy_
+  std::uint64_t work_version_ = 0;
   std::vector<std::uint8_t> barrier_arrived_;
   std::uint32_t barrier_count_ = 0;
   std::uint64_t barrier_gen_ = 0;

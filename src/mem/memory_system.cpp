@@ -69,6 +69,7 @@ void MemorySystem::retire_one(const Inflight& f) {
   }
   if (r.op == MemOp::kLoad) {
     buf(r.core, r.port).load_inflight = false;  // data arrived
+    woken_.push_back(r.core);
     return;
   }
   --uncommitted_stores_;  // committed to memory
@@ -84,23 +85,25 @@ void MemorySystem::retire_one(const Inflight& f) {
 void MemorySystem::retire_out_of_order(InflightClass& q, Cycle now) {
   // Retire every due entry in acceptance order (fault hooks fire in that
   // order) and close the gaps, keeping the rest in order.
-  std::size_t kept = q.head;
-  for (std::size_t i = q.head; i < q.items.size(); ++i) {
-    if (q.items[i].complete_at <= now) {
-      retire_one(q.items[i]);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    const Inflight f = q.at(i);
+    if (f.complete_at <= now) {
+      retire_one(f);
     } else {
-      q.items[kept++] = q.items[i];
+      q.at(kept++) = f;
     }
   }
-  q.items.resize(kept);
+  q.count = kept;
 }
 
 void MemorySystem::tick(Cycle now) {
-  // Idle early-out: with nothing queued or in flight the retire and accept
-  // passes are no-ops, so skip them (idle components cost nothing) — the
+  woken_.clear();
+  // Early-out: with nothing queued and no transaction due, the retire and
+  // accept passes are no-ops (waiting components cost nothing) — the
   // observer still sees the tick's in-flight count.
-  if (idle()) {
-    if (obs_ != nullptr) obs_->on_mem_inflight(0);
+  if (queue_.empty() && next_completion() > now) {
+    if (obs_ != nullptr) obs_->on_mem_inflight(inflight_count());
     return;
   }
   // 1. Retire transactions whose latency has elapsed. In acceptance order
@@ -174,11 +177,7 @@ void MemorySystem::tick(Cycle now) {
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(kept),
                queue_.begin() + static_cast<std::ptrdiff_t>(i));
 
-  if (obs_ != nullptr) {
-    obs_->on_mem_inflight(inflight_header_.size() +
-                          inflight_header_fast_.size() +
-                          inflight_body_.size());
-  }
+  if (obs_ != nullptr) obs_->on_mem_inflight(inflight_count());
 }
 
 }  // namespace hwgc

@@ -89,6 +89,11 @@ class MemorySystem {
   /// requests.
   void tick(Cycle now);
 
+  /// Wake list: the core of every load whose data arrived in the last
+  /// tick(), in retirement order. The clock loop wakes a core it parked on
+  /// that load from here; any number of cores can appear.
+  const std::vector<CoreId>& woken() const noexcept { return woken_; }
+
   /// True when no store (any port, any core) is still uncommitted.
   bool stores_drained() const noexcept { return uncommitted_stores_ == 0; }
 
@@ -156,40 +161,47 @@ class MemorySystem {
     Word replay_value = 0;
   };
 
-  /// Accepted transactions of one latency class, oldest first. Live
-  /// entries are items[head..]; retiring the front only advances `head`,
-  /// and push() slides the live part down once the retired prefix is at
-  /// least as long, so the storage stops growing after warm-up.
+  /// Accepted transactions of one latency class, oldest first, in a ring
+  /// whose capacity is a power of two: retiring the front and pushing at
+  /// the back move nothing, and the ring stops growing after warm-up.
   struct InflightClass {
-    std::vector<Inflight> items;
+    std::vector<Inflight> ring;
     std::size_t head = 0;
+    std::size_t count = 0;
 
-    bool empty() const noexcept { return head == items.size(); }
-    std::size_t size() const noexcept { return items.size() - head; }
-    const Inflight& front() const noexcept { return items[head]; }
+    bool empty() const noexcept { return count == 0; }
+    std::size_t size() const noexcept { return count; }
+    /// The i-th oldest entry.
+    Inflight& at(std::size_t i) noexcept {
+      return ring[(head + i) & (ring.size() - 1)];
+    }
+    const Inflight& at(std::size_t i) const noexcept {
+      return ring[(head + i) & (ring.size() - 1)];
+    }
+    const Inflight& front() const noexcept { return ring[head]; }
     void pop_front() noexcept {
-      if (++head == items.size()) {
-        items.clear();
-        head = 0;
-      }
+      head = (head + 1) & (ring.size() - 1);
+      --count;
     }
     /// Earliest complete_at, kNever when empty: the front when the class
     /// retires in acceptance order, else a scan.
     Cycle earliest(bool in_order) const noexcept {
-      if (in_order) return empty() ? kNever : front().complete_at;
+      if (empty()) return kNever;
+      if (in_order) return front().complete_at;
       Cycle t = kNever;
-      for (std::size_t i = head; i < items.size(); ++i) {
-        t = std::min(t, items[i].complete_at);
+      for (std::size_t i = 0; i < count; ++i) {
+        t = std::min(t, at(i).complete_at);
       }
       return t;
     }
     void push(const Inflight& f) {
-      if (head != 0 && head >= size()) {
-        items.erase(items.begin(),
-                    items.begin() + static_cast<std::ptrdiff_t>(head));
+      if (count == ring.size()) {
+        std::vector<Inflight> grown(std::max<std::size_t>(16, 2 * count));
+        for (std::size_t i = 0; i < count; ++i) grown[i] = at(i);
+        ring.swap(grown);
         head = 0;
       }
-      items.push_back(f);
+      at(count++) = f;
     }
   };
 
@@ -218,6 +230,11 @@ class MemorySystem {
     return std::find_if(
         pending_header_stores_.begin(), pending_header_stores_.end(),
         [addr](const PendingStore& p) { return p.addr == addr; });
+  }
+
+  std::size_t inflight_count() const noexcept {
+    return inflight_header_.size() + inflight_header_fast_.size() +
+           inflight_body_.size();
   }
 
   void retire_one(const Inflight& f);
@@ -255,6 +272,7 @@ class MemorySystem {
   // store, in no particular order. It holds at most a few dozen entries,
   // so a linear scan beats hashing and no store allocates.
   std::vector<PendingStore> pending_header_stores_;
+  std::vector<CoreId> woken_;  // see woken(); refilled by every tick
   std::uint64_t uncommitted_stores_ = 0;
   std::uint64_t requests_ = 0;
 };

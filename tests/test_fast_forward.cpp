@@ -9,7 +9,9 @@
 // the CycleProfile, the final tospace image, and (under fault injection)
 // the abort cycle, suspect core and fired-event log. Every observer is
 // attached to every run, so none of them may keep the clock from jumping
-// or make a jump visible. The fault
+// or make a jump visible. The flag also parks cores waiting on a load, a
+// held lock or an empty worklist; the observer-free cases below cover the
+// step loop that then walks only the runnable cores. The fault
 // cases in particular pin the ISSUE requirement that watchdog budgets
 // account for skipped cycles: a hang detected by jumping straight to the
 // watchdog boundary must abort at exactly the cycle a ticked run aborts.
@@ -195,6 +197,47 @@ RunOutcome expect_equivalent(const GraphPlan& plan, SimConfig cfg,
   return ticked;
 }
 
+/// One collection with no observer attached, as fig5 and heapd run it:
+/// stats, tospace image, or the abort's reason, cycle and suspect.
+RunOutcome run_bare(const GraphPlan& plan, SimConfig cfg, bool fast_forward) {
+  cfg.coprocessor.fast_forward = fast_forward;
+  Workload w = materialize(plan);
+  RunOutcome out;
+  try {
+    out.stats = Coprocessor(cfg, *w.heap).collect();
+  } catch (const CollectionAbort& abort) {
+    out.aborted = true;
+    out.reason = abort.reason();
+    out.suspect = abort.suspect();
+    out.abort_at = abort.at();
+    return out;
+  }
+  out.alloc_ptr = w.heap->alloc_ptr();
+  for (Addr a = w.heap->layout().current_base(); a < w.heap->alloc_ptr();
+       ++a) {
+    out.image.push_back(w.heap->memory().load(a));
+  }
+  return out;
+}
+
+/// The observer-free run with fast_forward on must match the ticked one.
+/// Returns the ticked outcome.
+RunOutcome expect_bare_equivalent(const GraphPlan& plan, const SimConfig& cfg) {
+  const RunOutcome ticked = run_bare(plan, cfg, /*fast_forward=*/false);
+  const RunOutcome fast = run_bare(plan, cfg, /*fast_forward=*/true);
+  EXPECT_EQ(ticked.aborted, fast.aborted);
+  if (ticked.aborted && fast.aborted) {
+    EXPECT_EQ(ticked.reason, fast.reason);
+    EXPECT_EQ(ticked.suspect, fast.suspect);
+    EXPECT_EQ(ticked.abort_at, fast.abort_at);
+  } else {
+    expect_stats_equal(ticked.stats, fast.stats);
+    EXPECT_EQ(ticked.alloc_ptr, fast.alloc_ptr);
+    EXPECT_EQ(ticked.image, fast.image);
+  }
+  return ticked;
+}
+
 SimConfig config_with_cores(std::uint32_t cores) {
   SimConfig cfg;
   cfg.coprocessor.num_cores = cores;
@@ -280,8 +323,8 @@ TEST(FastForward, TinyFifoOverflowPathIdentical) {
 }
 
 TEST(FastForward, NonFixedScheduleStillCorrectWithFlagOn) {
-  // Rotating/random policies bypass fast-forward (the per-cycle order
-  // mutates policy state); the flag being on must not change anything.
+  // Rotating/random policies bypass the jump (the per-cycle order mutates
+  // policy state) but still park cores; the flag must not change anything.
   for (SchedulePolicyKind kind :
        {SchedulePolicyKind::kRotating, SchedulePolicyKind::kRandom,
         SchedulePolicyKind::kAdversarial}) {
@@ -291,6 +334,106 @@ TEST(FastForward, NonFixedScheduleStillCorrectWithFlagOn) {
     cfg.coprocessor.schedule_seed = 77;
     expect_equivalent(make_random_plan(5), cfg);
   }
+}
+
+// --- observer-free equivalence (parked cores) --------------------------------
+//
+// With no observer attached, parked cores are not visited at all: the step
+// loop walks only the runnable cores. The fig5 plans at every core count
+// cover that walk, on the default memory and on variants that change what
+// a parked core waits for.
+
+TEST(FastForward, ObserverFreeRunsIdentical) {
+  struct Variant {
+    const char* name;
+    SimConfig cfg;
+  };
+  std::vector<Variant> variants;
+  variants.push_back({"default", SimConfig{}});
+  {
+    SimConfig cfg;
+    cfg.coprocessor.markbit_early_read = true;
+    variants.push_back({"markbit_early_read", cfg});
+  }
+  {
+    SimConfig cfg;
+    cfg.coprocessor.subobject_copy = true;
+    variants.push_back({"subobject_copy", cfg});
+  }
+  {
+    SimConfig cfg;
+    cfg.memory.latency += 20;
+    cfg.memory.header_latency += 20;
+    cfg.memory.header_cache_entries = 64;
+    variants.push_back({"latency+20, 64-entry header cache", cfg});
+  }
+  {
+    SimConfig cfg;
+    cfg.coprocessor.header_fifo_capacity = 8;
+    cfg.memory.bandwidth_per_cycle = 1;
+    variants.push_back({"8-entry FIFO, bandwidth 1", cfg});
+  }
+  {
+    SimConfig cfg;
+    cfg.coprocessor.schedule = SchedulePolicyKind::kRandom;
+    cfg.coprocessor.schedule_seed = 77;
+    variants.push_back({"random schedule", cfg});
+  }
+  for (BenchmarkId id : all_benchmarks()) {
+    const GraphPlan plan = make_benchmark_plan(id, 0.05);
+    for (const Variant& v : variants) {
+      for (std::uint32_t cores : {1u, 2u, 3u, 8u, 16u}) {
+        SCOPED_TRACE(std::string(benchmark_name(id)) + ", " + v.name +
+                     ", cores=" + std::to_string(cores));
+        SimConfig cfg = v.cfg;
+        cfg.coprocessor.num_cores = cores;
+        const RunOutcome t = expect_bare_equivalent(plan, cfg);
+        EXPECT_FALSE(t.aborted);
+      }
+    }
+  }
+}
+
+TEST(FastForward, WatchdogExpiringWhileParkedIdentical) {
+  // Fault-free, a tiny budget: the watchdog fires mid-collection while
+  // cores are parked on loads or polls. The suspect scan must see a parked
+  // core as clocked in the last cycle, exactly like the ticked run.
+  // A budget under 80 makes a core idle for budget/8 cycles a suspect, so
+  // +20 latency (header waits of 30 cycles) would expose a parked core
+  // counted as unclocked since it parked.
+  const GraphPlan plan = make_benchmark_plan(BenchmarkId::kJlisp, 0.05);
+  for (SchedulePolicyKind kind :
+       {SchedulePolicyKind::kFixedPriority, SchedulePolicyKind::kRotating}) {
+    for (Cycle extra_latency : {Cycle{0}, Cycle{20}}) {
+      for (std::uint32_t cores : {2u, 8u}) {
+        for (Cycle budget : {3, 5, 7, 20, 40, 60, 150, 400, 1000}) {
+          SCOPED_TRACE(std::string(to_string(kind)) + ", latency+" +
+                       std::to_string(extra_latency) + ", cores=" +
+                       std::to_string(cores) + ", watchdog=" +
+                       std::to_string(budget));
+          SimConfig cfg = config_with_cores(cores);
+          cfg.coprocessor.schedule = kind;
+          cfg.coprocessor.watchdog_cycles = budget;
+          cfg.memory.latency += extra_latency;
+          cfg.memory.header_latency += extra_latency;
+          const RunOutcome t = expect_bare_equivalent(plan, cfg);
+          ASSERT_TRUE(t.aborted);
+          EXPECT_EQ(t.reason, AbortReason::kWatchdog);
+          EXPECT_EQ(t.abort_at, budget);
+        }
+      }
+    }
+  }
+  // Core 0 walks the roots alone and waits on its first root's header
+  // from cycle 2 to 11: a budget under 8 names the core that was clocked
+  // last, here the parked core 0. The rotating schedule keeps the jump
+  // off, so the expiry is found by ticking past a parked core.
+  SimConfig cfg = config_with_cores(4);
+  cfg.coprocessor.schedule = SchedulePolicyKind::kRotating;
+  cfg.coprocessor.watchdog_cycles = 5;
+  const RunOutcome t = expect_bare_equivalent(plan, cfg);
+  ASSERT_TRUE(t.aborted);
+  EXPECT_EQ(t.suspect, 0u);
 }
 
 // --- ticking-assumption regressions ----------------------------------------

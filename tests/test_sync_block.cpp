@@ -4,7 +4,14 @@
 // barrier and the lock-order auditor.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <numeric>
+#include <vector>
+
 #include "core/sync_block.hpp"
+#include "fault/fault_injector.hpp"
+#include "fault/fault_plan.hpp"
+#include "sim/rng.hpp"
 
 namespace hwgc {
 namespace {
@@ -87,6 +94,58 @@ TEST(SyncBlock, BusyBitsAndTermination) {
   EXPECT_TRUE(sb.busy(1));
   sb.set_busy(1, false);
   EXPECT_TRUE(sb.all_idle());
+}
+
+// The busy bits carry a set-bit count, so the fault-free termination poll
+// is O(1). Setting a set bit again must not count twice.
+TEST(SyncBlock, BusyCountIgnoresRepeatedSets) {
+  SyncBlock sb(4);
+  sb.set_busy(2, true);
+  sb.set_busy(2, true);
+  EXPECT_EQ(sb.busy_count(), 1u);
+  sb.set_busy(2, false);
+  EXPECT_TRUE(sb.all_idle());
+  EXPECT_EQ(sb.busy_count(), 0u);
+  sb.set_busy(2, false);  // clearing a clear bit is a no-op too
+  EXPECT_TRUE(sb.all_idle());
+  EXPECT_EQ(sb.busy_count(), 0u);
+}
+
+TEST(SyncBlock, BusyCountMatchesTheBitsUnderSeededToggles) {
+  constexpr std::uint32_t kCores = 70;  // more than one 64-bit word
+  SyncBlock sb(kCores);
+  Rng rng(2010);
+  for (int i = 0; i < 5000; ++i) {
+    const auto core = static_cast<CoreId>(rng.below(kCores));
+    sb.set_busy(core, rng.below(2) == 1);
+    std::uint32_t set = 0;
+    for (CoreId c = 0; c < kCores; ++c) set += sb.busy_raw(c) ? 1 : 0;
+    ASSERT_EQ(sb.busy_count(), set) << "after toggle " << i;
+    ASSERT_EQ(sb.all_idle(), set == 0) << "after toggle " << i;
+  }
+}
+
+TEST(SyncBlock, StuckBusyBitStillBlocksTerminationWithAnInjector) {
+  FaultPlan plan;
+  FaultEvent e;
+  e.kind = FaultKind::kStuckBusy;
+  e.target_core = 1;
+  e.trigger = 0;
+  plan.events.push_back(e);
+  FaultInjector inj(plan);
+  std::vector<CoreId> active(3);
+  std::iota(active.begin(), active.end(), CoreId{0});
+  inj.begin_attempt(0, active);
+  inj.begin_clock(0);
+
+  SyncBlock sb(3, &inj);
+  sb.set_busy(0, true);
+  sb.set_busy(0, false);  // every architectural bit is clear again
+  EXPECT_FALSE(sb.busy_raw(1));
+  EXPECT_FALSE(sb.all_idle()) << "core 1's bit reads stuck at 1";
+  EXPECT_TRUE(sb.busy(1));
+  EXPECT_EQ(sb.busy_count(), 1u);
+  EXPECT_EQ(inj.fired_this_attempt(), 1u);
 }
 
 TEST(SyncBlock, BarrierReleasesWhenAllArrive) {
