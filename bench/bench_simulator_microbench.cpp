@@ -17,6 +17,8 @@
 #include "mem/memory_system.hpp"
 #include "profile/critical_path.hpp"
 #include "profile/cycle_profiler.hpp"
+#include "sim/trace.hpp"
+#include "telemetry/telemetry_bus.hpp"
 #include "telemetry/trace_export.hpp"
 #include "workloads/benchmarks.hpp"
 
@@ -102,14 +104,20 @@ void BM_HeaderFifoPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_HeaderFifoPushPop);
 
-// One whole collection per iteration, no observer attached (as fig5 runs
-// it): range(0) is the core count, range(1) the fast_forward flag — 0 is
-// the ticked reference, 1 parks waiting cores and jumps quiescent windows.
-// The shape is a template argument: javacc, and cup, fig5's costliest cell
-// at 16 cores.
+// One whole collection per iteration: range(0) is the core count, range(1)
+// the fast_forward flag — 0 is the ticked reference, 1 parks waiting cores
+// and jumps quiescent windows — and range(2) the observers attached: 0
+// none (as fig5 runs it), 1 the profiler (gcsim --profile), 2 bus,
+// profiler and signal trace (as fig6-observed records). The shape is a
+// template argument: javacc, and cup, fig5's costliest cell at 16 cores.
 template <BenchmarkId kShape>
 void BM_FullCollection(benchmark::State& state) {
   const auto cores = static_cast<std::uint32_t>(state.range(0));
+  const std::int64_t observers = state.range(2);
+  const bool all = observers == 2;
+  SignalTrace signals;
+  TelemetryBus bus;
+  CycleProfiler profiler;
   std::uint64_t sim_cycles = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -118,8 +126,13 @@ void BM_FullCollection(benchmark::State& state) {
     cfg.coprocessor.num_cores = cores;
     cfg.coprocessor.fast_forward = state.range(1) != 0;
     Coprocessor coproc(cfg, *w.heap);
+    signals.clear();  // the last iteration's recordings, freed untimed
+    bus.clear();
     state.ResumeTiming();
-    const GcCycleStats s = coproc.collect();
+    const GcCycleStats s =
+        coproc.collect(all ? &signals : nullptr, nullptr, nullptr,
+                       all ? &bus : nullptr,
+                       observers != 0 ? &profiler : nullptr);
     sim_cycles += s.total_cycles;
     benchmark::DoNotOptimize(s.total_cycles);
   }
@@ -127,12 +140,12 @@ void BM_FullCollection(benchmark::State& state) {
       static_cast<double>(sim_cycles), benchmark::Counter::kIsRate);
 }
 BENCHMARK_TEMPLATE(BM_FullCollection, BenchmarkId::kJavacc)
-    ->ArgNames({"cores", "ff"})
-    ->ArgsProduct({{1, 8, 16}, {0, 1}})
+    ->ArgNames({"cores", "ff", "obs"})
+    ->ArgsProduct({{1, 8, 16}, {0, 1}, {0}})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_TEMPLATE(BM_FullCollection, BenchmarkId::kCup)
-    ->ArgNames({"cores", "ff"})
-    ->ArgsProduct({{16}, {0, 1}})
+    ->ArgNames({"cores", "ff", "obs"})
+    ->ArgsProduct({{16}, {0, 1}, {0, 1, 2}})
     ->Unit(benchmark::kMillisecond);
 
 // One observed Fig. 6 configuration (jflex, 4 cores, +20 latency, bus +

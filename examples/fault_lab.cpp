@@ -57,7 +57,8 @@ void parse_args(int argc, char** argv, Options& opt) {
          hwgc::cli::one_of(kinds, [](hwgc::FaultKind k) {
            return hwgc::to_string(k);
          }))
-      .list("--cores a,b,..", opt.cores, "core counts to sweep (default 2,4,8)")
+      .list("--cores a,b,..", opt.cores, "core counts to sweep (default 2,4,8)",
+            hwgc::cli::cores())
       .list("--events a,b,..", opt.events,
             "events per run, the fault rate axis (default 1,4)")
       .value("--seeds N", opt.seeds, "seeds per matrix cell (default 3)")

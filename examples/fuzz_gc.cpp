@@ -63,9 +63,13 @@ void parse_args(int argc, char** argv, Options& opt) {
                                      Policy::kRandom, Policy::kAdversarial},
                  [](Policy k) { return hwgc::to_string(k); }))
       .value("--schedule-seed N", h.schedule_seed, "schedule policy seed")
-      .value("--cores N", h.threads, "coprocessor cores")
-      .value("--fifo N", h.header_fifo_capacity, "header FIFO capacity")
-      .value("--jitter N", h.latency_jitter, "memory latency jitter")
+      .value("--cores N", h.threads,
+             "coprocessor cores (0 forces a failing case)",
+             hwgc::cli::cores(0))
+      .value("--fifo N", h.header_fifo_capacity, "header FIFO capacity",
+             hwgc::cli::range<std::uint32_t>(0, hwgc::kMaxHeaderFifoCapacity))
+      .value("--jitter N", h.latency_jitter, "memory latency jitter",
+             hwgc::cli::range<hwgc::Cycle>(0, hwgc::kMaxLatencyJitter))
       .flag("--subobject", h.subobject_copy, "sub-object copying")
       .flag("--earlyread", h.markbit_early_read, "mark-bit early read")
       .value("--min-nodes N", fc.graph.min_nodes, "graph size floor")

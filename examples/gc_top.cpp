@@ -67,7 +67,7 @@ CliOptions parse(int argc, char** argv) {
   CliOptions o;
   cli::Parser p("gc_top", "[options]  (live GC dashboard)");
   p.section("panel:")
-      .value("--cores N", o.cores, "GC cores (default 4)")
+      .value("--cores N", o.cores, "GC cores (default 4)", cli::cores())
       .value("--heap-words N", o.heap_words,
              "semispace size in words (default 8192)")
       .value("--collections N", o.collections,

@@ -73,7 +73,7 @@ CliOptions parse(int argc, char** argv) {
       .value("--scale F", o.scale, "live-set scale (default 0.25)")
       .value("--seed N", o.seed, "workload seed (default 42)")
       .value("--cores N", o.sim.coprocessor.num_cores,
-             "GC cores, 1..16+ (default 8)")
+             "GC cores, 1..16+ (default 8)", cli::cores())
       .value("--latency N", o.sim.memory.latency,
              "body memory latency in cycles (default 4)")
       .value("--header-latency N", o.sim.memory.header_latency,

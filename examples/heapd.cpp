@@ -79,7 +79,7 @@ void parse_args(int argc, char** argv, Options& opt) {
       .value("--heap-words N", cfg.semispace_words,
              "per-shard semispace words (default 8192)")
       .value("--cores N", cfg.sim.coprocessor.num_cores,
-             "GC cores per shard coprocessor (default 4)")
+             "GC cores per shard coprocessor (default 4)", cli::cores())
       .flag("--closed-loop", cfg.traffic.open_loop,
             "one outstanding request per session (default open)", false)
       .value("--host-threads N", cfg.host_threads,

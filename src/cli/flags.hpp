@@ -26,6 +26,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "sim/config.hpp"
+
 namespace hwgc::cli {
 
 /// Converts one token into `out`. Returns "" on success, else the complete
@@ -67,6 +69,12 @@ Convert<T> range(T lo, T hi) {
     }
     return err;
   };
+}
+
+/// A GC core count, `lo`..kMaxCores (sim/config.hpp): one bound for every
+/// CLI's --cores and for the trace loaders.
+inline Convert<std::uint32_t> cores(std::uint32_t lo = 1) {
+  return range<std::uint32_t>(lo, kMaxCores);
 }
 
 /// `conv` for a std::optional target: set only when the flag is given.

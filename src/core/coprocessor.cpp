@@ -30,13 +30,16 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   ClockFanout fanout;
   ClockObserver* const obs =
       fanout.over({trace, schedule_trace, telemetry, profiler});
+  // The cycle whose clock edge was published last: it stamps every event
+  // the observer gets without a cycle of its own.
+  Cycle edge = 0;
 
   SyncBlock sb(n, fault, obs);
   MemorySystem mem(cfg_.memory, n, fault, obs);
   HeaderFifo fifo(cfg_.coprocessor.header_fifo_capacity, obs);
   GcContext ctx{sb, mem, fifo, heap_, cfg_.coprocessor};
   if (obs != nullptr) {
-    obs->on_collection_begin(n);
+    obs->on_collection_begin(n, edge);
     obs->on_phase(GcPhase::kRootEvacuation);
   }
 
@@ -58,6 +61,26 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   const bool fixed_order =
       cfg_.coprocessor.schedule == SchedulePolicyKind::kFixedPriority;
   if (fixed_order) policy->order(0, sb, step_order);
+
+  // Publication per change (sim/clock_observer.hpp): the record last
+  // published for each core (kOff before the first cycle), the step order
+  // and the sample last published.
+  std::vector<CoreCycle> shown(n);
+  std::vector<CoreId> shown_order;
+  ClockSample shown_sample{0, false, ~Addr{0}, ~Addr{0}, ~std::uint32_t{0}};
+  const auto show = [&](CoreId c, Cycle at, CoreCycle rec) {
+    if (obs != nullptr && rec != shown[c]) {
+      shown[c] = rec;
+      obs->on_core_run(c, at, rec);
+    }
+  };
+  const auto show_order = [&](Cycle at) {
+    if (obs != nullptr && step_order != shown_order) {
+      shown_order = step_order;
+      obs->on_step_order(at, &step_order);
+    }
+  };
+  if (fixed_order) show_order(0);
 
   GcCycleStats stats;
   Cycle now = 0;
@@ -82,8 +105,9 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   // on (`parked_since`) and not stepped while its condition holds: until
   // the memory system's wake list names it, or until the version it parked
   // at (`parked_version`) is stale at its turn. The skipped cycles are
-  // charged on wake in one absorb(k). Fault runs keep consulting every
-  // core's fate every cycle, and fast_forward=false stays the pure ticked
+  // charged on wake in one absorb(k), and an observer sees none of them:
+  // the core's run simply lasts. Fault runs keep consulting every core's
+  // fate every cycle, and fast_forward=false stays the pure ticked
   // reference.
   constexpr Cycle kAwake = ~Cycle{0};
   constexpr std::uint64_t kOnLoad = ~std::uint64_t{0};
@@ -91,12 +115,10 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   std::vector<Cycle> parked_since(n, kAwake);
   std::vector<std::uint64_t> parked_version(n, kOnLoad);
 
-  // With no observer to feed and the fixed order, the step loop walks only
-  // the runnable cores as set bits in index order: a core leaves the set
-  // while it waits on a load or once it has finished. (A polling core
-  // stays: a version check at its turn is what wakes it.) Otherwise the
-  // loop walks step_order and passes over parked cores.
-  const bool sparse_walk = park_active && fixed_order && obs == nullptr;
+  // The step loop walks only the runnable cores, in step order: as set bits
+  // in index order under the fixed policy, through step_order otherwise. A
+  // core leaves the set while it waits on a load or once it has finished.
+  // (A polling core stays: a version check at its turn is what wakes it.)
   const std::size_t words = (n + 63) / 64;
   std::vector<std::uint64_t> runnable(words, ~std::uint64_t{0});
   if (n % 64 != 0) runnable.back() = (std::uint64_t{1} << (n % 64)) - 1;
@@ -104,10 +126,15 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     const std::uint64_t bit = std::uint64_t{1} << (c % 64);
     runnable[c / 64] = on ? runnable[c / 64] | bit : runnable[c / 64] & ~bit;
   };
+  // A core parked on its load leaves the walk, unless the stall it parked
+  // with is still to be published: then it stays for one more turn.
   const auto park = [&](CoreId c, std::uint64_t version) {
     parked_since[c] = now + 1;
     parked_version[c] = version;
-    if (version == kOnLoad) set_runnable(c, false);
+    if (version == kOnLoad &&
+        (obs == nullptr || cores[c].cycle() == shown[c])) {
+      set_runnable(c, false);
+    }
   };
   // A parked core whose next step would still repeat its record.
   const auto still_parked = [&](CoreId c) {
@@ -162,16 +189,15 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
                           suspect, now);
   };
 
-  // The cycle just observed repeats k more times: the per-core counters,
-  // the Table-I counter and every subscriber fold it in bulk. A parked core
-  // is charged on wake for every cycle since it parked, jumps included.
+  // The cycle just observed repeats k more times: the per-core counters
+  // and the Table-I counter fold it in bulk. A parked core is charged on
+  // wake for every cycle since it parked, jumps included.
   const auto absorb = [&](Cycle k) {
     stats.fast_forwarded_cycles += k;
     for (CoreId c = 0; c < n; ++c) {
       if (parked_since[c] == kAwake) cores[c].absorb(k);
     }
     if (worklist_empty) stats.worklist_empty_cycles += k;
-    if (obs != nullptr) obs->absorb(k);
   };
 
   // Event-driven fast-forward (DESIGN.md §13): when every component is
@@ -252,6 +278,21 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     return target - now;
   };
 
+  // An abort thrown inside a cycle (`cycle_open`) closes it for the
+  // observer first: the cores the walk had not reached yet — from the one
+  // it was stepping (`walking`) on in step order, all of them before the
+  // walk began — missed that cycle's clock.
+  bool cycle_open = false;
+  CoreId walking = kNoCore;
+  const auto close_aborted_cycle = [&]() {
+    if (!cycle_open) return;
+    bool missed = walking == kNoCore;
+    for (CoreId c : step_order) {
+      missed = missed || c == walking;
+      if (missed) show(c, now, CoreCycle{});
+    }
+  };
+
   try {
   while (true) {
     if (ff_active) {
@@ -270,14 +311,24 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
           // Mirror the ticked run exactly: its last begin_clock() before
           // the expiry was for the final (here: skipped) cycle, and the
           // suspect scan's busy() consults run against that clock.
+          edge = now - 1;
           if (fault != nullptr) fault->begin_clock(now - 1);
           watchdog_abort();
         }
       }
     }
-    if (!cores_halted && !fixed_order) policy->order(now, sb, step_order);
-    if (obs != nullptr) {
-      obs->on_cycle_begin(now, cores_halted ? nullptr : &step_order);
+    edge = now;
+    cycle_open = true;
+    walking = kNoCore;
+    if (!cores_halted) {
+      if (!fixed_order) {
+        policy->order(now, sb, step_order);
+        show_order(now);
+      }
+    } else if (obs != nullptr && now == halted_at + 1) {
+      // The first store-drain cycle: every core misses its clock from here.
+      obs->on_step_order(now, nullptr);
+      for (CoreId c = 0; c < n; ++c) show(c, now, CoreCycle{});
     }
     if (fault != nullptr) fault->begin_clock(now);
     mem.tick(now);
@@ -287,16 +338,18 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     if (!cores_halted) {
       sb.begin_cycle();
       busy_recorded = false;
-      // The walk: the runnable set, or step_order. Stepping a core changes
-      // only its own runnable bit, so each word is read once.
+      // The walk over the runnable cores. Stepping a core changes only its
+      // own runnable bit, so each word is read once.
       std::size_t pos = 0;
       std::size_t w = 0;
       std::uint64_t bits = runnable[0];
       const auto next_core = [&](CoreId& c) {
-        if (!sparse_walk) {
-          if (pos == step_order.size()) return false;
-          c = step_order[pos++];
-          return true;
+        if (!fixed_order) {
+          while (pos < step_order.size()) {
+            c = step_order[pos++];
+            if ((runnable[c / 64] >> (c % 64) & 1) != 0) return true;
+          }
+          return false;
         }
         while (bits == 0) {
           if (++w == words) return false;
@@ -309,13 +362,16 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
       for (CoreId c = 0; next_core(c);) {
         GcCore& core = cores[c];
         if (still_parked(c)) {
-          // Its record of this cycle repeats.
-          if (obs != nullptr) obs->on_core_cycle(c, core.cycle());
+          // Its record of this cycle repeats. A core that parked on the
+          // load it just issued publishes that stall here, then leaves.
+          show(c, now, core.cycle());
+          if (parked_version[c] == kOnLoad) set_runnable(c, false);
           continue;
         }
         if (parked_since[c] != kAwake) {
           wake(c);  // the state it polls has changed: step it
         }
+        walking = c;
         if (fault != nullptr) {
           const CoreFate fate = fault->core_fate(c, sb.holds_free(c));
           if (fate == CoreFate::kStopped) {
@@ -332,7 +388,7 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
           core.step(now);
         }
         const CoreCycle rec = core.cycle();
-        if (obs != nullptr) obs->on_core_cycle(c, rec);
+        show(c, now, rec);
         if (rec.activity != CoreActivity::kOff) last_change[c] = now;
         if (rec.activity == CoreActivity::kBusy) busy_recorded = true;
         if (core_done[c] == 0 && core.done()) {
@@ -361,8 +417,14 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
           obs->on_phase(GcPhase::kParallelScan);
         }
         if (cores_halted) obs->on_phase(GcPhase::kDrain);
-        obs->on_cycle_end(
-            {now, false, sb.scan(), sb.free(), sb.busy_count()});
+        const ClockSample sample{now, false, sb.scan(), sb.free(),
+                                 sb.busy_count()};
+        if (sample.scan != shown_sample.scan ||
+            sample.free != shown_sample.free ||
+            sample.busy_cores != shown_sample.busy_cores) {
+          shown_sample = sample;
+          obs->on_sample(sample);
+        }
       }
       if (cores_halted) {
         // Store drain: from here on every core misses its clock.
@@ -370,10 +432,11 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
         for (GcCore& core : cores) core.miss_clock();
         busy_recorded = false;
       }
-    } else if (obs != nullptr) {
-      obs->on_cycle_end({now, true});
+    } else if (obs != nullptr && now == halted_at + 1) {
+      obs->on_sample({now, true});
     }
     ++now;
+    cycle_open = false;
     if (cores_halted && (mem.stores_drained() ||
                          cfg_.coprocessor.skip_store_drain_for_test)) {
       break;  // flush complete (or deliberately defeated by a test)
@@ -381,7 +444,10 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     if (now >= cfg_.coprocessor.watchdog_cycles) watchdog_abort();
   }
   } catch (const CollectionAbort& abort) {
-    if (obs != nullptr) obs->on_collection_end(now, &abort);
+    if (obs != nullptr) {
+      close_aborted_cycle();
+      obs->on_collection_end(now, &abort);
+    }
     throw;
   }
 

@@ -61,7 +61,7 @@ class Coprocessor {
   /// caller (normally RecoveringCollector) must have called begin_attempt.
   ///
   /// The other four pointers are optional subscribers of the clock loop's
-  /// one per-cycle event stream (sim/clock_observer.hpp):
+  /// one event stream, published per change (sim/clock_observer.hpp):
   ///   * `trace` samples the scan and free pointers, gray-object word
   ///     count and busy-core count on change — the software counterpart
   ///     of the prototype's 32-signal FPGA monitor (Section VI-A);
@@ -73,8 +73,9 @@ class Coprocessor {
   ///   * `profiler` attributes every cycle of every core to one stall
   ///     class (profile/stall_class.hpp) plus the per-cycle binding class.
   /// Pure observation: the simulated result is identical with and without
-  /// them, and none of them keeps the clock from fast-forwarding — each
-  /// absorbs a quiescent window in bulk, bit-identically to a ticked run.
+  /// them, and none of them keeps the clock from fast-forwarding or a core
+  /// from parking — a run that repeats publishes nothing, and what they
+  /// record is bit-identical to a ticked run.
   GcCycleStats collect(SignalTrace* trace = nullptr,
                        ScheduleTrace* schedule_trace = nullptr,
                        FaultInjector* fault = nullptr,

@@ -94,10 +94,10 @@ class GcCore {
   /// True when the last step only polled SyncBlock state and every
   /// further step() repeats it, touching nothing, until the SyncBlock's
   /// work_version() moves: a spin on an empty worklist while termination
-  /// does not hold and no stripe work waits, or a wait for a scan or
-  /// header lock that another core holds. Fault-free runs only (all_idle()
-  /// would consult the injector, and an injected grant suppression ends on
-  /// its own).
+  /// does not hold and no stripe work waits, a wait for a scan or header
+  /// lock that another core holds, or a wait at the start barrier after
+  /// this core's arrival. Fault-free runs only (all_idle() would consult
+  /// the injector, and an injected grant suppression ends on its own).
   bool polling() const noexcept {
     const SyncBlock& sb = ctx_.sb;
     if (cycle_.activity == CoreActivity::kIdle) {
@@ -108,6 +108,11 @@ class GcCore {
       // Held across cycles, not merely granted to another core this cycle.
       const CoreId owner = sb.scan_owner();
       return owner != SyncBlock::kNoOwner && owner != id_;
+    }
+    if (cycle_ == CoreCycle{CoreActivity::kStall, StallReason::kBarrier}) {
+      // Arrived at the start barrier: re-arrival is idempotent until the
+      // last arrival releases it.
+      return sb.barrier_arrived(id_);
     }
     return cycle_ == CoreCycle{CoreActivity::kStall, StallReason::kHeaderLock};
   }

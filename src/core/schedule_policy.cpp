@@ -101,12 +101,25 @@ bool parse_schedule_policy(const std::string& name, SchedulePolicyKind& out) {
   return false;
 }
 
+std::deque<std::pair<Cycle, std::vector<CoreId>>> ScheduleTrace::orders()
+    const {
+  std::deque<std::pair<Cycle, std::vector<CoreId>>> tail;
+  for (auto run = runs_.rbegin(); run != runs_.rend(); ++run) {
+    for (Cycle c = run->last + 1; c-- > run->first;) {
+      if (tail.size() == capacity_) return tail;
+      tail.emplace_front(c, run->order);
+    }
+  }
+  return tail;
+}
+
 std::string ScheduleTrace::dump() const {
   std::ostringstream os;
-  if (recorded_ > ring_.size()) {
-    os << "(" << (recorded_ - ring_.size()) << " earlier cycles elided)\n";
+  const auto tail = orders();
+  if (recorded_ > tail.size()) {
+    os << "(" << (recorded_ - tail.size()) << " earlier cycles elided)\n";
   }
-  for (const auto& [cycle, order] : ring_) {
+  for (const auto& [cycle, order] : tail) {
     os << "cycle " << cycle << ":";
     for (CoreId c : order) os << ' ' << c;
     os << '\n';

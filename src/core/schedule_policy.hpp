@@ -45,53 +45,86 @@ std::unique_ptr<SchedulePolicy> make_schedule_policy(SchedulePolicyKind kind,
 /// printed by to_string(SchedulePolicyKind). Returns false on unknown names.
 bool parse_schedule_policy(const std::string& name, SchedulePolicyKind& out);
 
-/// Bounded ring of the most recent step orders. The coprocessor harness
-/// attaches one to Coprocessor::collect and the conformance oracle prints
-/// it when it rejects a run, so the interleaving that produced the failure
-/// can be read off.
+/// The most recent step orders, kept as runs of cycles that stepped the
+/// cores in one order. The coprocessor harness attaches one to
+/// Coprocessor::collect and the conformance oracle prints it when it
+/// rejects a run, so the interleaving that produced the failure can be
+/// read off. The clock loop publishes an order only when it changes (once
+/// under the fixed policy), so a run costs one entry, however long.
 class ScheduleTrace final : public ClockObserver {
  public:
+  /// Keeps the runs that cover the last `capacity` stepping cycles.
   explicit ScheduleTrace(std::size_t capacity = 64) : capacity_(capacity) {}
 
+  /// Records one cycle that stepped the cores in `order`.
   void record(Cycle now, const std::vector<CoreId>& order) {
-    ++recorded_;
-    if (ring_.size() >= capacity_) ring_.pop_front();
-    ring_.emplace_back(now, order);
+    on_step_order(now, &order);
+    close(now + 1);
   }
 
-  // --- ClockObserver: one entry per core-stepping cycle ---------------------
+  // --- ClockObserver: one run per step-order change ------------------------
 
-  void on_cycle_begin(Cycle now, const std::vector<CoreId>* order) override {
-    stepping_ = order != nullptr;
-    if (stepping_) record(now, *order);
+  void on_collection_begin(std::uint32_t, const Cycle& clock) override {
+    clock_ = &clock;
   }
-
-  /// Replays the last order for the k skipped cycles without materializing
-  /// more than the ring keeps.
-  void absorb(Cycle k) override {
-    if (!stepping_ || ring_.empty()) return;
-    const auto [last, order] = ring_.back();
-    recorded_ += k;
-    for (Cycle i = k > capacity_ ? k - capacity_ : 0; i < k; ++i) {
-      if (ring_.size() >= capacity_) ring_.pop_front();
-      ring_.emplace_back(last + 1 + i, order);
+  void on_step_order(Cycle now, const std::vector<CoreId>* order) override {
+    close(now);
+    if (order == nullptr) return;
+    open_ = true;
+    open_since_ = now;
+    if (!runs_.empty() && runs_.back().last + 1 == now &&
+        runs_.back().order == *order) {
+      return;  // the order of the run just closed resumes
     }
+    runs_.push_back({now, now, *order});
+  }
+  /// The open run lasts through the clock's last edge.
+  void on_collection_end(Cycle, const CollectionAbort*) override {
+    close(*clock_ + 1);
+    clock_ = nullptr;
   }
 
   std::uint64_t cycles_recorded() const noexcept { return recorded_; }
-  const std::deque<std::pair<Cycle, std::vector<CoreId>>>& orders() const {
-    return ring_;
-  }
+
+  /// The last min(capacity, cycles_recorded()) stepping cycles, one entry
+  /// per cycle, oldest first.
+  std::deque<std::pair<Cycle, std::vector<CoreId>>> orders() const;
 
   /// Human-readable tail of the schedule, one line per cycle:
   /// "cycle 1234: 3 0 1 2".
   std::string dump() const;
 
  private:
+  struct Run {
+    Cycle first = 0;
+    Cycle last = 0;  ///< inclusive; set when the run closes
+    std::vector<CoreId> order;
+  };
+
+  /// Ends the open run before cycle `end` and drops the runs older than
+  /// the last `capacity_` cycles need.
+  void close(Cycle end) {
+    if (!open_) return;
+    open_ = false;
+    if (end <= open_since_) return;  // never ran; a resumed run keeps `last`
+    runs_.back().last = end - 1;
+    recorded_ += end - open_since_;
+    kept_ += end - open_since_;
+    while (runs_.size() > 1) {
+      const Cycle front = runs_.front().last - runs_.front().first + 1;
+      if (kept_ - front < capacity_) break;
+      kept_ -= front;
+      runs_.pop_front();
+    }
+  }
+
   std::size_t capacity_;
-  std::deque<std::pair<Cycle, std::vector<CoreId>>> ring_;
+  std::deque<Run> runs_;
   std::uint64_t recorded_ = 0;
-  bool stepping_ = false;  ///< the last observed cycle stepped the cores
+  std::uint64_t kept_ = 0;  ///< cycles the runs in runs_ cover
+  bool open_ = false;       ///< runs_.back() is still running
+  Cycle open_since_ = 0;    ///< first cycle of the open stretch
+  const Cycle* clock_ = nullptr;  ///< the collection's clock, while one runs
 };
 
 }  // namespace hwgc

@@ -189,6 +189,7 @@ void SyncBlock::barrier_arrive(CoreId core) {
               std::uint8_t{0});
     barrier_count_ = 0;
     ++barrier_gen_;
+    ++work_version_;
   }
 }
 

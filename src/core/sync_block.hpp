@@ -64,8 +64,8 @@ class SyncBlock {
   }
 
   /// Advances on every change that can end a core's poll: a write to the
-  /// scan or free register, a busy bit or the stripe dispenser, and a scan-
-  /// or header-lock release. While it stands still, a core that spins on
+  /// scan or free register, a busy bit or the stripe dispenser, a scan- or
+  /// header-lock release, and the release of a barrier. While it stands still, a core that spins on
   /// an empty worklist or waits for a held lock repeats its last poll.
   std::uint64_t work_version() const noexcept { return work_version_; }
 

@@ -101,9 +101,9 @@ void MemorySystem::tick(Cycle now) {
   woken_.clear();
   // Early-out: with nothing queued and no transaction due, the retire and
   // accept passes are no-ops (waiting components cost nothing) — the
-  // observer still sees the tick's in-flight count.
+  // observer still sees the first tick's in-flight count.
   if (queue_.empty() && next_completion() > now) {
-    if (obs_ != nullptr) obs_->on_mem_inflight(inflight_count());
+    publish_inflight();
     return;
   }
   // 1. Retire transactions whose latency has elapsed. In acceptance order
@@ -177,7 +177,15 @@ void MemorySystem::tick(Cycle now) {
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(kept),
                queue_.begin() + static_cast<std::ptrdiff_t>(i));
 
-  if (obs_ != nullptr) obs_->on_mem_inflight(inflight_count());
+  publish_inflight();
+}
+
+void MemorySystem::publish_inflight() {
+  if (obs_ == nullptr) return;
+  const std::uint64_t count = inflight_count();
+  if (count == shown_inflight_) return;
+  shown_inflight_ = count;
+  obs_->on_mem_inflight(count);
 }
 
 }  // namespace hwgc

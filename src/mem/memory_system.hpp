@@ -239,10 +239,13 @@ class MemorySystem {
 
   void retire_one(const Inflight& f);
   void retire_out_of_order(InflightClass& q, Cycle now);
+  /// Tells the observer the in-flight count when it changed.
+  void publish_inflight();
 
   MemoryConfig cfg_;
   FaultInjector* fault_ = nullptr;
   ClockObserver* obs_ = nullptr;
+  std::uint64_t shown_inflight_ = ~std::uint64_t{0};  ///< last published
   std::vector<PortBuffer> buffers_;  // num_cores x kPortCount
   // Issued, not yet accepted, oldest first. Each tick rewrites it in one
   // pass: accepted requests drop out, held-back header loads and the

@@ -1,7 +1,5 @@
 #include "profile/cycle_profiler.hpp"
 
-#include <algorithm>
-
 namespace hwgc {
 
 namespace {
@@ -28,12 +26,18 @@ StallClass binding_of(const std::array<std::uint32_t, kStallClassCount>& pop,
 
 }  // namespace
 
-void CycleProfiler::on_collection_begin(std::uint32_t cores) {
+void CycleProfiler::reset(std::uint32_t cores) {
   profile_ = CycleProfile{};
   profile_.cores = cores;
   profile_.per_core.assign(cores, CycleProfile::ClassTotals{});
   cls_.assign(cores, StallClass::kIdleDeconfigured);
+  since_.assign(cores, 0);
+  pop_ = {};
+  pop_[static_cast<std::size_t>(StallClass::kIdleDeconfigured)] = cores;
+  draining_ = false;
+  stale_ = false;
   binding_ = StallClass::kIdleDeconfigured;
+  bound_ = 0;
 }
 
 void CycleProfiler::commit(StallClass b, Cycle k) {
@@ -46,28 +50,47 @@ void CycleProfiler::commit(StallClass b, Cycle k) {
   profile_.total_cycles += k;
 }
 
-void CycleProfiler::on_cycle_end(const ClockSample& s) {
-  if (s.draining) {
-    // Every core halted: the store buffers are all the coprocessor waits on.
-    std::fill(cls_.begin(), cls_.end(), StallClass::kIdleDeconfigured);
-    binding_ = StallClass::kMemPort;
-  } else {
-    std::array<std::uint32_t, kStallClassCount> pop{};
-    std::uint32_t clocked = 0;
-    for (const StallClass cls : cls_) {
-      ++pop[static_cast<std::size_t>(cls)];
-      if (cls != StallClass::kIdleDeconfigured) ++clocked;
-    }
-    binding_ = binding_of(pop, clocked);
+void CycleProfiler::settle(Cycle now) {
+  if (now <= bound_) return;
+  if (stale_) {
+    const std::uint32_t clocked =
+        profile_.cores -
+        pop_[static_cast<std::size_t>(StallClass::kIdleDeconfigured)];
+    // Store drain: the store buffers are all the coprocessor waits on.
+    binding_ = draining_ ? StallClass::kMemPort : binding_of(pop_, clocked);
+    stale_ = false;
   }
-  absorb(1);
+  commit(binding_, now - bound_);
+  bound_ = now;
 }
 
-void CycleProfiler::absorb(Cycle k) {
+void CycleProfiler::on_core_run(CoreId c, Cycle now, CoreCycle rec) {
+  settle(now);
+  const StallClass cls = class_of(rec);
+  if (cls == cls_[c]) return;
+  profile_.per_core[c][static_cast<std::size_t>(cls_[c])] += now - since_[c];
+  --pop_[static_cast<std::size_t>(cls_[c])];
+  ++pop_[static_cast<std::size_t>(cls)];
+  cls_[c] = cls;
+  since_[c] = now;
+  stale_ = true;
+}
+
+void CycleProfiler::on_sample(const ClockSample& s) {
+  if (!s.draining || draining_) return;
+  settle(s.now);
+  draining_ = true;
+  stale_ = true;
+}
+
+void CycleProfiler::on_collection_end(Cycle now, const CollectionAbort* abort) {
+  // Whole cycles only: a cycle an abort was thrown in is not charged.
+  settle(now);
   for (std::size_t c = 0; c < cls_.size(); ++c) {
-    profile_.per_core[c][static_cast<std::size_t>(cls_[c])] += k;
+    profile_.per_core[c][static_cast<std::size_t>(cls_[c])] += now - since_[c];
+    since_[c] = now;
   }
-  commit(binding_, k);
+  profile_.valid = abort == nullptr;
 }
 
 }  // namespace hwgc

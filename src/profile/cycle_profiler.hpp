@@ -1,12 +1,12 @@
 // CycleProfiler — per-cycle stall attribution for one collection cycle
 // (DESIGN.md §15).
 //
-// The profiler is a subscriber of the coprocessor's per-cycle event stream
-// (sim/clock_observer.hpp): every cycle the clock loop publishes one
-// CoreCycle record per core — kOff for a core that missed its clock
-// (done, fail-stopped, store-drain window) — and closes the cycle, so the
-// attribution is *exhaustive*: for every core, the per-class totals sum to
-// the collection's elapsed cycles exactly.
+// The profiler is a subscriber of the coprocessor's event stream
+// (sim/clock_observer.hpp): the clock loop publishes each core's record as
+// runs — a record and the cycle from which the core repeats it, kOff for a
+// core that misses its clock (done, fail-stopped, store-drain window) — so
+// the attribution is *exhaustive*: for every core, the per-class totals
+// sum to the collection's elapsed cycles exactly.
 //
 // On top of the per-core totals the profiler keeps a per-cycle *binding
 // class* — which resource bound that cycle — as a run-length-encoded
@@ -22,10 +22,14 @@
 // The critical path of a collection is this binding stream (see
 // profile/critical_path.hpp for the walker and the validator).
 //
-// Fast-forward: closing a cycle charges it through absorb(1), and a
-// quiescent window arrives as absorb(k) — k more copies of the cycle just
-// closed — so a fast-forwarded profile is bit-identical to a ticked one
-// by construction (tests/test_fast_forward.cpp checks it end to end).
+// Runs, not cycles: a core's run is charged to its class when the core's
+// next run starts (or the collection ends), and the profiler keeps the
+// per-class population of the current runs. The binding class changes only
+// when a population does, so it is recomputed at most once per cycle that
+// changed a core's class and charged as a stretch when the next one
+// starts. A fast-forward jump publishes nothing and costs nothing here;
+// the profile is bit-identical to a cycle-by-cycle one by construction
+// (tests/test_fast_forward.cpp checks it against the ticked run).
 #pragma once
 
 #include <array>
@@ -100,38 +104,46 @@ class CycleProfiler final : public ClockObserver {
   /// The recovery ladder runs one attempt per call, so an aborted
   /// attempt's partial attribution is discarded and only the final,
   /// successful attempt's profile survives.
-  void on_collection_begin(std::uint32_t cores) override;
-
-  /// Finalizes the profile of a completed collection; an aborted one
-  /// stays invalid.
-  void on_collection_end(Cycle, const CollectionAbort* abort) override {
-    profile_.valid = abort == nullptr;
+  void on_collection_begin(std::uint32_t cores, const Cycle&) override {
+    reset(cores);
   }
 
-  void on_core_cycle(CoreId c, CoreCycle rec) override {
-    cls_[c] = class_of(rec);
-  }
+  /// Charges every open run through cycle `now` - 1 (the cycle an abort
+  /// was thrown in is not charged) and finalizes the profile of a
+  /// completed collection; an aborted one stays invalid.
+  void on_collection_end(Cycle now, const CollectionAbort* abort) override;
 
-  /// Closes one cycle: computes its binding class and charges it once.
-  void on_cycle_end(const ClockSample& s) override;
+  /// Ends core `c`'s previous run at `now` and starts one of class
+  /// class_of(rec).
+  void on_core_run(CoreId c, Cycle now, CoreCycle rec) override;
 
-  /// Charges `k` more copies of the cycle just closed.
-  void absorb(Cycle k) override;
+  /// The first store-drain cycle: from it on the memory ports bind.
+  void on_sample(const ClockSample& s) override;
 
   /// Marks the collection as not coprocessor-profiled (sequential
   /// fallback): the profile stays invalid and empty of cycles.
-  void mark_unprofiled() { on_collection_begin(0); }
+  void mark_unprofiled() { reset(0); }
 
   const CycleProfile& profile() const noexcept { return profile_; }
   CycleProfile take_profile() { return std::move(profile_); }
 
  private:
+  void reset(std::uint32_t cores);
+
+  /// Charges the binding stretch up to cycle `now` (exclusive).
+  void settle(Cycle now);
+
   /// Adds `k` cycles bound by `b` to the critical totals + RLE stream.
   void commit(StallClass b, Cycle k);
 
   CycleProfile profile_;
-  std::vector<StallClass> cls_;  ///< per-core class of the last cycle
-  StallClass binding_ = StallClass::kIdleDeconfigured;  ///< of the last cycle
+  std::vector<StallClass> cls_;  ///< per-core class of the current run
+  std::vector<Cycle> since_;     ///< per-core first cycle of that run
+  std::array<std::uint32_t, kStallClassCount> pop_{};  ///< cores per class
+  bool draining_ = false;
+  bool stale_ = false;  ///< pop_ moved since binding_ was computed
+  StallClass binding_ = StallClass::kIdleDeconfigured;
+  Cycle bound_ = 0;  ///< first cycle not yet charged to the binding stream
 };
 
 }  // namespace hwgc

@@ -39,6 +39,16 @@ constexpr const char* to_string(SchedulePolicyKind k) noexcept {
   return "?";
 }
 
+/// Bounds every configuration source shares — the trace loaders and the
+/// CLI flags (cli::cores() and friends): a value past one fails by name
+/// instead of being truncated, exhausting host memory or running into the
+/// watchdog as a "hardware fault".
+inline constexpr std::uint32_t kMaxCores = 1024;  ///< the prototype has 16
+/// Header-FIFO entries; the prototype supports 32k.
+inline constexpr std::uint32_t kMaxHeaderFifoCapacity = 1u << 20;
+/// Extra completion latency per request, far above any real DRAM's spread.
+inline constexpr Cycle kMaxLatencyJitter = 1u << 12;
+
 /// Timing model of the off-chip memory (DDR-SDRAM module in the prototype).
 struct MemoryConfig {
   /// Cycles between a *body* request being accepted by the scheduler and
@@ -120,11 +130,11 @@ struct CoprocessorConfig {
   /// quiescent (done, fail-stopped, or stalled on a condition only a
   /// future memory completion / fault window / watchdog boundary can
   /// change) the clock jumps to the next such event instead of ticking.
-  /// Observationally invisible — GcCycleStats, ScheduleTrace, SignalTrace
-  /// and watchdog behavior are bit-identical to the ticked run (enforced
-  /// by tests/test_fast_forward.cpp; invariants in DESIGN.md §13).
-  /// Automatically bypassed when a telemetry bus is attached or a
-  /// non-fixed schedule policy is active.
+  /// It also parks cores whose next steps repeat their record.
+  /// Observationally invisible — GcCycleStats and every observer's output
+  /// are bit-identical to the ticked run (enforced by
+  /// tests/test_fast_forward.cpp; invariants in DESIGN.md §13). A non-fixed
+  /// schedule policy bypasses the jump (parking still applies).
   bool fast_forward = true;
 
   /// Watchdog: abort a collection cycle that exceeds this many clock

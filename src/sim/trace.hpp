@@ -5,7 +5,8 @@
 // We write named signal samples to an in-memory ring and optionally to a
 // CSV file for offline analysis, mirroring their measurement flow. As a
 // ClockObserver the trace samples the coprocessor's scan and free pointers,
-// gray-object word count and busy-core count on change every cycle.
+// gray-object word count and busy-core count on change; the clock loop
+// publishes a sample only in the cycles that change one of them.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +55,7 @@ class SignalTrace final : public ClockObserver {
 
   // --- ClockObserver -------------------------------------------------------
 
-  void on_collection_begin(std::uint32_t) override {
+  void on_collection_begin(std::uint32_t, const Cycle&) override {
     sig_scan_ = register_signal("scan");
     sig_free_ = register_signal("free");
     sig_gray_ = register_signal("gray_words");
@@ -64,7 +65,7 @@ class SignalTrace final : public ClockObserver {
   }
 
   /// Samples on change only, so the ring stays useful for long cycles.
-  void on_cycle_end(const ClockSample& s) override {
+  void on_sample(const ClockSample& s) override {
     if (s.draining) return;
     if (s.scan != prev_scan_) {
       prev_scan_ = s.scan;

@@ -35,26 +35,45 @@ void TelemetryBus::core_cycle(CoreId core, CoreActivity activity,
                               StallReason reason) {
   if (!enabled_) return;
   if (core >= open_cores_.size()) open_cores_.resize(core + 1);
+  core_span_at(core, now(), activity, reason);
+}
+
+void TelemetryBus::core_span_at(CoreId core, Cycle at, CoreActivity activity,
+                                StallReason reason) {
   OpenCoreSpan& st = open_cores_[core];
   if (st.open && st.activity == activity && st.reason == reason &&
-      now_ == st.last + 1) {
-    st.last = now_;
+      at == st.last + 1) {
+    st.last = at;
     return;
   }
   close_core_span(core);
   st.open = true;
   st.activity = activity;
   st.reason = reason;
-  st.begin = now_;
-  st.last = now_;
+  st.begin = at;
+  st.last = at;
+}
+
+void TelemetryBus::on_core_run(CoreId core, Cycle now, CoreCycle rec) {
+  if (!enabled_) return;
+  if (core >= open_cores_.size()) open_cores_.resize(core + 1);
+  OpenCoreSpan& st = open_cores_[core];
+  const Cycle at = epoch_ + now;
+  if (st.running) {
+    st.last = at - 1;
+    st.running = false;
+  }
+  if (rec.activity == CoreActivity::kOff) return;
+  core_span_at(core, at, rec.activity, rec.reason);
+  st.running = true;
 }
 
 void TelemetryBus::phase(GcPhase p) {
   if (!enabled_) return;
-  close_phase_span(now_);
+  close_phase_span(now());
   open_phase_.open = true;
   open_phase_.phase = p;
-  open_phase_.begin = now_;
+  open_phase_.begin = now();
 }
 
 void TelemetryBus::lock_acquired(SbLock lock, CoreId core) {
@@ -63,7 +82,7 @@ void TelemetryBus::lock_acquired(SbLock lock, CoreId core) {
   if (st.open) close_lock_span(lock);  // same-cycle hand-off
   st.open = true;
   st.owner = core;
-  st.begin = now_;
+  st.begin = now();
 }
 
 void TelemetryBus::lock_released(SbLock lock, CoreId core) {
@@ -77,7 +96,7 @@ void TelemetryBus::instant(std::uint32_t track_id, TelemetryCategory cat,
   if (!enabled_ || !room()) return;
   TelemetryInstant e;
   e.track = track_id;
-  e.at = now_;
+  e.at = now();
   e.cat = cat;
   e.name = std::move(name);
   instants_.push_back(std::move(e));
@@ -85,12 +104,14 @@ void TelemetryBus::instant(std::uint32_t track_id, TelemetryCategory cat,
 
 void TelemetryBus::counter_sample(std::uint32_t series, std::uint64_t value) {
   if (!enabled_ || !room()) return;
-  counters_.push_back(TelemetryCounter{series, now_, value});
+  counters_.push_back(TelemetryCounter{series, now(), value});
 }
 
-void TelemetryBus::on_collection_begin(std::uint32_t cores) {
+void TelemetryBus::on_collection_begin(std::uint32_t cores,
+                                       const Cycle& clock) {
   if (!enabled_) enable();
   begin_collection("collection (" + std::to_string(cores) + " cores)");
+  clock_ = &clock;
   // Intern the main tracks in canonical order so exports list the
   // coprocessor first, then the cores, then the shared locks —
   // independent of which module happens to publish first.
@@ -101,10 +122,20 @@ void TelemetryBus::on_collection_begin(std::uint32_t cores) {
   gray_series_ = counter_series("gray_words");
   fifo_depth_series_ = counter_series("fifo_depth");
   inflight_series_ = counter_series("mem_inflight");
-  prev_gray_ = prev_inflight_ = ~std::uint64_t{0};
+  prev_gray_ = ~std::uint64_t{0};
 }
 
 void TelemetryBus::on_collection_end(Cycle now, const CollectionAbort* abort) {
+  // The runs still open last through the clock's last edge, which also
+  // stamps an abort; the clock dies with the collection.
+  if (clock_ != nullptr) {
+    now_ = epoch_ + *clock_;
+    clock_ = nullptr;
+    for (OpenCoreSpan& st : open_cores_) {
+      if (st.running) st.last = now_;
+      st.running = false;
+    }
+  }
   // An aborted attempt still renders as a complete, labeled slice of the
   // timeline.
   if (abort != nullptr) {
@@ -118,22 +149,13 @@ void TelemetryBus::on_collection_end(Cycle now, const CollectionAbort* abort) {
   end_collection(now);
 }
 
-void TelemetryBus::on_cycle_end(const ClockSample& s) {
+void TelemetryBus::on_sample(const ClockSample& s) {
   if (s.draining) return;
   const std::uint64_t gray = s.free - s.scan;
   if (gray != prev_gray_) {
     prev_gray_ = gray;
     counter_sample(gray_series_, gray);
   }
-}
-
-void TelemetryBus::absorb(Cycle k) {
-  // A repeated cycle changes nothing but the clock: every core clocked in
-  // the observed cycle stays in its span.
-  for (OpenCoreSpan& st : open_cores_) {
-    if (st.open && st.last == now_) st.last += k;
-  }
-  now_ += k;
 }
 
 void TelemetryBus::on_fifo_overflow(std::uint64_t overflows,
@@ -149,13 +171,6 @@ void TelemetryBus::on_fifo_overflow(std::uint64_t overflows,
     fifo_overflow_series_ = counter_series("fifo_overflows") + 1;
   }
   counter_sample(fifo_overflow_series_ - 1, overflows);
-}
-
-void TelemetryBus::on_mem_inflight(std::uint64_t count) {
-  if (count != prev_inflight_) {
-    prev_inflight_ = count;
-    counter_sample(inflight_series_, count);
-  }
 }
 
 std::uint32_t TelemetryBus::track(const std::string& name) {
@@ -202,6 +217,7 @@ void TelemetryBus::clear() {
   open_phase_ = OpenPhaseSpan{};
   phase_track_ = 0;
   epoch_ = cursor_ = now_ = 0;
+  clock_ = nullptr;
   dropped_ = 0;
 }
 
@@ -243,7 +259,7 @@ void TelemetryBus::close_lock_span(SbLock lock) {
     name = span_name_id("held by core " + std::to_string(st.owner)) + 1;
   }
   // A hold acquired and released within one cycle still spans that cycle.
-  push_span(track_id - 1, st.begin, now_ + 1, TelemetryCategory::kLock,
+  push_span(track_id - 1, st.begin, now() + 1, TelemetryCategory::kLock,
             name - 1);
 }
 

@@ -1,7 +1,7 @@
 // TelemetryBus — the unified observability substrate (software counterpart
 // of the prototype's Section VI-A monitoring framework, generalized).
 //
-// The bus subscribes to the coprocessor's per-cycle event stream
+// The bus subscribes to the coprocessor's event stream
 // (sim/clock_observer.hpp) and records it as typed events:
 //   * collection phases (root evacuation / parallel scan / store drain),
 //     the flip or the abort, and the gray-object word count,
@@ -19,9 +19,10 @@
 //
 // Overhead contract: the bus is pure observation — it never feeds back
 // into simulated timing, so cycle counts are bit-identical with and
-// without it (tested in tests/test_telemetry.cpp), and it does not keep
-// the clock loop from fast-forwarding: absorb(k) extends the open core
-// spans instead. Publishing is guarded by an `enabled()` flag.
+// without it (tested in tests/test_telemetry.cpp). As a subscriber it is
+// paid per change: a core run opens a span that lasts until the core's
+// next run, and a fast-forward jump publishes nothing. Publishing is
+// guarded by an `enabled()` flag.
 //
 // Time base: each collection runs its own clock from cycle 0. The bus maps
 // collection-local cycles onto one monotone global timeline: a
@@ -123,6 +124,7 @@ class TelemetryBus final : public ClockObserver {
   void begin_collection(std::string label);
 
   /// Clock edge: stamps all events published during this simulated cycle.
+  /// (During a coprocessor collection the loop's clock stamps them.)
   void begin_cycle(Cycle local) noexcept { now_ = epoch_ + local; }
 
   /// Closes the epoch at local cycle `local_end`: flushes every open core,
@@ -130,7 +132,9 @@ class TelemetryBus final : public ClockObserver {
   void end_collection(Cycle local_end);
 
   /// Global cycle the next published event will be stamped with.
-  Cycle now() const noexcept { return now_; }
+  Cycle now() const noexcept {
+    return clock_ != nullptr ? epoch_ + *clock_ : now_;
+  }
 
   // --- track / counter-series interning ------------------------------------
 
@@ -173,25 +177,19 @@ class TelemetryBus final : public ClockObserver {
 
   // --- ClockObserver: one epoch per collection attempt ---------------------
 
-  /// Enables the bus if needed, opens the epoch and interns the main
-  /// tracks and counter series in canonical order.
-  void on_collection_begin(std::uint32_t cores) override;
+  /// Enables the bus if needed, opens the epoch, interns the main tracks
+  /// and counter series in canonical order and stamps events by `clock`.
+  void on_collection_begin(std::uint32_t cores, const Cycle& clock) override;
   /// Closes the epoch with a flip instant, or an abort instant naming the
   /// reason.
   void on_collection_end(Cycle now, const CollectionAbort* abort) override;
   void on_phase(GcPhase p) override { phase(p); }
-  void on_cycle_begin(Cycle now, const std::vector<CoreId>*) override {
-    begin_cycle(now);
-  }
-  void on_core_cycle(CoreId core, CoreCycle c) override {
-    if (c.activity != CoreActivity::kOff) {
-      core_cycle(core, c.activity, c.reason);
-    }
-  }
+  /// Ends the core's previous run; a kOff run is a clock gap, any other
+  /// opens (or, right after a same-state span, extends) a span that lasts
+  /// until the next run.
+  void on_core_run(CoreId core, Cycle now, CoreCycle rec) override;
   /// Samples the gray-object word count on change.
-  void on_cycle_end(const ClockSample& s) override;
-  /// Extends the spans of the cores clocked in the observed cycle.
-  void absorb(Cycle k) override;
+  void on_sample(const ClockSample& s) override;
   void on_lock_acquired(SbLock lock, CoreId core) override {
     lock_acquired(lock, core);
   }
@@ -206,8 +204,10 @@ class TelemetryBus final : public ClockObserver {
   }
   void on_fifo_overflow(std::uint64_t overflows,
                         std::uint32_t capacity) override;
-  /// Samples the in-flight transaction count on change.
-  void on_mem_inflight(std::uint64_t count) override;
+  /// Samples the in-flight transaction count (published on change).
+  void on_mem_inflight(std::uint64_t count) override {
+    counter_sample(inflight_series_, count);
+  }
 
   // --- recorded data (exporter interface) ----------------------------------
 
@@ -231,6 +231,7 @@ class TelemetryBus final : public ClockObserver {
  private:
   struct OpenCoreSpan {
     bool open = false;
+    bool running = false;  ///< a core run: `last` is set when the run ends
     CoreActivity activity = CoreActivity::kBusy;
     StallReason reason = StallReason::kNone;
     Cycle begin = 0;
@@ -257,6 +258,9 @@ class TelemetryBus final : public ClockObserver {
 
   void push_span(std::uint32_t track_id, Cycle begin, Cycle end,
                  TelemetryCategory cat, std::uint32_t name);
+  /// Core `core` was `activity`/`reason` in global cycle `at`.
+  void core_span_at(CoreId core, Cycle at, CoreActivity activity,
+                    StallReason reason);
   void close_core_span(CoreId core);
   void close_lock_span(SbLock lock);
   void close_phase_span(Cycle end);
@@ -269,6 +273,7 @@ class TelemetryBus final : public ClockObserver {
   Cycle epoch_ = 0;   ///< global cycle local 0 of the current epoch maps to
   Cycle cursor_ = 0;  ///< first free global cycle after everything recorded
   Cycle now_ = 0;
+  const Cycle* clock_ = nullptr;  ///< the collection's clock, while one runs
 
   std::vector<std::string> track_names_;
   std::vector<std::string> counter_names_;
@@ -301,7 +306,6 @@ class TelemetryBus final : public ClockObserver {
   std::uint32_t fifo_depth_series_ = 0;
   std::uint32_t inflight_series_ = 0;
   std::uint64_t prev_gray_ = 0;
-  std::uint64_t prev_inflight_ = 0;
 };
 
 }  // namespace hwgc

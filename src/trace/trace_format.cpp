@@ -67,6 +67,30 @@ Word checked_semispace_words(std::uint64_t v) {
   return static_cast<Word>(v);
 }
 
+/// A header field read from its wire width, checked against its declared
+/// range (sim/config.hpp) before it is narrowed: a hostile value fails by
+/// name instead of replaying truncated, exhausting host memory or running
+/// into the watchdog.
+std::uint64_t checked_field(const char* field, std::uint64_t v,
+                            std::uint64_t lo, std::uint64_t hi) {
+  if (v < lo || v > hi) {
+    fail(std::string(field) + " " + std::to_string(v) + " out of range [" +
+         std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return v;
+}
+
+std::uint32_t checked_cores(std::uint64_t v) {
+  return static_cast<std::uint32_t>(checked_field("cores", v, 1, kMaxCores));
+}
+std::uint32_t checked_fifo(std::uint64_t v) {
+  return static_cast<std::uint32_t>(
+      checked_field("fifo", v, 0, kMaxHeaderFifoCapacity));
+}
+Cycle checked_jitter(std::uint64_t v) {
+  return checked_field("jitter", v, 0, kMaxLatencyJitter);
+}
+
 bool parse_kind(const std::string& name, TraceOp::Kind& out) {
   for (std::uint8_t k = 0;
        k < static_cast<std::uint8_t>(TraceOp::Kind::kCount); ++k) {
@@ -459,15 +483,14 @@ Trace trace_from_jsonl(const std::string& text) {
       h.version = 1;
       h.semispace_words =
           checked_semispace_words(need_u64(kv, "semispace_words", where));
-      h.cores = static_cast<std::uint32_t>(need_u64(kv, "cores", where));
-      h.header_fifo_capacity =
-          static_cast<std::uint32_t>(need_u64(kv, "fifo", where));
+      h.cores = checked_cores(need_u64(kv, "cores", where));
+      h.header_fifo_capacity = checked_fifo(need_u64(kv, "fifo", where));
       const std::string sched = need_str(kv, "schedule", where);
       if (!parse_schedule_policy(sched, h.schedule)) {
         fail("unknown schedule policy '" + sched + "' in " + where);
       }
       h.schedule_seed = need_u64(kv, "schedule_seed", where);
-      h.latency_jitter = need_u64(kv, "jitter", where);
+      h.latency_jitter = checked_jitter(need_u64(kv, "jitter", where));
       h.subobject_copy = need_u64(kv, "subobject", where) != 0;
       h.markbit_early_read = need_u64(kv, "earlyread", where) != 0;
       declared_events =
@@ -602,15 +625,15 @@ Trace trace_from_binary(const std::string& bytes) {
   h.version = 1;
   h.name = r.str(r.u32());
   h.semispace_words = checked_semispace_words(r.u64());
-  h.cores = r.u32();
-  h.header_fifo_capacity = r.u32();
+  h.cores = checked_cores(r.u32());
+  h.header_fifo_capacity = checked_fifo(r.u32());
   const std::uint8_t sched = r.u8();
   if (sched > static_cast<std::uint8_t>(SchedulePolicyKind::kAdversarial)) {
     fail("unknown schedule policy byte " + std::to_string(sched));
   }
   h.schedule = static_cast<SchedulePolicyKind>(sched);
   h.schedule_seed = r.u64();
-  h.latency_jitter = r.u64();
+  h.latency_jitter = checked_jitter(r.u64());
   h.subobject_copy = r.u8() != 0;
   h.markbit_early_read = r.u8() != 0;
   const std::uint64_t declared_events = r.u64();

@@ -1,5 +1,5 @@
 // Cycle attribution (src/profile/): the exclusive stall taxonomy, the
-// binding rule, fast-forward absorption, and the validator identities —
+// binding rule, charging by runs, and the validator identities —
 // every cycle of every core lands in exactly one class, per core the
 // class totals sum to the collection's elapsed cycles, and the critical
 // (binding) stream tiles [0, total_cycles) with no gaps.
@@ -72,43 +72,74 @@ constexpr CoreCycle kOff{};
 
 constexpr CoreCycle stall(StallReason r) { return {CoreActivity::kStall, r}; }
 
-/// Publishes one core-stepping cycle: a record per core, then its end.
-void tick(CycleProfiler& p, std::initializer_list<CoreCycle> records) {
-  CoreId c = 0;
-  for (const CoreCycle& rec : records) p.on_core_cycle(c++, rec);
-  p.on_cycle_end(ClockSample{});
-}
+/// Publishes cycles to a profiler the way the clock loop does: a core's
+/// record only when it differs from the one last published for it (or,
+/// with `every_cycle`, each cycle again), the store drain once.
+struct Publisher {
+  Publisher(CycleProfiler& profiler, std::uint32_t cores, bool republish = false)
+      : p(profiler), shown(cores), every_cycle(republish) {
+    p.on_collection_begin(cores, now);
+  }
 
-/// Publishes one store-drain cycle (every core halted).
-void drain(CycleProfiler& p) {
-  ClockSample s;
-  s.draining = true;
-  p.on_cycle_end(s);
-}
+  /// One core-stepping cycle: a record per core.
+  void tick(std::initializer_list<CoreCycle> records) {
+    CoreId c = 0;
+    for (const CoreCycle& rec : records) {
+      if (every_cycle || rec != shown[c]) p.on_core_run(c, now, rec);
+      shown[c] = rec;
+      ++c;
+    }
+    ++now;
+  }
+
+  /// One store-drain cycle (every core halted).
+  void drain() {
+    if (!draining) {
+      for (CoreId c = 0; c < shown.size(); ++c) {
+        if (shown[c] != kOff) p.on_core_run(c, now, kOff);
+        shown[c] = kOff;
+      }
+      ClockSample s;
+      s.now = now;
+      s.draining = true;
+      p.on_sample(s);
+      draining = true;
+    }
+    ++now;
+  }
+
+  void end() { p.on_collection_end(now, nullptr); }
+
+  CycleProfiler& p;
+  std::vector<CoreCycle> shown;
+  bool every_cycle;
+  Cycle now = 0;
+  bool draining = false;
+};
 
 TEST(CycleProfiler, BindingRulePerCycle) {
   CycleProfiler p;
-  p.on_collection_begin(3);
+  Publisher pub(p, 3);
 
   // Any compute wins, whatever the other cores report.
-  tick(p, {kWork, stall(StallReason::kScanLock), kSpin});
+  pub.tick({kWork, stall(StallReason::kScanLock), kSpin});
 
   // No compute: most-populous class among clocked cores binds...
-  tick(p, {stall(StallReason::kBodyLoad), stall(StallReason::kBodyLoad),
-           kSpin});
+  pub.tick({stall(StallReason::kBodyLoad), stall(StallReason::kBodyLoad),
+            kSpin});
 
   // ...ties break toward the smaller enum value (scan-wait over mem-port).
   // Core 2 missed its clock -> idle-deconfigured.
-  tick(p, {stall(StallReason::kBodyLoad), stall(StallReason::kScanLock),
-           kOff});
+  pub.tick({stall(StallReason::kBodyLoad), stall(StallReason::kScanLock),
+            kOff});
 
   // No clocked core at all: idle-deconfigured binds...
-  tick(p, {kOff, kOff, kOff});
+  pub.tick({kOff, kOff, kOff});
 
   // ...except the store-drain window, which the memory ports bind.
-  drain(p);
+  pub.drain();
 
-  p.on_collection_end(5, nullptr);
+  pub.end();
   const CycleProfile prof = p.take_profile();
 
   ASSERT_EQ(prof.total_cycles, 5u);
@@ -126,30 +157,31 @@ TEST(CycleProfiler, BindingRulePerCycle) {
   EXPECT_TRUE(validate_cycle_profile(prof, &err)) << err;
 }
 
-TEST(CycleProfiler, AbsorbEqualsRepeatedEndCycle) {
-  // absorb(k) must be exactly equivalent to k more repetitions of the
-  // cycle just closed — the fast-forward soundness argument.
-  CycleProfiler bulk, ticked;
-  bulk.on_collection_begin(3);
-  ticked.on_collection_begin(3);
+TEST(CycleProfiler, RunsChargeLikeRepublishedCycles) {
+  // A run published once must charge exactly what publishing its record
+  // again every cycle charges — the soundness argument of publishing per
+  // change (and of a fast-forward jump publishing nothing).
+  CycleProfiler runs, cycles;
+  Publisher by_run(runs, 3);
+  Publisher by_cycle(cycles, 3, /*every_cycle=*/true);
 
   const auto window = {stall(StallReason::kScanLock), kSpin, kOff};
-  tick(bulk, window);
-  bulk.absorb(7);
-  for (int i = 0; i < 8; ++i) tick(ticked, window);
-  drain(bulk);
-  bulk.absorb(3);
-  for (int i = 0; i < 4; ++i) drain(ticked);
-
-  bulk.on_collection_end(12, nullptr);
-  ticked.on_collection_end(12, nullptr);
-  EXPECT_EQ(bulk.take_profile(), ticked.take_profile());
+  const auto after = {kWork, kSpin, stall(StallReason::kBodyLoad)};
+  for (Publisher* pub : {&by_run, &by_cycle}) {
+    for (int i = 0; i < 8; ++i) pub->tick(window);
+    for (int i = 0; i < 3; ++i) pub->tick(after);
+    for (int i = 0; i < 4; ++i) pub->drain();
+    pub->end();
+  }
+  const CycleProfile a = runs.take_profile();
+  EXPECT_EQ(a.total_cycles, 15u);
+  EXPECT_EQ(a, cycles.take_profile());
 }
 
 TEST(CycleProfiler, MarkUnprofiledYieldsValidEmptyHistorySlot) {
   CycleProfiler p;
-  p.on_collection_begin(4);
-  tick(p, {kWork, kOff, kOff, kOff});
+  Publisher pub(p, 4);
+  pub.tick({kWork, kOff, kOff, kOff});
   p.mark_unprofiled();  // recovery's sequential fallback discards all that
   const CycleProfile prof = p.take_profile();
   EXPECT_FALSE(prof.valid);

@@ -375,6 +375,78 @@ TEST(TraceLoader, BinarySemispaceWordsBeyondWordRangeFails) {
   }
 }
 
+/// The JSONL trace with header field `field` set to `value`.
+std::string with_header_field(const std::string& field,
+                              const std::string& value) {
+  std::string text = trace_to_jsonl(tiny_trace());
+  const std::string key = "\"" + field + "\":";
+  const auto pos = text.find(key);
+  EXPECT_NE(pos, std::string::npos) << field;
+  const auto end = text.find(',', pos);
+  text.replace(pos + key.size(), end - pos - key.size(), value);
+  return text;
+}
+
+// Hostile header fields fail by name, before they are narrowed: cores
+// would otherwise exhaust host memory (2^31) or truncate, fifo truncate to
+// a different capacity (2^40), and jitter end in a watchdog "hardware
+// fault" (2^31).
+TEST(TraceLoader, CoresOutOfRangeFailsByName) {
+  expect_load_failure(with_header_field("cores", "2147483648"),
+                      "cores 2147483648 out of range [1, 1024]");
+  expect_load_failure(with_header_field("cores", "0"),
+                      "cores 0 out of range [1, 1024]");
+}
+
+TEST(TraceLoader, FifoOutOfRangeFailsByName) {
+  expect_load_failure(with_header_field("fifo", "1099511627776"),
+                      "fifo 1099511627776 out of range [0, 1048576]");
+}
+
+TEST(TraceLoader, JitterOutOfRangeFailsByName) {
+  expect_load_failure(with_header_field("jitter", "2147483648"),
+                      "jitter 2147483648 out of range [0, 4096]");
+}
+
+/// Loads the binary trace with the little-endian `width`-byte header field
+/// at `offset` past the name set to `value`; expects the named error.
+void expect_binary_field_failure(std::size_t offset, std::size_t width,
+                                 std::uint64_t value,
+                                 const std::string& must_contain) {
+  const Trace t = tiny_trace();
+  std::string bin = trace_to_binary(t);
+  // magic(8) + version(4) + name_len(4) + name, then the fixed fields.
+  const std::size_t at = 16 + t.header.name.size() + offset;
+  ASSERT_LE(at + width, bin.size());
+  for (std::size_t i = 0; i < width; ++i) {
+    bin[at + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+  }
+  try {
+    trace_from_binary(bin);
+    FAIL() << "expected TraceError containing \"" << must_contain << "\"";
+  } catch (const TraceError& e) {
+    EXPECT_NE(std::string(e.what()).find(must_contain), std::string::npos)
+        << e.what();
+  }
+}
+
+// Binary header after the name: semispace u64 (offset 0), cores u32 (8),
+// fifo u32 (12), schedule u8 (16), schedule_seed u64 (17), jitter u64 (25).
+TEST(TraceLoader, BinaryCoresOutOfRangeFailsByName) {
+  expect_binary_field_failure(8, 4, 0x80000000u,
+                              "cores 2147483648 out of range [1, 1024]");
+}
+
+TEST(TraceLoader, BinaryFifoOutOfRangeFailsByName) {
+  expect_binary_field_failure(12, 4, 0xffffffffu,
+                              "fifo 4294967295 out of range [0, 1048576]");
+}
+
+TEST(TraceLoader, BinaryJitterOutOfRangeFailsByName) {
+  expect_binary_field_failure(25, 8, 2147483648u,
+                              "jitter 2147483648 out of range [0, 4096]");
+}
+
 TEST(TraceLoader, VersionSkewFails) {
   std::string text = trace_to_jsonl(tiny_trace());
   const auto pos = text.find("\"version\":1");
