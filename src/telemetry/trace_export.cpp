@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <fstream>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -18,36 +19,80 @@ bool needs_escape(char c) {
   return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
 }
 
-void append_escaped(std::string& out, std::string_view s) {
-  if (std::none_of(s.begin(), s.end(), needs_escape)) {
-    out += s;
-    return;
-  }
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += "\\u00";
-          out += "0123456789abcdef"[c >> 4];
-          out += "0123456789abcdef"[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 /// Longest text `s` can escape to (a control character takes six bytes).
 std::size_t escaped_bound(std::string_view s) { return 6 * s.size(); }
 
-void u64(std::string& out, std::uint64_t v) {
-  char buf[20];
-  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+/// Writes escaped `s` at `p` (room for escaped_bound(s) bytes) and returns
+/// the end.
+char* put_escaped(char* p, std::string_view s) {
+  for (char c : s) {
+    if (!needs_escape(c)) {
+      *p++ = c;
+      continue;
+    }
+    *p++ = '\\';
+    switch (c) {
+      case '"': *p++ = '"'; break;
+      case '\\': *p++ = '\\'; break;
+      case '\n': *p++ = 'n'; break;
+      case '\t': *p++ = 't'; break;
+      default:
+        p = std::copy_n("u00", 3, p);
+        *p++ = "0123456789abcdef"[c >> 4];
+        *p++ = "0123456789abcdef"[c & 0xf];
+    }
+  }
+  return p;
 }
+
+void append_escaped(std::string& out, std::string_view s) {
+  const std::size_t at = out.size();
+  out.resize(at + escaped_bound(s));
+  out.resize(static_cast<std::size_t>(put_escaped(out.data() + at, s) -
+                                      out.data()));
+}
+
+char* put(char* p, std::string_view s) {
+  return std::copy(s.begin(), s.end(), p);
+}
+
+char* put_u64(char* p, std::uint64_t v) {
+  return std::to_chars(p, p + 20, v).ptr;
+}
+
+/// Event text goes through a fixed 64 KB chunk that is appended to the
+/// output when the next event might not fit, so an event checks for room
+/// once and its pieces are plain copies.
+class ChunkedOut {
+ public:
+  explicit ChunkedOut(std::string& out) : out_(out) {}
+
+  /// The write position, with room for `n` bytes. An event longer than the
+  /// chunk (a huge escaped name) gets a chunk of its own size.
+  char* room(std::size_t n) {
+    if (size_ - len_ < n) {
+      flush();
+      if (n > size_) {
+        size_ = n;
+        buf_.reset(new char[n]);
+      }
+    }
+    return buf_.get() + len_;
+  }
+  /// Ends the event written at room()'s position.
+  void commit(char* end) { len_ = static_cast<std::size_t>(end - buf_.get()); }
+  /// Appends the chunk to the output; call once more after the last event.
+  void flush() {
+    out_.append(buf_.get(), len_);
+    len_ = 0;
+  }
+
+ private:
+  std::string& out_;
+  std::size_t size_ = 64 * 1024;
+  std::unique_ptr<char[]> buf_{new char[size_]};
+  std::size_t len_ = 0;
+};
 
 /// Catapult reserved color name for a span, keyed off its name/category —
 /// this is what makes stall reasons visually distinct in the timeline.
@@ -131,6 +176,9 @@ std::string chrome_trace_json(const TelemetryBus& bus,
   }
 
   // One reservation from the event counts; the text never outgrows it.
+  const std::size_t max_span_frag = max_size(span_frags);
+  const std::size_t max_counter_frag = max_size(counter_frags);
+  const std::size_t max_signal_frag = max_size(signal_frags);
   std::size_t bound = 2 * kEventBound;  // header, footer, dropped marker
   for (const std::string& t : bus.track_names()) {
     bound += 2 * kEventBound + escaped_bound(t);
@@ -138,16 +186,15 @@ std::string chrome_trace_json(const TelemetryBus& bus,
   for (const TelemetryEpoch& e : bus.epochs()) {
     bound += kEventBound + escaped_bound(e.label) + 10;  // "collection"
   }
-  bound += bus.spans().size() * (kEventBound + max_size(span_frags));
+  bound += bus.spans().size() * (kEventBound + max_span_frag);
   for (const TelemetryInstant& i : bus.instants()) {
     bound += kEventBound + escaped_bound(i.name);
   }
   // A counter event's fixed text and numbers take at most 67 bytes, so one
   // with a fallback name ("counter N", "sig:sigN") fits in kEventBound too.
-  bound += bus.counters().size() * (kEventBound + max_size(counter_frags));
+  bound += bus.counters().size() * (kEventBound + max_counter_frag);
   if (opt.signals != nullptr) {
-    bound += opt.signals->events().size() *
-             (kEventBound + max_size(signal_frags));
+    bound += opt.signals->events().size() * (kEventBound + max_signal_frag);
     for (const auto& note : opt.signals->notes()) {
       bound += kEventBound + escaped_bound(note.second);
     }
@@ -158,63 +205,69 @@ std::string chrome_trace_json(const TelemetryBus& bus,
   out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
   const std::size_t header = out.size();
   // Every event ends in ",\n"; the last one's is cut before the footer.
+  ChunkedOut w(out);
 
   // Track naming + ordering (one "thread" per track, pid 1).
   const auto& tracks = bus.track_names();
   for (std::uint32_t t = 0; t < tracks.size(); ++t) {
-    out += "{\"ph\":\"M\",\"pid\":1,\"tid\":";
-    u64(out, t);
-    out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    append_escaped(out, tracks[t]);
-    out += "\"}},\n{\"ph\":\"M\",\"pid\":1,\"tid\":";
-    u64(out, t);
-    out += ",\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":";
-    u64(out, t);
-    out += "}},\n";
+    char* p = w.room(2 * kEventBound + escaped_bound(tracks[t]));
+    p = put(p, "{\"ph\":\"M\",\"pid\":1,\"tid\":");
+    p = put_u64(p, t);
+    p = put(p, ",\"name\":\"thread_name\",\"args\":{\"name\":\"");
+    p = put_escaped(p, tracks[t]);
+    p = put(p, "\"}},\n{\"ph\":\"M\",\"pid\":1,\"tid\":");
+    p = put_u64(p, t);
+    p = put(p, ",\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":");
+    p = put_u64(p, t);
+    w.commit(put(p, "}},\n"));
   }
 
   // Collection epoch markers.
   for (const TelemetryEpoch& e : bus.epochs()) {
-    out += "{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":";
-    u64(out, e.begin);
-    out += ",\"cat\":\"runtime\",\"name\":\"";
-    append_escaped(out, e.label.empty() ? "collection" : e.label);
-    out += "\"},\n";
+    char* p = w.room(kEventBound + escaped_bound(e.label) + 10);
+    p = put(p, "{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":");
+    p = put_u64(p, e.begin);
+    p = put(p, ",\"cat\":\"runtime\",\"name\":\"");
+    p = put_escaped(p, e.label.empty() ? "collection" : e.label);
+    w.commit(put(p, "\"},\n"));
   }
 
   for (const TelemetrySpan& s : bus.spans()) {
-    out += "{\"ph\":\"X\",\"pid\":1,\"tid\":";
-    u64(out, s.track);
-    out += ",\"ts\":";
-    u64(out, s.begin);
-    out += ",\"dur\":";
-    u64(out, s.end - s.begin);
-    out += span_frags[s.name * kTelemetryCategoryCount +
-                      static_cast<std::size_t>(s.cat)];
+    char* p = w.room(kEventBound + max_span_frag);
+    p = put(p, "{\"ph\":\"X\",\"pid\":1,\"tid\":");
+    p = put_u64(p, s.track);
+    p = put(p, ",\"ts\":");
+    p = put_u64(p, s.begin);
+    p = put(p, ",\"dur\":");
+    p = put_u64(p, s.end - s.begin);
+    w.commit(put(p, span_frags[s.name * kTelemetryCategoryCount +
+                               static_cast<std::size_t>(s.cat)]));
   }
 
   for (const TelemetryInstant& i : bus.instants()) {
-    out += "{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":";
-    u64(out, i.track);
-    out += ",\"ts\":";
-    u64(out, i.at);
-    out += ",\"cat\":\"";
-    out += to_string(i.cat);
-    out += "\",\"name\":\"";
-    append_escaped(out, i.name);
-    out += "\"},\n";
+    char* p = w.room(kEventBound + escaped_bound(i.name));
+    p = put(p, "{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":");
+    p = put_u64(p, i.track);
+    p = put(p, ",\"ts\":");
+    p = put_u64(p, i.at);
+    p = put(p, ",\"cat\":\"");
+    p = put(p, to_string(i.cat));
+    p = put(p, "\",\"name\":\"");
+    p = put_escaped(p, i.name);
+    w.commit(put(p, "\"},\n"));
   }
 
   for (const TelemetryCounter& c : bus.counters()) {
-    out += "{\"ph\":\"C\",\"pid\":1,\"ts\":";
-    u64(out, c.at);
+    char* p = w.room(kEventBound + max_counter_frag);
+    p = put(p, "{\"ph\":\"C\",\"pid\":1,\"ts\":");
+    p = put_u64(p, c.at);
     if (c.series < counter_frags.size()) {
-      out += counter_frags[c.series];
+      p = put(p, counter_frags[c.series]);
     } else {
-      out += counter_fragment("", "counter " + std::to_string(c.series));
+      p = put(p, counter_fragment("", "counter " + std::to_string(c.series)));
     }
-    u64(out, c.value);
-    out += "}},\n";
+    p = put_u64(p, c.value);
+    w.commit(put(p, "}},\n"));
   }
 
   // Legacy SignalTrace merge: the 32-signal monitor's samples as counter
@@ -223,31 +276,37 @@ std::string chrome_trace_json(const TelemetryBus& bus,
   if (opt.signals != nullptr) {
     const Cycle base = bus.epochs().empty() ? 0 : bus.epochs().front().begin;
     for (const TraceEvent& e : opt.signals->events()) {
-      out += "{\"ph\":\"C\",\"pid\":1,\"ts\":";
-      u64(out, base + e.cycle);
+      char* p = w.room(kEventBound + max_signal_frag);
+      p = put(p, "{\"ph\":\"C\",\"pid\":1,\"ts\":");
+      p = put_u64(p, base + e.cycle);
       if (e.signal < signal_frags.size()) {
-        out += signal_frags[e.signal];
+        p = put(p, signal_frags[e.signal]);
       } else {
-        out += counter_fragment("sig:", "sig" + std::to_string(e.signal));
+        p = put(p,
+                counter_fragment("sig:", "sig" + std::to_string(e.signal)));
       }
-      u64(out, e.value);
-      out += "}},\n";
+      p = put_u64(p, e.value);
+      w.commit(put(p, "}},\n"));
     }
     for (const auto& [cycle, text] : opt.signals->notes()) {
-      out += "{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":";
-      u64(out, base + cycle);
-      out += ",\"cat\":\"note\",\"name\":\"";
-      append_escaped(out, text);
-      out += "\"},\n";
+      char* p = w.room(kEventBound + escaped_bound(text));
+      p = put(p, "{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":");
+      p = put_u64(p, base + cycle);
+      p = put(p, ",\"cat\":\"note\",\"name\":\"");
+      p = put_escaped(p, text);
+      w.commit(put(p, "\"},\n"));
     }
   }
 
   if (bus.dropped() != 0) {
-    out += "{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":0,"
-           "\"cat\":\"telemetry\",\"name\":\"telemetry: ";
-    u64(out, bus.dropped());
-    out += " event(s) dropped past the max_events cap\"},\n";
+    char* p = w.room(2 * kEventBound);
+    p = put(p,
+            "{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":0,"
+            "\"cat\":\"telemetry\",\"name\":\"telemetry: ");
+    p = put_u64(p, bus.dropped());
+    w.commit(put(p, " event(s) dropped past the max_events cap\"},\n"));
   }
+  w.flush();
 
   if (out.size() > header) out.resize(out.size() - 2);  // last ",\n"
   out += "\n]}\n";

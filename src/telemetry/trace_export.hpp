@@ -26,7 +26,9 @@
 // fragment per interned span name and category (with its `cat` and
 // `cname`), per counter series and per signal — so a span or counter event
 // costs a few integer conversions and one fragment copy. The output string
-// is reserved once, from the event counts, and never reallocated.
+// is reserved once, from the event counts, and never reallocated. Events
+// are written into a fixed 64 KB chunk that is appended to it when full,
+// so an event checks for room once instead of once per piece.
 #pragma once
 
 #include <string>

@@ -1,7 +1,6 @@
 #include "workloads/mutator.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -46,39 +45,106 @@ ShadowMutator::Image ShadowMutator::save_image() const {
 }
 
 void ShadowMutator::restore_image(const Image& img) {
-  for (const ShadowObj& o : img.objs) {
+  // Validate everything first: the recount below indexes slots by the
+  // image's children and live entries, and the flat layout copies
+  // children/data at stride max_pi/max_delta.
+  const std::size_t n = img.objs.size();
+  auto reject = [](const std::string& what) {
+    throw std::invalid_argument("ShadowMutator::restore_image: " + what);
+  };
+  if (n > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
+    reject("more than 2^31 objects (children are int32 slots)");
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const ShadowObj& o = img.objs[i];
+    const std::string obj = "object " + std::to_string(i);
     if (o.pi > cfg_.max_pi || o.delta > cfg_.max_delta) {
-      throw std::invalid_argument(
-          "ShadowMutator::restore_image: object shape " +
-          std::to_string(o.pi) + "/" + std::to_string(o.delta) +
-          " exceeds this mutator's max_pi/max_delta");
+      reject(obj + " shape " + std::to_string(o.pi) + "/" +
+             std::to_string(o.delta) +
+             " exceeds this mutator's max_pi/max_delta");
+    }
+    if (o.children.size() != o.pi) {
+      reject(obj + " children: " + std::to_string(o.children.size()) +
+             " entries for pi " + std::to_string(o.pi));
+    }
+    if (o.data.size() != o.delta) {
+      reject(obj + " data: " + std::to_string(o.data.size()) +
+             " words for delta " + std::to_string(o.delta));
+    }
+    for (std::size_t f = 0; f < o.children.size(); ++f) {
+      const std::int64_t c = o.children[f];
+      if (c < -1 || c >= static_cast<std::int64_t>(n)) {
+        reject(obj + " children[" + std::to_string(f) + "] = " +
+               std::to_string(c) + " is outside [-1, " + std::to_string(n) +
+               ")");
+      }
     }
   }
+  std::vector<char> listed(n, 0);
+  for (std::size_t k = 0; k < img.live.size(); ++k) {
+    const std::size_t i = img.live[k];
+    if (i >= n) {
+      reject("live[" + std::to_string(k) + "] = " + std::to_string(i) +
+             " names no object (the image has " + std::to_string(n) + ")");
+    }
+    if (k > 0 && i <= img.live[k - 1]) {
+      reject("live[" + std::to_string(k) + "] = object " + std::to_string(i) +
+             " is not above live[" + std::to_string(k - 1) +
+             "] (live must be strictly ascending)");
+    }
+    listed[i] = 1;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const ShadowObj& o = img.objs[i];
+    if (o.rooted && !listed[i]) {
+      reject("object " + std::to_string(i) + " rooted: missing from live");
+    }
+    if (!listed[i]) continue;
+    for (std::size_t f = 0; f < o.children.size(); ++f) {
+      const std::int64_t c = o.children[f];
+      if (c >= 0 && !img.objs[static_cast<std::size_t>(c)].rooted &&
+          !listed[static_cast<std::size_t>(c)]) {
+        reject("object " + std::to_string(i) + " children[" +
+               std::to_string(f) + "] = " + std::to_string(c) +
+               ": an unrooted child of a listed object is missing from live");
+      }
+    }
+  }
+
   rng_.set_state(img.rng);
-  const std::size_t n = img.objs.size();
   slots_.assign(n, Slot{});
   children_.assign(n * cfg_.max_pi, -1);
   data_.assign(n * cfg_.max_delta, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const ShadowObj& o = img.objs[i];
-    slots_[i] = {o.ref, o.pi, o.delta, 0, o.rooted};
+    slots_[i] = {.ref = o.ref,
+                 .delta = o.delta,
+                 .pi = static_cast<std::uint16_t>(o.pi),
+                 .rooted = o.rooted};
     std::transform(o.children.begin(), o.children.end(), children(i),
                    [](std::int64_t c) { return static_cast<std::int32_t>(c); });
     std::copy(o.data.begin(), o.data.end(), data(i));
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!slots_[i].rooted) continue;
-    for (Word f = 0; f < slots_[i].pi; ++f) {
-      if (children(i)[f] >= 0) ++slots_[children(i)[f]].rooted_in;
+  live_ = img.live;
+  rooted_ = 0;
+  // The image does not say whether live was exact when it was taken, so
+  // every listed unrooted slot is an orphan: the first mark covers them all.
+  orphans_.clear();
+  for (std::size_t i : live_) {
+    const Slot& s = slots_[i];
+    if (s.rooted) {
+      ++rooted_;
+    } else {
+      orphans_.push_back(i);
+    }
+    for (Word f = 0; f < s.pi; ++f) {
+      const std::int32_t c = children(i)[f];
+      if (c < 0) continue;
+      Slot& child = slots_[static_cast<std::size_t>(c)];
+      ++(s.rooted ? child.rooted_in : child.unrooted_in);
     }
   }
-  live_ = img.live;
-  unrooted_.clear();
-  std::copy_if(live_.begin(), live_.end(), std::back_inserter(unrooted_),
-               [this](std::size_t i) { return !slots_[i].rooted; });
-  rooted_ = live_.size() - unrooted_.size();
-  // The image does not say whether live was exact when it was taken.
-  live_stale_ = true;
+  support_.assign(n, 0);
   allocations_ = img.allocations;
 }
 
@@ -112,7 +178,10 @@ void ShadowMutator::step(Runtime& rt) {
       throw std::length_error("ShadowMutator: more than 2^31 allocations");
     }
     const Runtime::Ref ref = rt.alloc(pi, delta);
-    slots_.push_back({ref, pi, delta, 0, true});
+    slots_.push_back({.ref = ref,
+                      .delta = delta,
+                      .pi = static_cast<std::uint16_t>(pi),
+                      .rooted = true});
     children_.resize(children_.size() + cfg_.max_pi, -1);
     data_.resize(data_.size() + cfg_.max_delta);
     Word* words = data(slot);
@@ -169,39 +238,60 @@ void ShadowMutator::step(Runtime& rt) {
     obj.rooted = false;
     obj.ref = Runtime::Ref();
     --rooted_;
-    unrooted_.insert(
-        std::upper_bound(unrooted_.begin(), unrooted_.end(), idx), idx);
-    // Its out-edges no longer come from a rooted object — self-edges too,
-    // so the check on the object itself sees only other rooted parents.
+    // Checked before the out-edges go: if a self-edge was its last rooted
+    // in-edge, dropping that edge reports the orphan instead.
+    if (obj.rooted_in == 0) orphans_.push_back(idx);
+    // Its out-edges now come from a listed unrooted object, self-edges too.
     for (Word f = 0; f < obj.pi; ++f) {
-      if (children(idx)[f] >= 0) drop_rooted_edge(children(idx)[f]);
+      const std::int32_t c = children(idx)[f];
+      if (c < 0) continue;
+      ++slots_[static_cast<std::size_t>(c)].unrooted_in;
+      drop_rooted_edge(c);
     }
-    if (obj.rooted_in == 0) live_stale_ = true;
-    if (live_stale_) mark_live();
+    if (!orphans_.empty()) mark_live();
   }
 }
 
 void ShadowMutator::drop_rooted_edge(std::int32_t child) {
-  Slot& s = slots_[static_cast<std::size_t>(child)];
-  --s.rooted_in;
-  if (!s.rooted && s.rooted_in == 0) live_stale_ = true;
+  const auto i = static_cast<std::size_t>(child);
+  Slot& s = slots_[i];
+  if (--s.rooted_in == 0 && !s.rooted) orphans_.push_back(i);
 }
 
 void ShadowMutator::mark_live() {
-  // Rooted slots are live. An unrooted slot is live iff an unrooted-only
-  // path reaches it from an unrooted slot with rooted_in > 0: the last
-  // rooted object on any path from a root links straight to such a slot.
-  // Every unrooted slot on such a path is in unrooted_, since live_ is a
-  // superset of the reachable set.
-  if (++epoch_ == 0) {  // wrapped: clear stamps left from 2^32 marks ago
-    std::fill(marks_.begin(), marks_.end(), 0);
-    epoch_ = 1;
+  // The region is what the orphans reach through unrooted slots. Every
+  // listed unrooted slot outside it stays reachable (DESIGN.md "Shadow
+  // model"), so only region slots can die. A region slot's outside support
+  // is its rooted_in + unrooted_in minus the edges from region slots; it is
+  // live iff a supported region slot reaches it.
+  support_.resize(slots_.size(), 0);
+  region_.clear();
+  for (std::size_t i : orphans_) {
+    if (support_[i] != 0) continue;  // repeated orphan
+    support_[i] = 1 + slots_[i].rooted_in + slots_[i].unrooted_in;
+    region_.push_back(i);
   }
-  marks_.resize(slots_.size(), 0);
+  orphans_.clear();
+  for (std::size_t k = 0; k < region_.size(); ++k) {
+    const std::size_t i = region_[k];
+    const std::int32_t* ch = children(i);
+    for (Word f = 0; f < slots_[i].pi; ++f) {
+      if (ch[f] < 0) continue;
+      const auto c = static_cast<std::size_t>(ch[f]);
+      if (slots_[c].rooted) continue;
+      if (support_[c] == 0) {
+        support_[c] = 1 + slots_[c].rooted_in + slots_[c].unrooted_in;
+        region_.push_back(c);
+      }
+      --support_[c];  // the edge from region slot i
+    }
+  }
+  // Mark live by clearing support_ (rooted slots and slots outside the
+  // region are 0 already, so they stop the walk).
   mark_stack_.clear();
-  for (std::size_t i : unrooted_) {
-    if (slots_[i].rooted_in > 0) {
-      marks_[i] = epoch_;
+  for (std::size_t i : region_) {
+    if (support_[i] > 1) {
+      support_[i] = 0;
       mark_stack_.push_back(i);
     }
   }
@@ -212,37 +302,42 @@ void ShadowMutator::mark_live() {
     for (Word f = 0; f < slots_[i].pi; ++f) {
       if (ch[f] < 0) continue;
       const auto c = static_cast<std::size_t>(ch[f]);
-      if (!slots_[c].rooted && marks_[c] != epoch_) {
-        marks_[c] = epoch_;
+      if (support_[c] != 0) {
+        support_[c] = 0;
         mark_stack_.push_back(c);
       }
     }
   }
-  // Split unrooted_ into survivors and the dead (the now empty stack holds
-  // the dead, ascending), then drop the dead from live_ in one merge pass.
-  std::vector<std::size_t>& dead = mark_stack_;
-  std::size_t kept = 0;
-  for (std::size_t i : unrooted_) {
-    if (marks_[i] == epoch_) {
-      unrooted_[kept++] = i;
-    } else {
-      dead.push_back(i);
+  // What is still non-zero is dead: unlist it, ascending.
+  std::size_t dead = 0;
+  for (std::size_t k = 0; k < region_.size(); ++k) {
+    const std::size_t i = region_[k];
+    if (support_[i] == 0) continue;
+    support_[i] = 0;
+    region_[dead++] = i;
+  }
+  region_.resize(dead);
+  if (region_.empty()) return;
+  std::sort(region_.begin(), region_.end());
+  for (std::size_t i : region_) {
+    const std::int32_t* ch = children(i);
+    for (Word f = 0; f < slots_[i].pi; ++f) {
+      if (ch[f] >= 0) --slots_[static_cast<std::size_t>(ch[f])].unrooted_in;
     }
   }
-  unrooted_.resize(kept);
-  if (!dead.empty()) {
-    std::size_t out = 0;
-    std::size_t d = 0;
-    for (std::size_t i : live_) {
-      if (d < dead.size() && dead[d] == i) {
-        ++d;
-      } else {
-        live_[out++] = i;
-      }
-    }
-    live_.resize(out);
+  // Close each gap between dead slots with one move, from the first dead.
+  auto out = std::lower_bound(live_.begin(), live_.end(), region_.front());
+  auto in = out;
+  for (std::size_t k = 0; k < region_.size(); ++k) {
+    ++in;  // past region_[k]
+    const auto next =
+        k + 1 < region_.size()
+            ? std::lower_bound(in, live_.end(), region_[k + 1])
+            : live_.end();
+    out = std::move(in, next, out);
+    in = next;
   }
-  live_stale_ = false;
+  live_.erase(out, live_.end());
 }
 
 std::size_t ShadowMutator::validate(Runtime& rt) const {

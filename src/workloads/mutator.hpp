@@ -18,11 +18,13 @@
 // an object that stays listed), and exactly the reachable set after each
 // release.
 //
-// The shadow graph is flat and slot-indexed: per-slot shape, rooted flag and
-// rooted_in count (edges from rooted objects), children as int32 slots at
-// stride max_pi, data words at stride max_delta. A release marks only when
-// something since the last mark could have cut reachability, and the mark
-// walks only unrooted slots (DESIGN.md "Shadow model" gives the argument).
+// The shadow graph is flat and slot-indexed: per-slot shape, rooted flag,
+// rooted_in count (edges from rooted objects) and unrooted_in count (edges
+// from listed unrooted ones), children as int32 slots at stride max_pi, data
+// words at stride max_delta. A release marks only when an orphan event (an
+// unrooted slot left at rooted_in == 0) happened since the last mark, and the
+// mark walks only what the orphans reach through unrooted slots (DESIGN.md
+// "Shadow model" gives the argument).
 #pragma once
 
 #include <array>
@@ -107,8 +109,13 @@ class ShadowMutator {
   };
 
   Image save_image() const;
-  /// Throws std::invalid_argument when an object's shape exceeds this
-  /// mutator's max_pi/max_delta (the image belongs to another config).
+  /// Throws std::invalid_argument, naming the object and the field, and
+  /// leaves this mutator untouched when the image cannot be this mutator's
+  /// state: a shape beyond max_pi/max_delta (the image belongs to another
+  /// config), children/data sizes that differ from pi/delta, a child outside
+  /// [-1, objs.size()), a live entry out of range or out of order, a rooted
+  /// object missing from live, or an unrooted child of a listed object that
+  /// is not listed.
   void restore_image(const Image& img);
 
   /// FNV-1a 64 over data words — the shadow-side counterpart of
@@ -119,9 +126,10 @@ class ShadowMutator {
  private:
   struct Slot {
     Runtime::Ref ref;  ///< valid while rooted
-    std::uint32_t pi = 0;
     std::uint32_t delta = 0;
-    std::uint32_t rooted_in = 0;  ///< edges into this slot from rooted ones
+    std::uint32_t rooted_in = 0;    ///< edges into this slot from rooted ones
+    std::uint32_t unrooted_in = 0;  ///< edges from listed unrooted ones
+    std::uint16_t pi = 0;           ///< kMaxPi fits; Slot stays 24 bytes
     bool rooted = false;
   };
 
@@ -139,11 +147,11 @@ class ShadowMutator {
   }
 
   /// Removes one edge from a rooted object to `child`; an unrooted child
-  /// left without rooted in-edges may have become unreachable.
+  /// left without rooted in-edges is an orphan.
   void drop_rooted_edge(std::int32_t child);
 
-  /// Drops from live_ the slots no longer reachable from a rooted one
-  /// (garbage in the real heap too).
+  /// Drops from live_ the slots the orphans' region holds that are no
+  /// longer reachable from a rooted one (garbage in the real heap too).
   void mark_live();
 
   std::size_t pick_live();
@@ -154,12 +162,14 @@ class ShadowMutator {
   std::vector<std::int32_t> children_;  ///< stride max_pi, -1 = null
   std::vector<Word> data_;              ///< stride max_delta
   std::vector<std::size_t> live_;       ///< see the contract at the top
-  std::vector<std::size_t> unrooted_;   ///< live_'s unrooted slots, ascending
   std::size_t rooted_ = 0;              ///< rooted slots (all in live_)
-  /// Set when reachability may have shrunk since the last mark.
-  bool live_stale_ = false;
-  std::vector<std::uint32_t> marks_;  ///< epoch-stamped per slot
-  std::uint32_t epoch_ = 0;
+  /// Unrooted slots left at rooted_in == 0 since the last mark (possibly
+  /// repeated); reachability may have shrunk only when this is non-empty.
+  std::vector<std::size_t> orphans_;
+  /// Per slot, 0 outside a mark. During one: 1 + the outside support of a
+  /// region slot, then 0 again once the slot is marked live.
+  std::vector<std::uint32_t> support_;
+  std::vector<std::size_t> region_;
   std::vector<std::size_t> mark_stack_;
   std::uint64_t allocations_ = 0;
 };

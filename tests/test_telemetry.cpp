@@ -342,6 +342,31 @@ TEST(ChromeTrace, EdgeCasesMatchGoldenFile) {
   expect_matches_golden(chrome_trace_json(r.bus, opt), "edge.trace.json");
 }
 
+// The exporter writes through a 64 KB chunk; an event longer than that (a
+// huge instant name) gets a chunk of its own size, and the events around it
+// keep their order.
+TEST(ChromeTrace, EventLongerThanTheChunkExportsWhole) {
+  TelemetryBus bus;
+  bus.enable();
+  bus.begin_collection("long");
+  const std::uint32_t t = bus.track("t");
+  bus.begin_cycle(0);
+  std::string name(100000, 'x');
+  name[50000] = '\x01';
+  bus.instant(t, TelemetryCategory::kRuntime, "first");
+  bus.instant(t, TelemetryCategory::kRuntime, name);
+  bus.instant(t, TelemetryCategory::kRuntime, "last");
+  bus.end_collection(1);
+  const std::string json = chrome_trace_json(bus);
+  const std::string escaped =
+      name.substr(0, 50000) + "\\u0001" + name.substr(50001);
+  const std::size_t at = json.find("\"name\":\"" + escaped + "\"},\n");
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_LT(json.find("\"first\""), at);
+  EXPECT_GT(json.find("\"last\""), at);
+  EXPECT_EQ(json.substr(json.size() - 4), "\n]}\n");
+}
+
 std::uint64_t fnv1a64(const std::string& s) {
   std::uint64_t h = 14695981039346656037ull;
   for (const char c : s) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -388,6 +389,237 @@ TEST(ShadowLiveSet, SelfLinkReleaseAndSameChildRelink) {
   }
   EXPECT_GT(self_link_releases, 0u);
   EXPECT_GT(same_child_relinks, 0u);
+}
+
+/// The full mark the region mark replaced, as a reference: seed every
+/// unrooted slot of `live` that a rooted object links to, follow unrooted
+/// children, and keep `live`'s rooted slots plus what the walk marked.
+std::vector<std::size_t> full_mark(const ShadowMutator::Image& img,
+                                   const std::vector<std::size_t>& live) {
+  const auto& objs = img.objs;
+  std::vector<char> marked(objs.size(), 0);
+  std::vector<std::size_t> stack;
+  for (std::size_t i : live) {
+    if (!objs[i].rooted) continue;
+    for (std::int64_t c : objs[i].children) {
+      const auto ci = static_cast<std::size_t>(c);
+      if (c >= 0 && !objs[ci].rooted && !marked[ci]) {
+        marked[ci] = 1;
+        stack.push_back(ci);
+      }
+    }
+  }
+  while (!stack.empty()) {
+    const std::size_t i = stack.back();
+    stack.pop_back();
+    for (std::int64_t c : objs[i].children) {
+      const auto ci = static_cast<std::size_t>(c);
+      if (c >= 0 && !objs[ci].rooted && !marked[ci]) {
+        marked[ci] = 1;
+        stack.push_back(ci);
+      }
+    }
+  }
+  std::vector<std::size_t> out;
+  std::copy_if(live.begin(), live.end(), std::back_inserter(out),
+               [&](std::size_t i) { return objs[i].rooted || marked[i]; });
+  return out;
+}
+
+struct RegionCase {
+  Word max_pi;
+  std::size_t target_live;
+};
+
+void PrintTo(const RegionCase& c, std::ostream* os) {
+  *os << "max_pi " << c.max_pi << " target_live " << c.target_live;
+}
+
+class ShadowRegionMark : public ::testing::TestWithParam<RegionCase> {};
+
+TEST_P(ShadowRegionMark, EqualsFullMarkAfterEveryStep) {
+  // The reference keeps its own live list: new slots are appended, and
+  // every release (not only those after an orphan event) runs the full
+  // mark over it. The mutator's live must equal it after every step. Half
+  // way, the run moves into a fresh mutator and runtime through
+  // save_image/restore_image, whose first mark covers every unrooted slot;
+  // the moved run must end where the uninterrupted one does.
+  const RegionCase c = GetParam();
+  constexpr std::size_t kSteps = 2400;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const ShadowMutator::Config cfg{
+        .seed = seed, .max_pi = c.max_pi, .target_live = c.target_live};
+    Runtime rt(1 << 16);
+    ShadowMutator mut(cfg);
+    Runtime moved_rt(1 << 16);
+    ShadowMutator moved({.seed = seed + 100,
+                         .max_pi = c.max_pi,
+                         .target_live = c.target_live});
+    std::vector<std::size_t> ref;
+    std::size_t marks = 0;
+    for (std::size_t step = 0; step < kSteps; ++step) {
+      if (step == kSteps / 2) {
+        moved_rt.restore_image(rt.save_image());
+        moved.restore_image(mut.save_image());
+      }
+      ShadowMutator& m = step < kSteps / 2 ? mut : moved;
+      const std::size_t rooted_before = m.live_rooted();
+      const std::uint64_t slots_before = m.allocations();
+      m.step(step < kSteps / 2 ? rt : moved_rt);
+      if (step >= kSteps / 2) mut.step(rt);
+      if (m.allocations() > slots_before) ref.push_back(slots_before);
+      const ShadowMutator::Image img = m.save_image();
+      if (m.live_rooted() < rooted_before) {
+        ref = full_mark(img, ref);
+        ++marks;
+      }
+      ASSERT_EQ(img.live, ref) << "after step " << step;
+    }
+    EXPECT_GT(marks, 20u);
+    EXPECT_EQ(image_fnv(moved.save_image()), image_fnv(mut.save_image()));
+    EXPECT_EQ(moved_rt.save_image().words, rt.save_image().words);
+    EXPECT_EQ(moved.validate(moved_rt), 0u);
+  }
+}
+
+std::string region_case_name(
+    const ::testing::TestParamInfo<RegionCase>& info) {
+  return "pi" + std::to_string(info.param.max_pi) + "_live" +
+         std::to_string(info.param.target_live);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, ShadowRegionMark,
+    ::testing::Values(RegionCase{0, 1}, RegionCase{0, 8}, RegionCase{0, 256},
+                      RegionCase{1, 1}, RegionCase{1, 8}, RegionCase{1, 256},
+                      RegionCase{4, 1}, RegionCase{4, 8}, RegionCase{4, 256},
+                      RegionCase{16, 1}, RegionCase{16, 8},
+                      RegionCase{16, 256}),
+    region_case_name);
+
+// --- Hostile images: restore_image validates before it touches state -----
+
+/// An image of a short churn with collections, releases and dead slots.
+ShadowMutator::Image churned_image() {
+  Runtime rt(1 << 14);
+  ShadowMutator mut({.seed = 4, .target_live = 16});
+  mut.run(rt, 400);
+  return mut.save_image();
+}
+
+/// Restoring `img` must throw std::invalid_argument whose message contains
+/// `needle`, and leave the target mutator as it was.
+void expect_rejected(const ShadowMutator::Image& img,
+                     const std::string& needle) {
+  Runtime rt(1 << 14);
+  ShadowMutator target({.seed = 11, .target_live = 16});
+  target.run(rt, 100);
+  const std::uint64_t before = image_fnv(target.save_image());
+  try {
+    target.restore_image(img);
+    ADD_FAILURE() << "restore_image accepted the image (wanted: " << needle
+                  << ")";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(image_fnv(target.save_image()), before)
+      << "a rejected image changed the mutator";
+}
+
+/// First object index in `img` that `pred` accepts.
+template <typename Pred>
+std::size_t find_obj(const ShadowMutator::Image& img, Pred pred) {
+  for (std::size_t i = 0; i < img.objs.size(); ++i) {
+    if (pred(img.objs[i], i)) return i;
+  }
+  ADD_FAILURE() << "no object in the churned image fits the case";
+  return 0;
+}
+
+TEST(ShadowMutatorHostileImage, ChurnedImageRestores) {
+  ShadowMutator m({.seed = 11, .target_live = 16});
+  EXPECT_NO_THROW(m.restore_image(churned_image()));
+}
+
+TEST(ShadowMutatorHostileImage, RejectsChildrenSizeOtherThanPi) {
+  ShadowMutator::Image img = churned_image();
+  const std::size_t i = find_obj(
+      img, [](const auto& o, std::size_t) { return o.pi == 4; });
+  img.objs[i].children.push_back(-1);  // one past max_pi as well
+  expect_rejected(img, "object " + std::to_string(i) + " children: 5");
+  img.objs[i].children.resize(2);
+  expect_rejected(img, "object " + std::to_string(i) + " children: 2");
+}
+
+TEST(ShadowMutatorHostileImage, RejectsDataSizeOtherThanDelta) {
+  ShadowMutator::Image img = churned_image();
+  const std::size_t i = find_obj(
+      img, [](const auto& o, std::size_t) { return o.delta == 8; });
+  img.objs[i].data.push_back(7);  // one past max_delta as well
+  expect_rejected(img, "object " + std::to_string(i) + " data: 9");
+  img.objs[i].data.clear();
+  expect_rejected(img, "object " + std::to_string(i) + " data: 0");
+}
+
+TEST(ShadowMutatorHostileImage, RejectsChildOutOfRange) {
+  ShadowMutator::Image img = churned_image();
+  const std::size_t i = find_obj(
+      img, [](const auto& o, std::size_t) { return o.pi > 0; });
+  const std::string obj = "object " + std::to_string(i) + " children[0] = ";
+  img.objs[i].children[0] = static_cast<std::int64_t>(img.objs.size());
+  expect_rejected(img, obj + std::to_string(img.objs.size()));
+  img.objs[i].children[0] = -2;
+  expect_rejected(img, obj + "-2");
+}
+
+TEST(ShadowMutatorHostileImage, RejectsLiveEntryOutOfRange) {
+  ShadowMutator::Image img = churned_image();
+  img.live.push_back(img.objs.size());
+  expect_rejected(img, "live[" + std::to_string(img.live.size() - 1) +
+                           "] = " + std::to_string(img.objs.size()) +
+                           " names no object");
+}
+
+TEST(ShadowMutatorHostileImage, RejectsLiveNotStrictlyAscending) {
+  ShadowMutator::Image img = churned_image();
+  ASSERT_GE(img.live.size(), 3u);
+  std::swap(img.live[1], img.live[2]);
+  expect_rejected(img, "live[2] = object " + std::to_string(img.live[2]) +
+                           " is not above live[1]");
+  std::swap(img.live[1], img.live[2]);
+  img.live.insert(img.live.begin() + 1, img.live[1]);  // a duplicate
+  expect_rejected(img, "live[2]");
+}
+
+TEST(ShadowMutatorHostileImage, RejectsRootedObjectMissingFromLive) {
+  ShadowMutator::Image img = churned_image();
+  const auto it = std::find_if(img.live.begin(), img.live.end(),
+                               [&](std::size_t i) {
+                                 return img.objs[i].rooted;
+                               });
+  ASSERT_NE(it, img.live.end());
+  const std::size_t i = *it;
+  img.live.erase(it);
+  expect_rejected(img, "object " + std::to_string(i) + " rooted");
+}
+
+TEST(ShadowMutatorHostileImage, RejectsUnlistedUnrootedChildOfListed) {
+  // The region mark relies on it: an unrooted child of a listed object is
+  // listed, so the region never reaches a slot outside live.
+  ShadowMutator::Image img = churned_image();
+  std::vector<char> listed(img.objs.size(), 0);
+  for (std::size_t i : img.live) listed[i] = 1;
+  const std::size_t dead = find_obj(img, [&](const auto& o, std::size_t i) {
+    return !o.rooted && !listed[i];
+  });
+  const std::size_t parent = find_obj(img, [&](const auto& o, std::size_t i) {
+    return o.pi > 0 && listed[i];
+  });
+  img.objs[parent].children[0] = static_cast<std::int64_t>(dead);
+  expect_rejected(img, "object " + std::to_string(parent) + " children[0] = " +
+                           std::to_string(dead) + ": an unrooted child");
 }
 
 TEST(ShadowMutatorConfig, RestoreRejectsImageOfWiderShapes) {
