@@ -109,7 +109,10 @@ BENCHMARK(BM_HeaderFifoPushPop);
 // and jumps quiescent windows — and range(2) the observers attached: 0
 // none (as fig5 runs it), 1 the profiler (gcsim --profile), 2 bus,
 // profiler and signal trace (as fig6-observed records). The shape is a
-// template argument: javacc, and cup, fig5's costliest cell at 16 cores.
+// template argument: javacc; cup, fig5's costliest cell at 16 cores; and
+// search and compress, whose cores mostly wait on SyncBlock state at 16
+// cores (an empty worklist, the scan lock), where host time grew with the
+// core count while simulated cycles stayed flat.
 template <BenchmarkId kShape>
 void BM_FullCollection(benchmark::State& state) {
   const auto cores = static_cast<std::uint32_t>(state.range(0));
@@ -146,6 +149,14 @@ BENCHMARK_TEMPLATE(BM_FullCollection, BenchmarkId::kJavacc)
 BENCHMARK_TEMPLATE(BM_FullCollection, BenchmarkId::kCup)
     ->ArgNames({"cores", "ff", "obs"})
     ->ArgsProduct({{16}, {0, 1}, {0, 1, 2}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_FullCollection, BenchmarkId::kSearch)
+    ->ArgNames({"cores", "ff", "obs"})
+    ->ArgsProduct({{4, 16}, {0, 1}, {0}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_TEMPLATE(BM_FullCollection, BenchmarkId::kCompress)
+    ->ArgNames({"cores", "ff", "obs"})
+    ->ArgsProduct({{4, 16}, {0, 1}, {0}})
     ->Unit(benchmark::kMillisecond);
 
 // One observed Fig. 6 configuration (jflex, 4 cores, +20 latency, bus +

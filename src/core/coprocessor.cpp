@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/gc_core.hpp"
@@ -99,53 +100,53 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
 
   // Parked cores (DESIGN.md §13). A fault-free core that waits on an
   // in-flight load repeats that stall, touching nothing, until the load
-  // retires; one that only polled SyncBlock state (a spin on an
-  // empty worklist, a wait for a held lock) repeats the poll until the
-  // SyncBlock's work_version() moves. Either is parked from the next cycle
-  // on (`parked_since`) and not stepped while its condition holds: until
-  // the memory system's wake list names it, or until the version it parked
-  // at (`parked_version`) is stale at its turn. The skipped cycles are
-  // charged on wake in one absorb(k), and an observer sees none of them:
-  // the core's run simply lasts. Fault runs keep consulting every core's
-  // fate every cycle, and fast_forward=false stays the pure ticked
-  // reference.
+  // retires; one that only polled SyncBlock state (a spin on an empty
+  // worklist, a wait for a held lock or at the start barrier) repeats the
+  // poll until the SyncBlock fires the wake channel of what it polled
+  // (GcCore::poll_channel). Either is parked from the next cycle on
+  // (`parked_since`) and leaves the step walk until the memory system's
+  // wake list names it or its channel sets its bit in the walk's set. The
+  // skipped cycles are charged at its next turn in one absorb(k), and an
+  // observer sees none of them: the core's run simply lasts. Fault runs
+  // keep consulting every core's fate every cycle, and fast_forward=false
+  // stays the pure ticked reference.
   constexpr Cycle kAwake = ~Cycle{0};
-  constexpr std::uint64_t kOnLoad = ~std::uint64_t{0};
   const bool park_active = cfg_.coprocessor.fast_forward && fault == nullptr;
   std::vector<Cycle> parked_since(n, kAwake);
-  std::vector<std::uint64_t> parked_version(n, kOnLoad);
+  std::vector<std::uint8_t> on_load(n, 0);  // parked on a load, not a channel
 
   // The step loop walks only the runnable cores, in step order: as set bits
   // in index order under the fixed policy, through step_order otherwise. A
-  // core leaves the set while it waits on a load or once it has finished.
-  // (A polling core stays: a version check at its turn is what wakes it.)
+  // core leaves the set while it is parked and once it has finished.
   const std::size_t words = (n + 63) / 64;
   std::vector<std::uint64_t> runnable(words, ~std::uint64_t{0});
   if (n % 64 != 0) runnable.back() = (std::uint64_t{1} << (n % 64)) - 1;
+  // A fired wake channel sets its waiters' bits (SyncBlock::wait_on).
+  sb.set_wake_mask(runnable.data());
   const auto set_runnable = [&](CoreId c, bool on) {
     const std::uint64_t bit = std::uint64_t{1} << (c % 64);
     runnable[c / 64] = on ? runnable[c / 64] | bit : runnable[c / 64] & ~bit;
   };
+  const auto in_walk = [&](CoreId c) {
+    return (runnable[c / 64] >> (c % 64) & 1) != 0;
+  };
   // A core parked on its load leaves the walk, unless the stall it parked
   // with is still to be published: then it stays for one more turn.
-  const auto park = [&](CoreId c, std::uint64_t version) {
+  const auto park_on_load = [&](CoreId c) {
     parked_since[c] = now + 1;
-    parked_version[c] = version;
-    if (version == kOnLoad &&
-        (obs == nullptr || cores[c].cycle() == shown[c])) {
-      set_runnable(c, false);
-    }
+    on_load[c] = 1;
+    if (obs == nullptr || cores[c].cycle() == shown[c]) set_runnable(c, false);
   };
-  // A parked core whose next step would still repeat its record.
-  const auto still_parked = [&](CoreId c) {
-    return parked_since[c] != kAwake &&
-           (parked_version[c] == kOnLoad ||
-            parked_version[c] == sb.work_version());
+  // A polling core's record of this cycle is out already: it leaves now.
+  const auto park_on_channel = [&](CoreId c, SyncBlock::Channel ch) {
+    parked_since[c] = now + 1;
+    sb.wait_on(c, ch);
+    set_runnable(c, false);
   };
   const auto wake = [&](CoreId c) {
     cores[c].absorb(now - parked_since[c]);
     parked_since[c] = kAwake;
-    set_runnable(c, true);
+    on_load[c] = 0;
   };
 
   bool cores_halted = false;
@@ -200,6 +201,33 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     if (worklist_empty) stats.worklist_empty_cycles += k;
   };
 
+  // Lost-wake guard: no core in the walk, the cores not halted and nothing
+  // in flight. No event can end such a wait — a missing channel firing, a
+  // simulator bug rather than a hardware fault — so it throws here instead
+  // of running to the watchdog. It is checked where it costs nothing per
+  // cycle: before a jump under the fixed order (that state's jump target
+  // is the watchdog budget), and before each cycle's order under the
+  // others.
+  const auto check_lost_wake = [&]() {
+    if (cores_halted) return;
+    for (const std::uint64_t word : runnable) {
+      if (word != 0) return;
+    }
+    if (!mem.idle()) return;
+    std::string parked;
+    for (CoreId c = 0; c < n; ++c) {
+      if (core_done[c] != 0) continue;
+      const SyncBlock::Channel ch = sb.waiting_on(c);
+      parked += (parked.empty() ? "core " : ", core ") + std::to_string(c) +
+                " on " +
+                (ch == SyncBlock::kNoChannel ? std::string("no channel")
+                                             : SyncBlock::channel_name(ch));
+    }
+    throw std::logic_error("lost wake at cycle " + std::to_string(now) +
+                           ": no core can run and nothing is in flight; " +
+                           parked);
+  };
+
   // Event-driven fast-forward (DESIGN.md §13): when every component is
   // quiescent — memory ticks are pure waiting, every core's next steps
   // repeat its record of the cycle just observed — jump the clock to the
@@ -216,6 +244,7 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     if (!mem.ff_quiescent()) return 0;
     const Cycle completion = mem.next_completion();
     if (completion <= now) return 0;
+    if (completion == MemorySystem::kNever) check_lost_wake();
     // Fault gate: no armed event may be due (it would fire on a consult
     // this cycle) and no steady state may change before the jump target.
     if (fault != nullptr && fault->ff_blocked(now)) return 0;
@@ -245,9 +274,13 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
         if (fate == CoreFate::kStall) {
           p.cycle = {CoreActivity::kStall, StallReason::kFault};
         }
-      } else if (parked_since[c] != kAwake && parked_version[c] == kOnLoad) {
+      } else if (parked_since[c] != kAwake && (on_load[c] || !in_walk(c))) {
+        // Waiting on its load, or on a channel that has not fired: steady
+        // by construction (a channel-parked idle core cannot observe
+        // termination, whose onset fires the worklist channel). A core
+        // whose channel fired is back in the walk and polled below.
         p = GcCore::FfPoll{};
-        p.steady = true;  // still waiting on its load
+        p.steady = true;
         p.cycle = cores[c].cycle();
       } else {
         p = cores[c].ff_poll();
@@ -322,6 +355,7 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     walking = kNoCore;
     if (!cores_halted) {
       if (!fixed_order) {
+        if (park_active) check_lost_wake();
         policy->order(now, sb, step_order);
         show_order(now);
       }
@@ -333,16 +367,23 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     if (fault != nullptr) fault->begin_clock(now);
     mem.tick(now);
     for (CoreId c : mem.woken()) {
-      if (parked_since[c] != kAwake) wake(c);
+      if (on_load[c] != 0) {
+        wake(c);
+        set_runnable(c, true);
+      }
     }
     if (!cores_halted) {
       sb.begin_cycle();
       busy_recorded = false;
-      // The walk over the runnable cores. Stepping a core changes only its
-      // own runnable bit, so each word is read once.
+      // The walk over the runnable cores. Stepping a core changes its own
+      // runnable bit and, through a fired wake channel, others' bits. The
+      // walk re-reads the set at every turn, past the core it stepped last:
+      // a woken core later in the order steps in this same cycle and sees
+      // the change, as a ticked step would; an earlier one steps in the
+      // next cycle.
       std::size_t pos = 0;
       std::size_t w = 0;
-      std::uint64_t bits = runnable[0];
+      std::uint64_t ahead = ~std::uint64_t{0};  // bits of word w not walked
       const auto next_core = [&](CoreId& c) {
         if (!fixed_order) {
           while (pos < step_order.size()) {
@@ -351,25 +392,27 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
           }
           return false;
         }
-        while (bits == 0) {
+        std::uint64_t bits;
+        while ((bits = runnable[w] & ahead) == 0) {
           if (++w == words) return false;
-          bits = runnable[w];
+          ahead = ~std::uint64_t{0};
         }
-        c = static_cast<CoreId>(w * 64 + std::countr_zero(bits));
-        bits &= bits - 1;
+        const int b = std::countr_zero(bits);
+        c = static_cast<CoreId>(w * 64 + static_cast<std::size_t>(b));
+        ahead = ~std::uint64_t{0} << b << 1;
         return true;
       };
       for (CoreId c = 0; next_core(c);) {
         GcCore& core = cores[c];
-        if (still_parked(c)) {
-          // Its record of this cycle repeats. A core that parked on the
-          // load it just issued publishes that stall here, then leaves.
-          show(c, now, core.cycle());
-          if (parked_version[c] == kOnLoad) set_runnable(c, false);
-          continue;
-        }
         if (parked_since[c] != kAwake) {
-          wake(c);  // the state it polls has changed: step it
+          if (on_load[c] != 0) {
+            // A core that parked on the load it just issued publishes that
+            // stall here, then leaves.
+            show(c, now, core.cycle());
+            set_runnable(c, false);
+            continue;
+          }
+          wake(c);  // its wake channel fired: step it
         }
         walking = c;
         if (fault != nullptr) {
@@ -399,9 +442,10 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
         // the load it waits on parks too: its next step would stall.
         if (park_active) {
           if (core.park_on_load()) {
-            park(c, kOnLoad);
-          } else if (core.polling()) {
-            park(c, sb.work_version());
+            park_on_load(c);
+          } else if (const SyncBlock::Channel ch = core.poll_channel();
+                     ch != SyncBlock::kNoChannel) {
+            park_on_channel(c, ch);
           }
         }
       }

@@ -52,9 +52,13 @@ class Coprocessor {
   /// SchedulePolicy (cfg.coprocessor.schedule; fixed index order — the
   /// prototype's static prioritization — by default). With
   /// cfg.coprocessor.fast_forward and no fault injector, a core waiting on
-  /// a load, spinning on an empty worklist or waiting for a held lock is
-  /// parked instead of stepped until what it waits for can change
-  /// (DESIGN.md §13), with an identical result.
+  /// a load, spinning on an empty worklist, waiting for a held lock or at
+  /// the start barrier is parked off the step walk until its load retires
+  /// or the SyncBlock fires the wake channel of what it polled
+  /// (DESIGN.md §13), with an identical result. A parked run in which no
+  /// core can run and nothing is in flight is a lost wake, a simulator
+  /// bug: it throws std::logic_error naming the parked cores and their
+  /// channels.
   ///
   /// `fault`, when non-null, is threaded through to the SyncBlock and the
   /// memory scheduler and consulted for each core's fate every cycle; the

@@ -15,6 +15,7 @@
 // (Section V-E).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 
 #include "core/sync_block.hpp"
@@ -91,30 +92,48 @@ class GcCore {
     return true;
   }
 
-  /// True when the last step only polled SyncBlock state and every
-  /// further step() repeats it, touching nothing, until the SyncBlock's
-  /// work_version() moves: a spin on an empty worklist while termination
-  /// does not hold and no stripe work waits, a wait for a scan or header
-  /// lock that another core holds, or a wait at the start barrier after
-  /// this core's arrival. Fault-free runs only (all_idle() would consult
+  /// When the last step only polled SyncBlock state, so that every further
+  /// step() repeats it, touching nothing, until that state changes: the
+  /// SyncBlock wake channel that fires on the change. Those polls are
+  ///   * a spin on an empty worklist while termination does not hold and
+  ///     no stripe work waits: kWorklistChannel;
+  ///   * a wait for a scan lock another core holds across cycles (not one
+  ///     merely granted this cycle, which is free again next cycle without
+  ///     a release): kScanLockChannel;
+  ///   * a wait for a header lock: the holder's header_lock_channel;
+  ///   * a wait at the start barrier after this core's arrival (re-arrival
+  ///     is idempotent until the last arrival releases it):
+  ///     kBarrierChannel.
+  /// kNoChannel otherwise. Fault-free runs only (all_idle() would consult
   /// the injector, and an injected grant suppression ends on its own).
-  bool polling() const noexcept {
+  SyncBlock::Channel poll_channel() const noexcept {
     const SyncBlock& sb = ctx_.sb;
     if (cycle_.activity == CoreActivity::kIdle) {
-      return sb.worklist_empty() && !(sb.all_idle() && sb.stripes_idle()) &&
-             !(ctx_.cfg.subobject_copy && sb.stripe_work_available());
+      const bool spins =
+          sb.worklist_empty() && !(sb.all_idle() && sb.stripes_idle()) &&
+          !(ctx_.cfg.subobject_copy && sb.stripe_work_available());
+      return spins ? SyncBlock::kWorklistChannel : SyncBlock::kNoChannel;
     }
-    if (cycle_ == CoreCycle{CoreActivity::kStall, StallReason::kScanLock}) {
-      // Held across cycles, not merely granted to another core this cycle.
-      const CoreId owner = sb.scan_owner();
-      return owner != SyncBlock::kNoOwner && owner != id_;
+    if (cycle_.activity != CoreActivity::kStall) return SyncBlock::kNoChannel;
+    switch (cycle_.reason) {
+      case StallReason::kScanLock: {
+        const CoreId owner = sb.scan_owner();
+        return owner != SyncBlock::kNoOwner && owner != id_
+                   ? SyncBlock::kScanLockChannel
+                   : SyncBlock::kNoChannel;
+      }
+      case StallReason::kHeaderLock: {
+        const CoreId holder =
+            sb.header_lock_holder(id_, attributes_addr(child_));
+        assert(holder != SyncBlock::kNoOwner);
+        return SyncBlock::header_lock_channel(holder);
+      }
+      case StallReason::kBarrier:
+        return sb.barrier_arrived(id_) ? SyncBlock::kBarrierChannel
+                                       : SyncBlock::kNoChannel;
+      default:
+        return SyncBlock::kNoChannel;
     }
-    if (cycle_ == CoreCycle{CoreActivity::kStall, StallReason::kBarrier}) {
-      // Arrived at the start barrier: re-arrival is idempotent until the
-      // last arrival releases it.
-      return sb.barrier_arrived(id_);
-    }
-    return cycle_ == CoreCycle{CoreActivity::kStall, StallReason::kHeaderLock};
   }
 
   /// True once the core has observed global termination (scan == free with

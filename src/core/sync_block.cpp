@@ -14,7 +14,10 @@ SyncBlock::SyncBlock(std::uint32_t num_cores, FaultInjector* fault,
       obs_(obs),
       header_locks_(num_cores, kNullPtr),
       busy_(num_cores, 0),
-      barrier_arrived_(num_cores, 0) {
+      barrier_arrived_(num_cores, 0),
+      channel_head_(header_lock_channel(num_cores), kNoOwner),
+      next_waiter_(num_cores, kNoOwner),
+      waiting_on_(num_cores, kNoChannel) {
   assert(num_cores >= 1);
 }
 
@@ -50,7 +53,7 @@ void SyncBlock::unlock_scan(CoreId core) {
   assert(scan_owner_ == core && "unlock by non-owner");
   (void)core;
   scan_owner_ = kNoOwner;
-  ++work_version_;
+  fire(kScanLockChannel);
   if (obs_ != nullptr) obs_->on_lock_released(SbLock::kScan, core);
 }
 
@@ -99,7 +102,7 @@ bool SyncBlock::try_lock_header(CoreId core, Addr addr) {
 void SyncBlock::unlock_header(CoreId core) {
   assert(header_locks_[core] != kNullPtr && "unlock of unheld header lock");
   header_locks_[core] = kNullPtr;
-  ++work_version_;
+  fire(header_lock_channel(core));
 }
 
 bool SyncBlock::busy(CoreId core) const {
@@ -130,7 +133,7 @@ bool SyncBlock::stripe_publish(Addr orig, Addr copy, Word attrs) {
     if (!stripe_slot_active_[s]) {
       stripe_slot_active_[s] = true;
       stripe_slots_[s] = StripeJob{orig, copy, attrs, 0, 0};
-      ++work_version_;
+      fire(kWorklistChannel);
       return true;
     }
   }
@@ -154,7 +157,6 @@ bool SyncBlock::stripe_grab(Word stripe_words, StripeTask& out) {
     job.next_offset += out.length;
     ++job.outstanding;
     stripe_grabbed_this_cycle_ = true;
-    ++work_version_;
     return true;
   }
   return false;
@@ -165,7 +167,6 @@ bool SyncBlock::stripe_complete(std::uint32_t slot) {
   StripeJob& job = stripe_slots_[slot];
   assert(job.outstanding > 0);
   --job.outstanding;
-  ++work_version_;
   if (job.outstanding == 0 && job.next_offset >= delta_of(job.attrs)) {
     stripe_slot_active_[slot] = false;  // job done; caller blackens
     return true;
@@ -189,7 +190,37 @@ void SyncBlock::barrier_arrive(CoreId core) {
               std::uint8_t{0});
     barrier_count_ = 0;
     ++barrier_gen_;
-    ++work_version_;
+    fire(kBarrierChannel);
+  }
+}
+
+void SyncBlock::wait_on(CoreId core, Channel ch) {
+  assert(core < num_cores() && ch < channel_head_.size());
+  assert(wake_mask_ != nullptr && "no wake mask to fire into");
+  assert(waiting_on_[core] == kNoChannel && "core already waits");
+  waiting_on_[core] = ch;
+  next_waiter_[core] = channel_head_[ch];
+  channel_head_[ch] = core;
+  ++waiters_;
+}
+
+void SyncBlock::fire_waiters(Channel ch) noexcept {
+  for (CoreId c = channel_head_[ch]; c != kNoOwner; c = next_waiter_[c]) {
+    wake_mask_[c / 64] |= std::uint64_t{1} << (c % 64);
+    waiting_on_[c] = kNoChannel;
+    --waiters_;
+  }
+  channel_head_[ch] = kNoOwner;
+}
+
+std::string SyncBlock::channel_name(Channel ch) {
+  switch (ch) {
+    case kWorklistChannel: return "worklist";
+    case kScanLockChannel: return "scan lock";
+    case kBarrierChannel: return "barrier";
+    default:
+      return "header lock of core " +
+             std::to_string(ch - header_lock_channel(0));
   }
 }
 

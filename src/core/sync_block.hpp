@@ -20,6 +20,12 @@
 // The SB also hosts a lock-order auditor. The algorithm's fixed ordering
 // scan < header < free guarantees deadlock freedom (Habermann); the auditor
 // records any violation so tests can assert there are none.
+//
+// Wake channels (simulator side, DESIGN.md §13): a stalled core waits in
+// hardware until a release or a register write frees it. The SB models
+// that with four kinds of channel (worklist, scan lock, one per header-lock
+// holder, barrier); the clock loop parks a polling core on the channel of
+// what it polled and steps it again only once that channel fires.
 #pragma once
 
 #include <array>
@@ -54,20 +60,15 @@ class SyncBlock {
 
   Addr scan() const noexcept { return scan_; }
   Addr free() const noexcept { return free_; }
-  void set_scan(Addr a) noexcept {
-    scan_ = a;
-    ++work_version_;
-  }
+  /// Fires no channel: scan only advances toward free, so the write can
+  /// empty the worklist but never refill it, and the one poll an emptied
+  /// worklist ends (a scan-lock wait) is woken by the unlock_scan that
+  /// follows the write in the same step.
+  void set_scan(Addr a) noexcept { scan_ = a; }
   void set_free(Addr a) noexcept {
     free_ = a;
-    ++work_version_;
+    fire(kWorklistChannel);
   }
-
-  /// Advances on every change that can end a core's poll: a write to the
-  /// scan or free register, a busy bit or the stripe dispenser, a scan- or
-  /// header-lock release, and the release of a barrier. While it stands still, a core that spins on
-  /// an empty worklist or waits for a held lock repeats its last poll.
-  std::uint64_t work_version() const noexcept { return work_version_; }
 
   /// Upper bound for evacuation allocation. In stop-the-world cycles this
   /// is the tospace end; in concurrent cycles the mutator bump-allocates
@@ -132,14 +133,15 @@ class SyncBlock {
 
   /// Sets or clears the core's ScanState bit. A count of set bits is kept
   /// alongside, so the fault-free termination poll is O(1).
+  /// The count reaching 0 fires the worklist channel (termination may now
+  /// hold); no other busy-bit change can end a poll.
   void set_busy(CoreId core, bool b) noexcept {
     if ((busy_[core] != 0) == b) return;
     busy_[core] = b;
-    ++work_version_;
     if (b) {
       ++busy_bits_;
-    } else {
-      --busy_bits_;
+    } else if (--busy_bits_ == 0) {
+      fire(kWorklistChannel);
     }
   }
 
@@ -205,7 +207,9 @@ class SyncBlock {
   [[nodiscard]] bool stripe_grab(Word stripe_words, StripeTask& out);
 
   /// Reports a stripe finished. Returns true when its job is fully copied
-  /// — the caller must then blacken the object; the slot is freed.
+  /// — the caller must then blacken the object; the slot is freed. Fires
+  /// no channel: the finishing core's busy bit is still set, so no spin
+  /// can end before it clears, and the count reaching 0 fires then.
   [[nodiscard]] bool stripe_complete(std::uint32_t slot);
 
   /// True when no dispenser slot holds unfinished work (part of the
@@ -247,6 +251,48 @@ class SyncBlock {
     return barrier_arrived_[core] != 0;
   }
 
+  // --- wake channels ---------------------------------------------------------
+  //
+  // A core whose last step only polled SB state repeats that poll, touching
+  // nothing, until the state it read changes (GcCore::poll_channel). It
+  // waits on the channel of that condition, the way an event unit
+  // clock-gates a waiting core until its event arrives; every mutator that
+  // can end such a poll fires its channel, which sets its waiters' bits in
+  // the wake mask — the clock loop's set of runnable cores, the simulator's
+  // clock-enable lines. A spurious firing only costs the woken core one
+  // repeated poll; a missing one would leave it waiting forever.
+
+  using Channel = std::uint32_t;
+  /// set_free, the busy count reaching 0 and stripe_publish: what an
+  /// empty-worklist spin reads.
+  static constexpr Channel kWorklistChannel = 0;
+  /// unlock_scan: what a wait for a scan lock held across cycles reads.
+  static constexpr Channel kScanLockChannel = 1;
+  /// The barrier's release: what an arrived barrier wait reads.
+  static constexpr Channel kBarrierChannel = 2;
+  /// unlock_header(holder): what a wait for `holder`'s header lock reads.
+  static constexpr Channel header_lock_channel(CoreId holder) noexcept {
+    return 3 + holder;
+  }
+  static constexpr Channel kNoChannel = ~Channel{0};
+
+  /// Where firing wakes a waiter: bit c % 64 of word c / 64 of `mask` is
+  /// set for core c. The mask must outlive every wait.
+  void set_wake_mask(std::uint64_t* mask) noexcept { wake_mask_ = mask; }
+
+  /// Registers `core` as a waiter on `ch` until `ch` next fires (a wake
+  /// mask must be set).
+  void wait_on(CoreId core, Channel ch);
+
+  /// Number of cores waiting on any channel.
+  std::uint32_t waiters() const noexcept { return waiters_; }
+
+  /// The channel `core` waits on, kNoChannel when it waits on none.
+  Channel waiting_on(CoreId core) const noexcept { return waiting_on_[core]; }
+
+  /// "worklist", "scan lock", "barrier" or "header lock of core H".
+  static std::string channel_name(Channel ch);
+
   // --- lock-order audit ----------------------------------------------------
 
   const std::vector<std::string>& violations() const noexcept {
@@ -256,6 +302,13 @@ class SyncBlock {
  private:
   enum class Acquiring : std::uint8_t { kScan, kHeader };
   void audit(CoreId core, Acquiring what);
+
+  // Wakes `ch`'s waiters. An empty registry costs one integer test, an
+  // empty channel one more.
+  void fire(Channel ch) noexcept {
+    if (waiters_ != 0 && channel_head_[ch] != kNoOwner) fire_waiters(ch);
+  }
+  void fire_waiters(Channel ch) noexcept;
 
   // The fault-injected forms of all_idle() and busy_count().
   bool all_idle_consulting() const;
@@ -276,10 +329,16 @@ class SyncBlock {
   std::vector<Addr> header_locks_;  // kNullPtr = unlocked
   std::vector<std::uint8_t> busy_;
   std::uint32_t busy_bits_ = 0;  // set bits in busy_
-  std::uint64_t work_version_ = 0;
   std::vector<std::uint8_t> barrier_arrived_;
   std::uint32_t barrier_count_ = 0;
   std::uint64_t barrier_gen_ = 0;
+  // Wake channels: one intrusive list of waiting cores per channel (heads
+  // indexed by channel, links by core; kNoOwner ends a list).
+  std::vector<CoreId> channel_head_;
+  std::vector<CoreId> next_waiter_;
+  std::vector<Channel> waiting_on_;
+  std::uint32_t waiters_ = 0;
+  std::uint64_t* wake_mask_ = nullptr;
   std::vector<std::string> violations_;
 };
 

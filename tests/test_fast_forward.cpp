@@ -306,6 +306,28 @@ TEST(FastForward, SubobjectCopyVariantIdentical) {
   expect_equivalent(make_benchmark_plan(BenchmarkId::kJlisp, 0.05), cfg);
 }
 
+// While another core is still busy, a stripe publication can be the only
+// event that wakes a core parked on the empty worklist: with pointer-poor
+// graphs of large objects at 8 cores, idle cores park between jobs and
+// must grab the next job's stripes exactly when ticked ones do. (The fig5
+// plans never reach that state.)
+TEST(FastForward, StripePublicationWakesParkedIdleCores) {
+  for (const Word max_pi : {1u, 3u}) {
+    RandomGraphConfig rg;
+    rg.nodes = 200;
+    rg.roots = 8;
+    rg.garbage_fraction = 0;
+    rg.max_pi = max_pi;
+    rg.max_delta = 48;
+    SimConfig cfg = config_with_cores(8);
+    cfg.coprocessor.subobject_copy = true;
+    cfg.coprocessor.stripe_threshold = 8;
+    cfg.coprocessor.stripe_words = 64;
+    SCOPED_TRACE("max_pi=" + std::to_string(max_pi));
+    expect_equivalent(make_random_plan(1, rg), cfg);
+  }
+}
+
 TEST(FastForward, HighMemoryLatencyIdentical) {
   // Figure 6's +20-cycle latency regime is where quiescent windows are
   // longest and fast-forward does the most work — the config the perf

@@ -1,11 +1,13 @@
 // Unit tests for the Synchronization Block (paper Section V-C): the
 // scan/free locks with their one-acquisition-per-cycle budget and
 // same-cycle hand-off, the header-lock CAM, the ScanState busy bits, the
-// barrier and the lock-order auditor.
+// barrier, the lock-order auditor and the wake channels.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/sync_block.hpp"
@@ -193,6 +195,182 @@ TEST(SyncBlock, LockOrderAuditorFlagsViolations) {
   EXPECT_EQ(sb.violations().size(), 2u);
   sb.unlock_scan(0);
   sb.unlock_header(0);
+}
+
+
+// --- wake channels -----------------------------------------------------------
+
+// Seven cores, one waiter per channel kind: core 2 on the worklist, core 3
+// on the scan lock, core 4 on the barrier, cores 5 and 6 on the header
+// locks of cores 0 and 1.
+constexpr CoreId kOnWorklist = 2;
+constexpr CoreId kOnScanLock = 3;
+constexpr CoreId kOnBarrier = 4;
+constexpr CoreId kOnHeader0 = 5;
+constexpr CoreId kOnHeader1 = 6;
+
+void park_one_per_channel(SyncBlock& sb) {
+  sb.wait_on(kOnWorklist, SyncBlock::kWorklistChannel);
+  sb.wait_on(kOnScanLock, SyncBlock::kScanLockChannel);
+  sb.wait_on(kOnBarrier, SyncBlock::kBarrierChannel);
+  sb.wait_on(kOnHeader0, SyncBlock::header_lock_channel(0));
+  sb.wait_on(kOnHeader1, SyncBlock::header_lock_channel(1));
+}
+
+// The cores whose bits firing set in a one-word wake mask.
+std::vector<CoreId> woken(std::uint64_t mask) {
+  std::vector<CoreId> v;
+  for (CoreId c = 0; c < 64; ++c) {
+    if ((mask >> c & 1) != 0) v.push_back(c);
+  }
+  return v;
+}
+
+// Each SB mutator fires exactly the channel whose poll it can end, and
+// nothing else; the waiters it wakes leave the registry.
+TEST(SyncBlockWake, EachMutatorFiresExactlyItsChannel) {
+  struct Case {
+    std::string name;
+    std::function<void(SyncBlock&)> before;  // runs before the waiters park
+    std::function<void(SyncBlock&)> mutate;
+    std::vector<CoreId> woken;
+  };
+  const auto nothing = [](SyncBlock&) {};
+  const Word big = make_attributes(0, 40);
+  const std::vector<Case> cases = {
+      {"set_free", nothing, [](SyncBlock& sb) { sb.set_free(120); },
+       {kOnWorklist}},
+      // Scan only advances toward free: it cannot refill the worklist.
+      {"set_scan", nothing, [](SyncBlock& sb) { sb.set_scan(120); }, {}},
+      {"busy count reaching 0",
+       [](SyncBlock& sb) { sb.set_busy(0, true); },
+       [](SyncBlock& sb) { sb.set_busy(0, false); }, {kOnWorklist}},
+      {"nonzero busy decrement",
+       [](SyncBlock& sb) {
+         sb.set_busy(0, true);
+         sb.set_busy(1, true);
+       },
+       [](SyncBlock& sb) { sb.set_busy(0, false); }, {}},
+      {"busy increment", nothing,
+       [](SyncBlock& sb) { sb.set_busy(0, true); }, {}},
+      {"set_busy to the same value",
+       [](SyncBlock& sb) { sb.set_busy(0, true); },
+       [](SyncBlock& sb) {
+         sb.set_busy(0, true);
+         sb.set_busy(1, false);
+       },
+       {}},
+      {"stripe_publish", nothing,
+       [big](SyncBlock& sb) { ASSERT_TRUE(sb.stripe_publish(100, 200, big)); },
+       {kOnWorklist}},
+      {"stripe_grab",
+       [big](SyncBlock& sb) { ASSERT_TRUE(sb.stripe_publish(100, 200, big)); },
+       [](SyncBlock& sb) {
+         SyncBlock::StripeTask t;
+         ASSERT_TRUE(sb.stripe_grab(16, t));
+       },
+       {}},
+      // The finishing core is still busy: the count reaching 0 fires.
+      {"stripe_complete",
+       [big](SyncBlock& sb) {
+         ASSERT_TRUE(sb.stripe_publish(100, 200, big));
+         SyncBlock::StripeTask t;
+         for (int i = 0; i < 3; ++i) {
+           sb.begin_cycle();  // one grab per cycle
+           ASSERT_TRUE(sb.stripe_grab(16, t));
+         }
+         EXPECT_FALSE(sb.stripe_complete(0));
+         EXPECT_FALSE(sb.stripe_complete(0));
+       },
+       [](SyncBlock& sb) { EXPECT_TRUE(sb.stripe_complete(0)); }, {}},
+      {"unlock_scan",
+       [](SyncBlock& sb) { ASSERT_TRUE(sb.try_lock_scan(0)); },
+       [](SyncBlock& sb) { sb.unlock_scan(0); }, {kOnScanLock}},
+      {"unlock_header(0)",
+       [](SyncBlock& sb) {
+         ASSERT_TRUE(sb.try_lock_header(0, 0x100));
+         ASSERT_TRUE(sb.try_lock_header(1, 0x200));
+       },
+       [](SyncBlock& sb) { sb.unlock_header(0); }, {kOnHeader0}},
+      {"unlock_header(1)",
+       [](SyncBlock& sb) {
+         ASSERT_TRUE(sb.try_lock_header(0, 0x100));
+         ASSERT_TRUE(sb.try_lock_header(1, 0x200));
+       },
+       [](SyncBlock& sb) { sb.unlock_header(1); }, {kOnHeader1}},
+      {"barrier release",
+       [](SyncBlock& sb) {
+         for (CoreId c = 0; c < 6; ++c) sb.barrier_arrive(c);
+       },
+       [](SyncBlock& sb) { sb.barrier_arrive(6); }, {kOnBarrier}},
+      {"barrier arrival short of release", nothing,
+       [](SyncBlock& sb) { sb.barrier_arrive(0); }, {}},
+      {"lock acquisitions and unlock_free", nothing,
+       [](SyncBlock& sb) {
+         ASSERT_TRUE(sb.try_lock_scan(0));
+         ASSERT_TRUE(sb.try_lock_header(0, 0x100));
+         ASSERT_TRUE(sb.try_lock_free(0));
+         sb.unlock_free(0);
+         sb.set_alloc_top(500);
+       },
+       {}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SyncBlock sb(7);
+    std::uint64_t mask = 0;
+    sb.set_wake_mask(&mask);
+    sb.begin_cycle();
+    c.before(sb);
+    park_one_per_channel(sb);
+    c.mutate(sb);
+    EXPECT_EQ(woken(mask), c.woken);
+    EXPECT_EQ(sb.waiters(), 5u - c.woken.size());
+    for (const CoreId v : c.woken) {
+      EXPECT_EQ(sb.waiting_on(v), SyncBlock::kNoChannel);
+    }
+  }
+}
+
+// A channel fires once per registration: its waiters leave it, so firing
+// it again wakes nobody until a core waits on it anew.
+TEST(SyncBlockWake, FiringEmptiesTheChannel) {
+  SyncBlock sb(4);
+  std::uint64_t mask = 0;
+  sb.set_wake_mask(&mask);
+  sb.wait_on(1, SyncBlock::kWorklistChannel);
+  sb.wait_on(3, SyncBlock::kWorklistChannel);
+  sb.set_free(10);
+  EXPECT_EQ(woken(mask), (std::vector<CoreId>{1, 3}));
+  EXPECT_EQ(sb.waiters(), 0u);
+  mask = 0;
+  sb.set_free(20);
+  EXPECT_EQ(mask, 0u);
+  sb.wait_on(1, SyncBlock::kWorklistChannel);
+  sb.set_free(30);
+  EXPECT_EQ(woken(mask), (std::vector<CoreId>{1}));
+}
+
+// Firing sets a waiter's bit in its own word of a multi-word mask.
+TEST(SyncBlockWake, FiringSetsBitsPastTheFirstWord) {
+  SyncBlock sb(70);
+  std::vector<std::uint64_t> mask(2, 0);
+  sb.set_wake_mask(mask.data());
+  sb.wait_on(69, SyncBlock::kBarrierChannel);
+  sb.wait_on(3, SyncBlock::kBarrierChannel);
+  for (CoreId c = 0; c < 70; ++c) sb.barrier_arrive(c);
+  EXPECT_EQ(mask[0], std::uint64_t{1} << 3);
+  EXPECT_EQ(mask[1], std::uint64_t{1} << 5);
+}
+
+// The lost-wake report names each parked core's channel.
+TEST(SyncBlockWake, ChannelNames) {
+  EXPECT_EQ(SyncBlock::channel_name(SyncBlock::kWorklistChannel), "worklist");
+  EXPECT_EQ(SyncBlock::channel_name(SyncBlock::kScanLockChannel),
+            "scan lock");
+  EXPECT_EQ(SyncBlock::channel_name(SyncBlock::kBarrierChannel), "barrier");
+  EXPECT_EQ(SyncBlock::channel_name(SyncBlock::header_lock_channel(5)),
+            "header lock of core 5");
 }
 
 }  // namespace
