@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
   for (BenchmarkId id : opt.benchmarks) {
     SimConfig stw;
     stw.coprocessor.num_cores = 8;
-    const GcCycleStats stop_world = run_collection(id, opt, stw);
+    const GcCycleStats stop_world =
+        run_collection(make_benchmark(id, opt.scale, opt.seed), stw);
 
     Workload w = make_benchmark(id, opt.scale, opt.seed);
     ConcurrentCycle::Config cfg;

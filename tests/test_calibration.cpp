@@ -1,8 +1,8 @@
 // Calibration guards: the qualitative claims EXPERIMENTS.md makes about
 // each benchmark's shape must keep holding as the simulator evolves.
 // These run at small scale (the shapes are scale-stable, which
-// bench_heapsize_ablation demonstrates for heap size and the paper asserts
-// for workload size).
+// `paper_grid --experiment=heapsize` demonstrates for heap size and the
+// paper asserts for workload size).
 #include <gtest/gtest.h>
 
 #include "core/coprocessor.hpp"
