@@ -23,9 +23,9 @@
 #include <vector>
 
 #include "cli/flags.hpp"
+#include "conformance/conformance.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/recovery.hpp"
-#include "fuzz/oracle.hpp"
 #include "telemetry/trace_export.hpp"
 
 namespace {

@@ -1,9 +1,10 @@
 // fuzz_gc — schedule-exploration fuzzing driver.
 //
 // Runs fuzzed (graph × schedule × core-count) configurations through the
-// conformance oracle (src/fuzz/oracle.hpp): every case is collected by the
-// coprocessor simulator under a pluggable step-order policy and
-// cross-checked against the sequential Cheney reference.
+// conformance oracle (FuzzCase, src/conformance/conformance.hpp): every
+// case is collected by the coprocessor simulator under a pluggable
+// step-order policy and cross-checked against the sequential Cheney
+// reference.
 //
 // Modes:
 //   fuzz_gc --seed 7 --count 100        # 100 cases derived from seeds 7..106
@@ -20,8 +21,8 @@
 #include <string>
 
 #include "cli/flags.hpp"
+#include "conformance/conformance.hpp"
 #include "core/schedule_policy.hpp"
-#include "fuzz/oracle.hpp"
 #include "trace/corpus.hpp"
 
 namespace {

@@ -86,8 +86,7 @@ CliOptions parse(int argc, char** argv) {
       .value("--shards N", o.shards,
              "fleet size; 0 (default) keeps the classic panel")
       .value("--scheduler NAME", o.scheduler,
-             "reactive|proactive|roundrobin|pauseless\n"
-             "(default proactive)",
+             "reactive|proactive|roundrobin (default proactive)",
              cli::one_of(all_schedulers(),
                          [](GcSchedulerKind k) { return to_string(k); }))
       .value("--storm PCT", o.storm_pct, "fault-storm PCT% of the fleet",
@@ -175,14 +174,6 @@ void render(const CliOptions& o, const Runtime& rt, const ShadowMutator& mut) {
               static_cast<unsigned long long>(s.fifo_misses),
               static_cast<unsigned long long>(s.fifo_overflows),
               static_cast<unsigned long long>(s.mem_requests));
-  if (s.snapshot_stores + s.reconciliation_repairs + s.safe_point_waits > 0) {
-    // Pauseless snapshot collector only — the barrier/reconciliation line.
-    std::printf("barrier: %llu snapshot stores, %llu repairs, "
-                "%llu safe-point waits\n",
-                static_cast<unsigned long long>(s.snapshot_stores),
-                static_cast<unsigned long long>(s.reconciliation_repairs),
-                static_cast<unsigned long long>(s.safe_point_waits));
-  }
   std::printf("session: mean %.0f clk/cycle, worst %llu\n\n",
               static_cast<double>(sum) / static_cast<double>(hist.size()),
               static_cast<unsigned long long>(worst));

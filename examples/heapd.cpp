@@ -10,11 +10,13 @@
 // conformance post-structure oracle runs after every collection cycle on
 // every shard, and the final cross-shard shadow-graph walk must come back
 // clean. Any oracle finding, read mismatch or validation diff makes heapd
-// exit nonzero.
+// exit nonzero. Every scheduler collects stop-the-world on the shard's
+// simulated coprocessor, so every GC stall heapd reports is a simulated
+// pause.
 //
 // The sweep recipes from EXPERIMENTS.md:
 //   heapd --shards 8 --scheduler proactive --requests 50000 --seed 1
-//   heapd --shards 2,4,8 --scheduler reactive,proactive,pauseless \
+//   heapd --shards 2,4,8 --scheduler reactive,proactive,roundrobin
 //         --load 0.5,1.0,2.0 --requests 20000 --json BENCH_heapd.json
 //   heapd --shards 4 --faults 2 --fault-shard 1 --requests 10000
 //
@@ -64,7 +66,7 @@ void parse_args(int argc, char** argv, Options& opt) {
   p.section("sweep:")
       .list("--shards a,b,..", opt.shards, "shard counts to sweep (default 4)")
       .list("--scheduler a,b,..", opt.schedulers,
-            "GC policies: reactive proactive roundrobin pauseless\n"
+            "GC policies: reactive proactive roundrobin\n"
             "(default reactive)",
             cli::one_of(all_schedulers(),
                         [](GcSchedulerKind k) { return to_string(k); }))

@@ -73,7 +73,7 @@ void parse_args(int argc, char** argv, Options& opt) {
               opt.collectors = {CollectorId::kSnapshot};
               opt.mutator_threads = {1, 2, 4};
             },
-            "preset: the pauseless snapshot collector only,\n"
+            "preset: the SATB snapshot collector only,\n"
             "sweeping real mutator threads 1,2,4 against\n"
             "every (seed, worker) cell")
       .list("--mutator-threads LIST", opt.mutator_threads,

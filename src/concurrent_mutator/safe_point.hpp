@@ -1,4 +1,4 @@
-// Safe-point rendezvous between real mutator threads and the pauseless
+// Safe-point rendezvous between real mutator threads and the SATB snapshot
 // collector.
 //
 // A mutator thread opts into collection discipline by holding a

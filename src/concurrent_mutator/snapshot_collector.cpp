@@ -15,19 +15,6 @@ namespace hwgc {
 
 namespace {
 
-// Virtual-cycle cost model for the pause/concurrent split the service
-// charges (DESIGN.md §17). The hardware's dual-slot store is a second
-// write port, so the barrier itself is free; what costs mutator time is
-// only the two rendezvous windows and the reconciliation work done inside
-// them. Copy and scan work overlapped with the mutator is charged to
-// concurrent_cycles, using the same one-cycle-per-word currency as the
-// coprocessor's store path.
-constexpr Cycle kRendezvousCost = 8;   // per pause: stop + release
-constexpr Cycle kRootSlotCost = 2;     // per root slot examined in a pause
-constexpr Cycle kRepairCost = 3;       // per reconciliation-log record
-constexpr Cycle kScanCostPerObject = 2;
-constexpr Cycle kPointerCost = 1;
-
 /// One raw store the barrier diverted during the cycle: replayed against
 /// the evacuated copy in the reconcile pause. `offset` is in words from
 /// the object header, so the record does not care whether the slot is a
@@ -42,16 +29,12 @@ struct alignas(64) WorkerCounters {
   std::uint64_t words = 0;
   std::uint64_t cas_ops = 0;
   std::uint64_t cas_failures = 0;
-  std::uint64_t scanned = 0;
-  std::uint64_t pointers = 0;
 
   void merge_into(WorkerCounters& total) const {
     total.objects += objects;
     total.words += words;
     total.cas_ops += cas_ops;
     total.cas_failures += cas_failures;
-    total.scanned += scanned;
-    total.pointers += pointers;
   }
 };
 
@@ -241,9 +224,7 @@ void SnapshotCycle::scan_loop(bool from_snapshot, WorkerCounters& tc,
       const Addr nv = evacuate(v, from_snapshot, tc);
       mem_.store_atomic(fa, nv, std::memory_order_relaxed);
       mirror_.store(fa, nv);
-      ++tc.pointers;
     }
-    ++tc.scanned;
     busy_.fetch_sub(1, std::memory_order_acq_rel);
   }
 }
@@ -585,16 +566,6 @@ SnapshotGcStats SnapshotCycle::run() {
     s.alloc_backoffs += m->backoffs;
     s.validation_mismatches += validate_shadow(*m);
   }
-  s.pause_cycles =
-      2 * kRendezvousCost +
-      static_cast<Cycle>(heap_.roots().size()) * kRootSlotCost +
-      static_cast<Cycle>(repairs) * kRepairCost +
-      static_cast<Cycle>(pause.words) +
-      static_cast<Cycle>(pause.scanned) * kScanCostPerObject +
-      static_cast<Cycle>(pause.pointers) * kPointerCost;
-  s.concurrent_cycles = static_cast<Cycle>(conc.words) +
-                        static_cast<Cycle>(conc.scanned) * kScanCostPerObject +
-                        static_cast<Cycle>(conc.pointers) * kPointerCost;
   return s;
 }
 

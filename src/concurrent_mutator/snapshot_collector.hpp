@@ -1,6 +1,10 @@
-// Pauseless snapshot-at-the-beginning copying collector — the eighth
+// Snapshot-at-the-beginning (SATB) copying collector — the eighth
 // collector, and the only one that runs while real mutator threads keep
-// allocating and mutating the heap (ROADMAP item 1).
+// allocating and mutating the heap (ROADMAP item 1). It exists to exercise
+// the oracle under real races: the conformance matrix, torture_gc
+// --concurrent-mutator and trace replay run it. Its cycles run on host
+// threads, not on the coprocessor clock, so it reports no simulated cycle
+// counts.
 //
 // Design (DESIGN.md §17). Every pointer slot is a double slot: the live
 // half is the heap word, the snapshot half lives in a SnapshotSpace
@@ -41,7 +45,7 @@
 
 namespace hwgc {
 
-/// Counters for one pauseless cycle. The barrier/reconciliation counters
+/// Counters for one snapshot cycle. The barrier/reconciliation counters
 /// (dual_writes, snapshot_stores, reconciliation_repairs, safe_point_waits)
 /// are the ones hwgc-bench-v1 surfaces for this collector family.
 struct SnapshotGcStats {
@@ -63,10 +67,6 @@ struct SnapshotGcStats {
   std::uint64_t alloc_backoffs = 0;
   /// Objects evacuated during the reconcile pause (newly reachable).
   std::uint64_t pause_evacuations = 0;
-  /// Virtual cycles the mutator was actually stopped (both pauses).
-  Cycle pause_cycles = 0;
-  /// Virtual cycles of collector work overlapped with mutator execution.
-  Cycle concurrent_cycles = 0;
   /// Shadow-graph mismatches found by the mutator validation; must be 0.
   std::size_t validation_mismatches = 0;
   std::uint32_t threads = 0;
@@ -80,7 +80,7 @@ class SnapshotCollector {
     std::uint32_t threads = 4;
     /// Real mutator threads that allocate and mutate during the cycle.
     /// 0 runs the cycle quiescent — deterministic with threads == 1, which
-    /// is the trace replayer's and the service's mode.
+    /// is the trace replayer's mode.
     std::uint32_t mutator_threads = 2;
     /// Root-table slots each mutator owns (its register file). 0 also
     /// means quiescent, mirroring the concurrent cycle's convention.
@@ -94,7 +94,7 @@ class SnapshotCollector {
 
   explicit SnapshotCollector(const Config& cfg) : cfg_(cfg) {}
 
-  /// Runs one full pauseless cycle: spawns the mutator threads (if
+  /// Runs one full snapshot cycle: spawns the mutator threads (if
   /// configured), collects, reconciles, flips the heap, redirects every
   /// root slot and publishes the allocation pointer. Throws on tospace
   /// exhaustion. After return the mutator threads have been joined and

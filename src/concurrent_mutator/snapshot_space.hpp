@@ -1,6 +1,6 @@
 // The snapshot half of the double-pointer reference encoding.
 //
-// The pauseless collector (snapshot_collector.hpp) gives every pointer slot
+// The snapshot collector (snapshot_collector.hpp) gives every pointer slot
 // a *pair* of words: the live half is the ordinary heap word, the snapshot
 // half lives in this parallel address space. Outside a collection cycle the
 // mutator write barrier stores to both halves, so the two spaces agree word

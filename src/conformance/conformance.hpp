@@ -1,7 +1,7 @@
 // Property-based conformance oracle, shared by every collector.
 //
 // The one oracle of the repository: the conformance matrix, the torture
-// driver, the schedule fuzzer (src/fuzz/oracle.hpp) and the fault matrix
+// driver, the schedule fuzzer (FuzzCase below) and the fault matrix
 // all run their cases through run_conformance_case, and every Runtime
 // collection in heapd and trace replay goes through the one per-cycle
 // oracle, CycleOracle (harness.hpp), which applies check_post_structure to
@@ -40,6 +40,7 @@
 #include "conformance/harness.hpp"
 #include "heap/verifier.hpp"
 #include "workloads/graph_plan.hpp"
+#include "workloads/random_graph.hpp"
 
 namespace hwgc {
 
@@ -107,5 +108,40 @@ void cross_compare_images(const char* a_name, const char* b_name,
 /// Runs one full conformance case for `id`.
 ConformanceVerdict run_conformance_case(CollectorId id,
                                         const ConformanceCase& c);
+
+// Schedule-exploration fuzzing. A FuzzCase fixes one (graph × schedule ×
+// hardware-knob) configuration: a seeded hostile graph (make_fuzz_plan,
+// workloads/random_graph.hpp) plus the coprocessor's harness knobs — core
+// count, step-order policy and seed, FIFO capacity, latency jitter,
+// collector features and optional fault injection. Everything is
+// deterministic: the same FuzzCase reproduces the same run bit-for-bit,
+// which is what makes minimized reproducers possible.
+struct FuzzCase {
+  std::uint64_t graph_seed = 1;
+  FuzzGraphConfig graph{};
+  /// Coprocessor knobs; a fault config that is enabled() routes the case
+  /// through the detection-and-recovery ladder.
+  HarnessConfig harness{.threads = 8};
+
+  /// Replayable one-line description in `fuzz_gc` flag syntax.
+  std::string summary() const;
+};
+
+/// Runs one case through run_conformance_case as the coprocessor: structure
+/// checks, the cross-compare against the sequential Cheney reference, and,
+/// for fault-free cases, immediate re-collection.
+ConformanceVerdict run_fuzz_case(const FuzzCase& fc);
+
+/// Expands a single master seed into a full case: graph seed, schedule
+/// policy and seed, core count, FIFO capacity, latency jitter and the
+/// optional collector features are all derived from `master_seed` via
+/// splitmix64, so `fuzz_gc --seed N` is a complete reproducer.
+FuzzCase case_from_seed(std::uint64_t master_seed);
+
+/// Greedy reproducer minimization: repeatedly tries to shrink the graph,
+/// drop collector features and reduce the core count while the oracle
+/// still fails, spending at most `budget` oracle runs. Returns the
+/// smallest still-failing case found (the input itself in the worst case).
+FuzzCase minimize_case(const FuzzCase& failing, std::uint32_t budget = 48);
 
 }  // namespace hwgc

@@ -326,12 +326,8 @@ GcCycleStats HarnessPlugin::collect(Heap& heap) {
   stats.words_copied = last_.words_copied;
   stats.lock_order_violations = last_.lock_order_violations;
   if (last_.snapshot.has_value()) {
-    // The pauseless collector has a virtual clock of its own: total wall
-    // time is the two pauses plus the overlapped concurrent phase, and the
-    // barrier/reconciliation counters ride the coprocessor stat block into
-    // hwgc-bench-v1.
-    stats.total_cycles =
-        last_.snapshot->pause_cycles + last_.snapshot->concurrent_cycles;
+    // The barrier/reconciliation counters ride the coprocessor stat block
+    // into hwgc-bench-v1.
     stats.snapshot_stores = last_.snapshot->snapshot_stores;
     stats.reconciliation_repairs = last_.snapshot->reconciliation_repairs;
     stats.safe_point_waits = last_.snapshot->safe_point_waits;

@@ -43,7 +43,7 @@ enum class CollectorId : std::uint8_t {
   kPackets,       ///< Ossia et al. work packets
   kStealing,      ///< Flood et al. work stealing with LABs
   kConcurrent,    ///< coprocessor + read-barrier mutator running during GC
-  kSnapshot,      ///< pauseless SATB double-pointer collector, real mutator
+  kSnapshot,      ///< SATB double-pointer collector, real mutator
                   ///< threads (src/concurrent_mutator/)
   kCount
 };
@@ -80,7 +80,7 @@ struct CollectorTraits {
   /// Runs real std::threads (so it is interesting under TSan and torture).
   bool threaded = false;
   /// Real mutator threads allocate and mutate *while the cycle runs* (the
-  /// pauseless snapshot collector only). Implies !preserves_image; the
+  /// snapshot collector only). Implies !preserves_image; the
   /// oracle switches to the snapshot-subset check plus the collector's own
   /// shadow-graph cross-validation of mutations that raced the cycle.
   bool concurrent_mutator = false;

@@ -1,8 +1,6 @@
 #include "core/concurrent_cycle.hpp"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <optional>
 #include <stdexcept>
@@ -150,11 +148,6 @@ std::size_t MutatorSim::shadow_of(Addr tospace_addr) {
   auto it = shadow_index_.find(tospace_addr);
   if (it != shadow_index_.end()) return it->second;
   const Word attrs = heap_.memory().load(attributes_addr(tospace_addr));
-  if (std::getenv("HWGC_DEBUG_VALIDATE") != nullptr) {
-    std::fprintf(stderr, "shadow_of: new node 0x%x attrs pi=%u d=%u black=%d state=%d\n",
-                 tospace_addr, pi_of(attrs), delta_of(attrs), is_black(attrs),
-                 static_cast<int>(state_));
-  }
   ShadowNode node;
   node.pi = pi_of(attrs);
   node.delta = delta_of(attrs);
@@ -436,20 +429,12 @@ std::size_t MutatorSim::validate() const {
   for (const auto& [a, i] : shadow_index_) addr_of[i] = a;
   // Every shadow node's known facts must hold in the final heap. Shadow
   // nodes are keyed by tospace address, so the index *is* the location.
-  const bool debug = std::getenv("HWGC_DEBUG_VALIDATE") != nullptr;
   for (const auto& [addr, idx] : shadow_index_) {
     const ShadowNode& s = shadow_[idx];
     const Word attrs = m.load(attributes_addr(addr));
-    if (!is_black(attrs)) {
-      ++mismatches;  // everything must end black
-      if (debug) std::fprintf(stderr, "validate: 0x%x not black\n", addr);
-    }
+    if (!is_black(attrs)) ++mismatches;  // everything must end black
     if (pi_of(attrs) != s.pi || delta_of(attrs) != s.delta) {
       ++mismatches;
-      if (debug) {
-        std::fprintf(stderr, "validate: 0x%x shape %u/%u vs shadow %u/%u\n",
-                     addr, pi_of(attrs), delta_of(attrs), s.pi, s.delta);
-      }
       continue;
     }
     for (Word f = 0; f < s.pi; ++f) {
@@ -459,26 +444,12 @@ std::size_t MutatorSim::validate() const {
           s.kids[f] == kNullChild
               ? kNullPtr
               : addr_of[static_cast<std::size_t>(s.kids[f])];
-      if (actual != expect) {
-        ++mismatches;
-        if (debug) {
-          std::fprintf(stderr,
-                       "validate: 0x%x ptr[%u] = 0x%x, shadow expects 0x%x\n",
-                       addr, f, actual, expect);
-        }
-      }
+      if (actual != expect) ++mismatches;
     }
     for (Word j = 0; j < s.delta; ++j) {
       if (!s.data[j]) continue;
       const Word actual = m.load(data_field_addr(addr, s.pi, j));
-      if (actual != *s.data[j]) {
-        ++mismatches;
-        if (debug) {
-          std::fprintf(stderr,
-                       "validate: 0x%x data[%u] = 0x%x, shadow has 0x%x\n",
-                       addr, j, actual, *s.data[j]);
-        }
-      }
+      if (actual != *s.data[j]) ++mismatches;
     }
   }
   return mismatches;

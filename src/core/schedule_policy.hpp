@@ -6,9 +6,10 @@
 // static prioritization (lower index wins), which kFixedPriority
 // reproduces. The other policies explore alternative interleavings of the
 // scan/free/header protocol: a correct algorithm must produce the same
-// live graph under every one of them (the property the fuzz harness in
-// src/fuzz/ checks), the same way NB-FEB and SynCron validate their
-// primitives against many executions of a sequential specification.
+// live graph under every one of them (the property the schedule fuzzer's
+// FuzzCase in src/conformance/ checks), the same way NB-FEB and SynCron
+// validate their primitives against many executions of a sequential
+// specification.
 #pragma once
 
 #include <cstdint>

@@ -67,7 +67,7 @@ std::string profile_attribution_jsonl(const ProfileAttribution& a,
 bool known_span_name(const std::string& name) {
   return name == "request" || name == "admission" || name == "hop" ||
          name == "queue" || name == "gc-inherited" || name == "gc-own" ||
-         name == "service" || name == "gc-charge" || name == "gc-concurrent";
+         name == "service" || name == "gc-charge";
 }
 
 std::string span_record_jsonl(const SpanRecord& s, const std::string& suite) {

@@ -75,14 +75,7 @@ std::vector<SpanRecord> exemplar_spans(const RequestExemplar& e) {
     emit(go, "gc-charge", at, at + c.cycles, c.collection, c.cycles);
     at += c.cycles;
   }
-  const std::uint64_t service = emit(root, "service", b4, b5, -1, 0);
-  if (e.gc_concurrent > 0) {
-    // Pauseless mode: the slice of the service window that was actually
-    // concurrent-collection debt being drained. Laid at the front of the
-    // window; gc_cycles carries the exact overhead charged.
-    emit(service, "gc-concurrent", b4,
-         std::min(b5, b4 + e.gc_concurrent), -1, e.gc_concurrent);
-  }
+  emit(root, "service", b4, b5, -1, 0);
   return out;
 }
 

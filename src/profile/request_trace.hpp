@@ -15,10 +15,6 @@
 //   ├─ gc-own                    collections triggered during execution
 //   │   └─ gc-charge ...         one span per linked collection
 //   └─ service                   [completion-service, completion]
-//       └─ gc-concurrent         pauseless-mode concurrent-collection
-//                                overhead drained inside the service
-//                                window (emitted only when non-zero, so
-//                                STW-scheduler span trees are unchanged)
 //
 // gc-charge spans carry the shard collection index they link to — the
 // join key into the same run's CycleProfile history and hwgc-profile-v1
@@ -61,9 +57,6 @@ struct RequestExemplar {
   Cycle inherited_stall = 0;
   Cycle own_gc = 0;
   Cycle service = 0;
-  /// Pauseless-mode concurrent-collection overhead drained inside the
-  /// service window (a sub-component of `service`; 0 under STW schedulers).
-  Cycle gc_concurrent = 0;
   std::uint32_t hops = 0;  ///< failover hops taken (0 = served at home)
   std::vector<GcCharge> own;        ///< collections during execution
   std::vector<GcCharge> inherited;  ///< backlog collections inherited

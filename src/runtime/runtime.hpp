@@ -83,8 +83,7 @@ class RuntimeTraceSink {
 /// coprocessor. The plugin must leave the heap flipped with roots
 /// redirected and the allocation pointer published (the CollectorHarness
 /// contract). HarnessPlugin (conformance/harness.hpp) adapts any collector
-/// in the inventory: the replayer drives one recorded trace under each,
-/// and heapd's pauseless shards collect through the snapshot collector.
+/// in the inventory: the replayer drives one recorded trace under each.
 class CollectorPlugin {
  public:
   virtual ~CollectorPlugin() = default;

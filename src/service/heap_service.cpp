@@ -62,7 +62,6 @@ struct HeapService::ShardState final : CollectionObserver {
       : index(index_),
         resilient(cfg.resilience.enabled()),
         profiling(cfg.profile.enabled),
-        pauseless(cfg.scheduler == GcSchedulerKind::kPauseless),
         exemplar_cap(cfg.profile.exemplars),
         checkpoint_interval(cfg.resilience.checkpoint_interval),
         sessions(cfg.traffic.sessions),
@@ -70,21 +69,9 @@ struct HeapService::ShardState final : CollectionObserver {
         rt(cfg.semispace_words, shard_sim_config(index_, cfg, storm)),
         mutator(shard_mutator_config(index_, cfg)) {
     rt.set_collection_observer(this);
-    if (pauseless) {
-      // Every cycle on this shard — scheduled or exhaustion-triggered —
-      // runs through the pauseless SATB snapshot collector. One worker
-      // thread keeps the quiescent cycle bit-deterministic (the byte-
-      // identity proof across host thread counts depends on it); the
-      // plugin forces mutator_threads = 0 because the shard's sessions ARE
-      // the mutator — their stores all land between cycles.
-      HarnessConfig hc;
-      hc.threads = 1;
-      plugin = std::make_unique<HarnessPlugin>(CollectorId::kSnapshot, hc);
-      rt.set_collector(plugin.get());
-    }
     if (cfg.oracle) {
       // Every finding counts in oracle_failures; the first 16 are kept.
-      oracle.emplace(plugin.get(), [this](std::vector<std::string>&& errors) {
+      oracle.emplace(nullptr, [this](std::vector<std::string>&& errors) {
         stats.oracle_failures += errors.size();
         for (std::string& e : errors) {
           if (oracle_diagnostics.size() >= 16) break;
@@ -148,22 +135,13 @@ struct HeapService::ShardState final : CollectionObserver {
   void after_collection(Runtime& r, const GcCycleStats& s) override {
     ++stats.collections;
     stats.gc_cycle_total += s.total_cycles;
-    // Pauseless split: only the two rendezvous pauses block the shard; the
-    // concurrent copying phase becomes debt drained as per-request service
-    // overhead (execute_request) instead of stall.
-    Cycle blocking = s.total_cycles;
-    if (pauseless && plugin->last_report().snapshot.has_value()) {
-      const SnapshotGcStats& snap = *plugin->last_report().snapshot;
-      blocking = snap.pause_cycles;
-      concurrent_debt += snap.concurrent_cycles;
-    }
-    pending_gc += blocking;
+    pending_gc += s.total_cycles;
     if (profiling) {
       // Link key for the exemplar span trees: the slot this cycle took in
       // the runtime's gc_history / profile_history (pushed just before the
-      // observer ran). The charge carries only the stall-chargeable cycles.
+      // observer ran).
       pending_charges.push_back(
-          {static_cast<long long>(r.gc_history().size()) - 1, blocking});
+          {static_cast<long long>(r.gc_history().size()) - 1, s.total_cycles});
     }
     requests_since_gc = 0;
     if (!r.recovery_history().empty()) {
@@ -216,7 +194,6 @@ struct HeapService::ShardState final : CollectionObserver {
     clean_cycles = 0;
     gc_backlog = 0;
     pending_gc = 0;
-    concurrent_debt = 0;
     pending_charges.clear();
     uncharged.clear();
     requests_since_gc = 0;
@@ -273,7 +250,6 @@ struct HeapService::ShardState final : CollectionObserver {
   const std::size_t index;
   const bool resilient;
   const bool profiling;
-  const bool pauseless;
   const std::size_t exemplar_cap;
   const std::uint32_t checkpoint_interval;
   const std::uint32_t sessions;
@@ -281,9 +257,6 @@ struct HeapService::ShardState final : CollectionObserver {
   const std::shared_ptr<const std::vector<Trace>> traces;
   Runtime rt;
   ShadowMutator mutator;
-  /// Pauseless mode: the shard's snapshot-collector backend (installed as
-  /// the runtime's CollectorPlugin at construction; null otherwise).
-  std::unique_ptr<HarnessPlugin> plugin;
   /// The per-cycle oracle (empty with ServiceConfig::oracle off).
   std::optional<CycleOracle> oracle;
   std::map<std::uint32_t, TraceCursor> cursors;  ///< per-session replay
@@ -293,9 +266,6 @@ struct HeapService::ShardState final : CollectionObserver {
                                 ///< not yet charged to any request
   std::uint64_t requests_since_gc = 0;
   Cycle pending_gc = 0;         ///< cycles collected since last harvest
-  /// Pauseless mode: concurrent-phase cycles not yet drained into any
-  /// request's service overhead (always 0 under the STW schedulers).
-  Cycle concurrent_debt = 0;
 
   // --- Profiling state (lane-owned, mirrors the cycle bookkeeping above;
   // all empty when profiling is off) --------------------------------------
@@ -329,17 +299,6 @@ HeapService::HeapService(const ServiceConfig& cfg)
   if (cfg_.fault_shard != ServiceConfig::kNoShard &&
       cfg_.fault_shard >= cfg_.shards) {
     throw std::invalid_argument("HeapService: fault_shard out of range");
-  }
-  if (cfg_.scheduler == GcSchedulerKind::kPauseless &&
-      (cfg_.fault_shard != ServiceConfig::kNoShard || cfg_.storm.enabled() ||
-       cfg_.sim.fault.events > 0 || cfg_.sim.recovery.enabled)) {
-    // Faulted shards collect through the RecoveringCollector, which the
-    // runtime refuses to combine with a collector plugin — and the
-    // pauseless snapshot collector has no fault-injection model of its own.
-    throw std::invalid_argument(
-        "HeapService: the pauseless scheduler cannot run with fault "
-        "injection or recovery (the snapshot collector replaces the "
-        "coprocessor path the fault model instruments)");
   }
   if (cfg_.storm.enabled() && cfg_.storm.crash_period > 0 &&
       !cfg_.resilience.supervise) {
@@ -543,20 +502,7 @@ void HeapService::execute_request(ShardState& sh, const Request& req,
     ++sh.stats.failed;
     return;
   }
-  Cycle service = traffic_.service_cost(steps, read_words);
-  // Pauseless mode: drain a slice of the outstanding concurrent-phase debt
-  // as overhead INSIDE this request's service time — an eighth of the
-  // request's own cost, plus one so the debt always shrinks. The latency
-  // partition (service + queue + stall == latency) is untouched; the
-  // gc_concurrent_cycles counter records the sub-component so the A/B
-  // against a stop-the-world scheduler stays honest about where the
-  // concurrent collector's work went.
-  Cycle concurrent_overhead = 0;
-  if (sh.concurrent_debt > 0) {
-    concurrent_overhead = std::min(sh.concurrent_debt, service / 8 + 1);
-    sh.concurrent_debt -= concurrent_overhead;
-    service += concurrent_overhead;
-  }
+  const Cycle service = traffic_.service_cost(steps, read_words);
   const Cycle total = wait + own_gc + service;
 
   sh.next_free = start + own_gc + service;
@@ -573,7 +519,6 @@ void HeapService::execute_request(ShardState& sh, const Request& req,
     e.inherited_stall = inherited_stall;
     e.own_gc = own_gc;
     e.service = service;
-    e.gc_concurrent = concurrent_overhead;
     e.hops = hops;
     e.own = std::move(own);
     e.inherited = std::move(inherited);
@@ -583,7 +528,6 @@ void HeapService::execute_request(ShardState& sh, const Request& req,
   ++sh.requests_since_gc;
   sh.stats.latency.record(total);
   sh.stats.service_cycles += service;
-  sh.stats.gc_concurrent_cycles += concurrent_overhead;
   sh.stats.queue_cycles += wait - inherited_stall;
   sh.stats.stall_cycles += inherited_stall + own_gc;
   const bool violation = cfg_.slo_cycles > 0 && total > cfg_.slo_cycles;

@@ -11,7 +11,7 @@ std::optional<GcSchedulerKind> parse_scheduler(const std::string& name) {
 
 std::vector<GcSchedulerKind> all_schedulers() {
   return {GcSchedulerKind::kReactive, GcSchedulerKind::kProactive,
-          GcSchedulerKind::kRoundRobin, GcSchedulerKind::kPauseless};
+          GcSchedulerKind::kRoundRobin};
 }
 
 namespace {
@@ -30,7 +30,7 @@ class ReactiveScheduler final : public GcScheduler {
   }
 };
 
-class ProactiveScheduler : public GcScheduler {
+class ProactiveScheduler final : public GcScheduler {
  public:
   explicit ProactiveScheduler(const SchedulerConfig& cfg) : cfg_(cfg) {}
   GcSchedulerKind kind() const noexcept override {
@@ -56,19 +56,6 @@ class ProactiveScheduler : public GcScheduler {
 
  private:
   SchedulerConfig cfg_;
-};
-
-/// The pauseless policy picks exactly like proactive — occupancy pacing is
-/// still the right trigger — but its kind tells the service to run every
-/// cycle (scheduled AND exhaustion-triggered) through the pauseless
-/// snapshot collector and split pause from concurrent overhead.
-class PauselessScheduler final : public ProactiveScheduler {
- public:
-  explicit PauselessScheduler(const SchedulerConfig& cfg)
-      : ProactiveScheduler(cfg) {}
-  GcSchedulerKind kind() const noexcept override {
-    return GcSchedulerKind::kPauseless;
-  }
 };
 
 class RoundRobinScheduler final : public GcScheduler {
@@ -107,8 +94,6 @@ std::unique_ptr<GcScheduler> make_scheduler(GcSchedulerKind kind,
       return std::make_unique<ProactiveScheduler>(cfg);
     case GcSchedulerKind::kRoundRobin:
       return std::make_unique<RoundRobinScheduler>(cfg);
-    case GcSchedulerKind::kPauseless:
-      return std::make_unique<PauselessScheduler>(cfg);
     case GcSchedulerKind::kCount: break;
   }
   return std::make_unique<ReactiveScheduler>();

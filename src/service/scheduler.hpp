@@ -16,12 +16,6 @@
 //   * round-robin — budgeted pacing: every `period` fleet-wide requests,
 //     the next shard in rotation is collected regardless of occupancy.
 //     The fully predictable baseline the other two are judged against.
-//   * pauseless   — proactive occupancy pacing, but the service runs every
-//     collection through the pauseless SATB snapshot collector
-//     (src/concurrent_mutator/, DESIGN.md §17): only the two brief
-//     rendezvous pauses block the shard; the concurrent copying phase is
-//     drained as a small per-request overhead inside later requests'
-//     service time instead of a stall. The tail-latency policy.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +32,6 @@ enum class GcSchedulerKind : std::uint8_t {
   kReactive = 0,
   kProactive,
   kRoundRobin,
-  kPauseless,
   kCount
 };
 
@@ -47,7 +40,6 @@ constexpr const char* to_string(GcSchedulerKind k) noexcept {
     case GcSchedulerKind::kReactive: return "reactive";
     case GcSchedulerKind::kProactive: return "proactive";
     case GcSchedulerKind::kRoundRobin: return "roundrobin";
-    case GcSchedulerKind::kPauseless: return "pauseless";
     case GcSchedulerKind::kCount: break;
   }
   return "?";

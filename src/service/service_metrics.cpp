@@ -70,7 +70,6 @@ void append_record(std::string& out, const HeapService& service,
                                                                 std::size_t>(
                                                                 shard)))) +
          "\"";
-  out += ",\"gc_concurrent_cycles\":" + std::to_string(s.gc_concurrent_cycles);
   out += "}\n";
 }
 
@@ -242,17 +241,6 @@ bool validate_service_jsonl_line(const std::string& line, std::string* error) {
   }
   if (num("scheduled_collections") > num("collections")) {
     return set_error("scheduled_collections exceeds collections");
-  }
-  // Appended after the v1 freeze, so optional: committed pre-pauseless
-  // snapshots stay valid. When present it is a numeric sub-component of
-  // service_cycles (the pauseless concurrent-overhead drain).
-  if (const std::string* gcc = find("gc_concurrent_cycles")) {
-    if (!gcc->empty() && gcc->front() == '"') {
-      return set_error("field \"gc_concurrent_cycles\" has the wrong type");
-    }
-    if (num("gc_concurrent_cycles") > service) {
-      return set_error("gc_concurrent_cycles exceeds service_cycles");
-    }
   }
   return true;
 }

@@ -132,12 +132,6 @@ struct SloStats {
   std::uint64_t scheduled_collections = 0;  ///< subset the scheduler forced
   Cycle gc_cycle_total = 0;            ///< simulated cycles spent collecting
 
-  /// Pauseless mode (GcSchedulerKind::kPauseless) only: collection cycles
-  /// that ran concurrently with the mutator and were drained as small
-  /// per-request overhead INSIDE service_cycles instead of stall. A
-  /// sub-component of service_cycles (never double-counted against the
-  /// latency partition); always 0 under the stop-the-world schedulers.
-  Cycle gc_concurrent_cycles = 0;
   std::uint64_t recovered_collections = 0;  ///< went through fault recovery
   std::uint64_t oracle_failures = 0;   ///< post-structure oracle findings
   std::uint64_t read_mismatches = 0;   ///< probe reads diverging from shadow
@@ -169,7 +163,6 @@ struct SloStats {
     collections += o.collections;
     scheduled_collections += o.scheduled_collections;
     gc_cycle_total += o.gc_cycle_total;
-    gc_concurrent_cycles += o.gc_concurrent_cycles;
     recovered_collections += o.recovered_collections;
     oracle_failures += o.oracle_failures;
     read_mismatches += o.read_mismatches;

@@ -21,7 +21,7 @@ namespace hwgc {
 /// cores in index order (kFixedPriority). The other policies exist for
 /// schedule-exploration testing: the algorithm's correctness must not
 /// depend on which interleaving the arbiter happens to pick, so the fuzz
-/// harness sweeps them all (src/fuzz/).
+/// harness sweeps them all (FuzzCase, src/conformance/).
 enum class SchedulePolicyKind : std::uint8_t {
   kFixedPriority = 0,  ///< index order — the paper's static prioritization
   kRotating,           ///< round-robin rotation of the highest-priority core

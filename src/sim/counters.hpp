@@ -139,7 +139,7 @@ struct GcCycleStats {
   /// ticking. Host-side only: every other field is identical either way.
   Cycle fast_forwarded_cycles = 0;
 
-  /// Pauseless snapshot collector (src/concurrent_mutator/) barrier and
+  /// Snapshot collector (src/concurrent_mutator/) barrier and
   /// reconciliation counters; zero for every other collector family.
   std::uint64_t snapshot_stores = 0;       ///< stores diverted mid-cycle
   std::uint64_t reconciliation_repairs = 0;  ///< log records replayed

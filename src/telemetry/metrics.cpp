@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <utility>
 
 namespace hwgc {
@@ -44,7 +45,14 @@ std::string stall_field(StallReason r) {
 void MetricsRegistry::record(const Key& key, const SimConfig& cfg,
                              const GcCycleStats& s) {
   Aggregate& a = aggregates_[key];
-  if (a.config.empty()) a.config = cfg.summary();
+  std::string config = cfg.summary();
+  if (a.config.empty()) {
+    a.config = std::move(config);
+  } else if (config != a.config) {
+    throw std::logic_error("MetricsRegistry: key " + key.benchmark +
+                           " recorded under two configs: \"" + a.config +
+                           "\" and \"" + config + "\"");
+  }
   a.cycle_samples.push_back(s.total_cycles);
   a.worklist_empty_sum += s.worklist_empty_fraction();
   for (std::size_t r = 0; r < kStallReasonCount; ++r) {
@@ -320,9 +328,9 @@ bool validate_bench_jsonl_line(const std::string& line, std::string* error) {
     if (error != nullptr) *error = "worklist_empty_fraction outside [0,1]";
     return false;
   }
-  // Pauseless barrier accounting: every reconciliation repair replays a
-  // logged mid-cycle store, so repairs can never exceed the stores the
-  // barrier diverted.
+  // Snapshot-collector barrier accounting: every reconciliation repair
+  // replays a logged mid-cycle store, so repairs can never exceed the stores
+  // the barrier diverted.
   if (num("reconciliation_repairs") > num("snapshot_stores")) {
     if (error != nullptr) {
       *error = "reconciliation_repairs exceeds snapshot_stores";

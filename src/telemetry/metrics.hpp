@@ -43,7 +43,9 @@ class MetricsRegistry {
     }
   };
 
-  /// Folds one collection cycle into the aggregate for its key.
+  /// Folds one collection cycle into the aggregate for its key. Throws
+  /// std::logic_error, naming both summaries, when the key already holds
+  /// samples of a config whose SimConfig::summary() differs.
   void record(const Key& key, const SimConfig& cfg, const GcCycleStats& s);
 
   /// Overrides the sequential baseline for one workload; without it, the
@@ -78,7 +80,7 @@ class MetricsRegistry {
     std::uint64_t fifo_overflows = 0;
     std::uint64_t faults_fired = 0;
     Cycle drain_cycles = 0;
-    /// Pauseless snapshot collector barrier/reconciliation counters
+    /// Snapshot collector barrier/reconciliation counters
     /// (sim/counters.hpp); stay 0 for every other collector family.
     std::uint64_t snapshot_stores = 0;
     std::uint64_t reconciliation_repairs = 0;

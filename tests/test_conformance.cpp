@@ -2,7 +2,7 @@
 // over a shared random-graph corpus, through the property oracle of
 // src/conformance/conformance.hpp. 240 configurations in total — six
 // stop-the-world collectors x 8 graph seeds x 4 thread counts, plus the
-// concurrent cycle x 8 seeds x 3 core counts, plus the pauseless snapshot
+// concurrent cycle x 8 seeds x 3 core counts, plus the SATB snapshot
 // collector x 8 seeds x 3 worker counts (with real mutator threads racing
 // each cycle).
 #include <gtest/gtest.h>
@@ -129,7 +129,7 @@ std::vector<MatrixParam> matrix_params() {
     }
   }
   // The concurrent cycle: 1, 2 and 8 GC cores racing the mutator. The
-  // pauseless snapshot collector gets the same widths, with two real
+  // SATB snapshot collector gets the same widths, with two real
   // mutator threads racing every cycle (the harness default).
   for (std::uint64_t seed : kSeeds) {
     for (std::uint32_t t : {1u, 2u, 8u}) {

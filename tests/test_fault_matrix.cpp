@@ -7,8 +7,8 @@
 // the sanitizers.
 #include <gtest/gtest.h>
 
+#include "conformance/conformance.hpp"
 #include "fault/fault_plan.hpp"
-#include "fuzz/oracle.hpp"
 
 namespace hwgc {
 namespace {

@@ -1,5 +1,5 @@
 // Safe-point RAII edge cases (src/concurrent_mutator/safe_point.hpp): the
-// rendezvous protocol between real mutator threads and the pauseless
+// rendezvous protocol between real mutator threads and the snapshot
 // collector must survive the awkward orders — opting out while a cycle
 // start is pending, nested handles, a thread that opts in but never
 // reaches a safe point (the cycle start must stall, nothing may corrupt),

@@ -16,13 +16,13 @@
 #include <tuple>
 #include <vector>
 
+#include "conformance/conformance.hpp"
 #include "core/coprocessor.hpp"
 #include "core/schedule_policy.hpp"
 #include "core/sync_block.hpp"
-#include "fuzz/fuzz_graph.hpp"
-#include "fuzz/oracle.hpp"
 #include "sim/config.hpp"
 #include "workloads/benchmarks.hpp"
+#include "workloads/random_graph.hpp"
 
 namespace hwgc {
 namespace {

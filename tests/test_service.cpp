@@ -5,13 +5,20 @@
 // conformance post-structure oracle runs per cycle per shard), shards
 // isolated (a fault-injected shard recovers without perturbing a
 // neighbor's shadow graph), and backpressure sheds instead of queueing
-// without bound.
+// without bound. A golden file pins the reactive fleet's hwgc-service-v1
+// bytes on a two-shard run.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "service/heap_service.hpp"
 #include "service/scheduler.hpp"
+#include "service/service_metrics.hpp"
 
 namespace hwgc {
 namespace {
@@ -202,6 +209,38 @@ TEST(Scheduler, NamesRoundTrip) {
     EXPECT_EQ(make_scheduler(kind)->kind(), kind);
   }
   EXPECT_FALSE(parse_scheduler("nonesuch").has_value());
+  EXPECT_EQ(all_schedulers().size(), 3u);
+}
+
+// Pins the exact hwgc-service-v1 bytes of a two-shard reactive fleet
+// (seed 7, 4000 requests): the stop-the-world stalls the coprocessor
+// simulation measures. Regenerate with
+//   HWGC_REGEN_GOLDEN=1 ./test_service
+// then commit tests/golden/service_reactive.json.
+TEST(HeapService, ReactiveGoldenJsonlStable) {
+  HeapService service(small_config(2, GcSchedulerKind::kReactive, 7));
+  service.serve(4000);
+  const std::string jsonl = service_report_jsonl(service, "ab-reactive");
+
+  const std::string path =
+      std::string(HWGC_GOLDEN_DIR) + "/service_reactive.json";
+  if (std::getenv("HWGC_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    out << jsonl;
+    ASSERT_TRUE(out.good()) << "failed to regenerate " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << path << " missing — regenerate with HWGC_REGEN_GOLDEN=1";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(jsonl, golden.str())
+      << "reactive service JSONL drifted from "
+         "tests/golden/service_reactive.json; if intended, "
+         "HWGC_REGEN_GOLDEN=1 and commit";
+
+  std::vector<std::string> errors;
+  EXPECT_TRUE(validate_service_jsonl_file(path, &errors))
+      << (errors.empty() ? "" : errors.front());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -449,6 +450,28 @@ TEST(MetricsJsonl, MatchesGoldenFileAndValidates) {
   }
   EXPECT_EQ(n, 2u);
   expect_matches_golden(jsonl, "bench_mini.json");
+}
+
+TEST(MetricsJsonl, RecordRefusesASecondConfigUnderOneKey) {
+  MetricsRegistry reg;
+  SimConfig fifo32k;
+  fifo32k.coprocessor.header_fifo_capacity = 32 * 1024;
+  SimConfig fifo0;
+  fifo0.coprocessor.header_fifo_capacity = 0;
+  const MetricsRegistry::Key key{"mini", 1, 0.25, 7};
+  reg.record(key, fifo32k, mini_stats(100));
+  reg.record(key, fifo32k, mini_stats(110));  // same config: folds
+  try {
+    reg.record(key, fifo0, mini_stats(120));
+    FAIL() << "a second config under one key must not be averaged in";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(fifo32k.summary()), std::string::npos) << what;
+    EXPECT_NE(what.find(fifo0.summary()), std::string::npos) << what;
+  }
+  // The refused sample left the aggregate as it was.
+  const std::string jsonl = reg.to_jsonl("s");
+  EXPECT_NE(jsonl.find("\"samples\":2"), std::string::npos) << jsonl;
 }
 
 TEST(MetricsJsonl, EmittedRecordsFromRealRunsValidate) {
