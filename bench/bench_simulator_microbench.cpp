@@ -190,6 +190,34 @@ void BM_ChromeTraceJson(benchmark::State& state) {
 }
 BENCHMARK(BM_ChromeTraceJson)->Unit(benchmark::kMillisecond);
 
+// The critical-path annotation of one observed Fig. 6 configuration (cup,
+// 1 core, +20 latency: about 600k path segments, the grid's longest),
+// profiled once; the timed loop notes every segment into a cleared signal
+// trace.
+void BM_AnnotateCriticalPath(benchmark::State& state) {
+  Workload w = make_benchmark(BenchmarkId::kCup, 0.01);
+  SimConfig cfg;
+  cfg.coprocessor.num_cores = 1;
+  cfg.memory.latency += 20;
+  cfg.memory.header_latency += 20;
+  cfg.heap.semispace_words = w.heap->layout().semispace_words();
+  CycleProfiler profiler;
+  Coprocessor(cfg, *w.heap)
+      .collect(nullptr, nullptr, nullptr, nullptr, &profiler);
+  const CycleProfile profile = profiler.take_profile();
+  SignalTrace signals;
+  signals.enable();
+  for (auto _ : state) {
+    state.PauseTiming();
+    signals.clear();  // the last iteration's notes, freed untimed
+    state.ResumeTiming();
+    annotate_critical_path(signals, profile);
+    benchmark::DoNotOptimize(signals.notes().size());
+  }
+  state.counters["notes"] = static_cast<double>(signals.notes().size());
+}
+BENCHMARK(BM_AnnotateCriticalPath)->Unit(benchmark::kMillisecond);
+
 // The oracle on one fig5 configuration (jlisp, 16 cores, scale 0.05): the
 // snapshot is timed on the materialized heap, the verifier on the heap
 // collected once outside the timed loop.

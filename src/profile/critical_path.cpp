@@ -1,5 +1,6 @@
 #include "profile/critical_path.hpp"
 
+#include <array>
 #include <cstdio>
 
 namespace hwgc {
@@ -102,9 +103,14 @@ bool validate_cycle_profile(const CycleProfile& profile, std::string* error) {
 
 void annotate_critical_path(SignalTrace& trace, const CycleProfile& profile) {
   if (!profile.valid) return;
+  std::array<std::string, kStallClassCount> prefixes;
+  for (std::size_t c = 0; c < kStallClassCount; ++c) {
+    prefixes[c] =
+        "crit: " + std::string(to_string(static_cast<StallClass>(c))) + " x";
+  }
   for (const auto& seg : profile.segments) {
-    trace.note(seg.begin, "crit: " + std::string(to_string(seg.binding)) +
-                              " x" + std::to_string(seg.length));
+    trace.note(seg.begin, prefixes[static_cast<std::size_t>(seg.binding)],
+               seg.length);
   }
 }
 

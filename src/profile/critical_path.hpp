@@ -48,7 +48,8 @@ bool validate_cycle_profile(const CycleProfile& profile, std::string* error);
 /// Merges the critical path into a SignalTrace as notes ("crit: <class>
 /// xN @ cycle") at each segment boundary, so VCD/CSV dumps and the Chrome
 /// exporter (which folds SignalTrace notes in) show the binding resource
-/// over time. Observation only.
+/// over time. Each note is a numbered note: one stored prefix per class,
+/// the run length as its number. Observation only.
 void annotate_critical_path(SignalTrace& trace, const CycleProfile& profile);
 
 }  // namespace hwgc

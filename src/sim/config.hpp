@@ -44,6 +44,10 @@ constexpr const char* to_string(SchedulePolicyKind k) noexcept {
 /// instead of being truncated, exhausting host memory or running into the
 /// watchdog as a "hardware fault".
 inline constexpr std::uint32_t kMaxCores = 1024;  ///< the prototype has 16
+/// Words per semispace (64 MiB; the committed traces use at most 740k). Far
+/// below the 2^31 at which the second semispace would leave the 32-bit
+/// address range.
+inline constexpr std::uint32_t kMaxSemispaceWords = 1u << 24;
 /// Header-FIFO entries; the prototype supports 32k.
 inline constexpr std::uint32_t kMaxHeaderFifoCapacity = 1u << 20;
 /// Extra completion latency per request, far above any real DRAM's spread.

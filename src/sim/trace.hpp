@@ -7,6 +7,10 @@
 // ClockObserver the trace samples the coprocessor's scan and free pointers,
 // gray-object word count and busy-core count on change; the clock loop
 // publishes a sample only in the cycles that change one of them.
+//
+// Notes are stored as 24-byte TraceNotes over a table of texts, and
+// rendered only when a trace is written: a numbered note shares its
+// prefix with every other note that carries it (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
@@ -14,6 +18,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,6 +32,17 @@ struct TraceEvent {
   Cycle cycle = 0;
   std::uint16_t signal = 0;
   std::uint64_t value = 0;
+};
+
+/// A timestamped annotation, stored without its rendered text: `text` names
+/// an entry of the trace's text table, and a numbered note's text is that
+/// entry followed by `number` in decimal (SignalTrace::note_text renders
+/// it). 24 bytes, however long the text.
+struct TraceNote {
+  Cycle cycle = 0;
+  std::uint32_t text = 0;
+  bool numbered = false;
+  std::uint64_t number = 0;
 };
 
 /// Records signal samples with bounded memory. Disabled tracers compile to
@@ -102,6 +118,9 @@ class SignalTrace final : public ClockObserver {
   void clear() {
     events_.clear();
     notes_.clear();
+    texts_.clear();
+    free_texts_.clear();
+    prefixes_.clear();
   }
 
   /// Timestamped free-form annotation — the software counterpart of the
@@ -110,11 +129,34 @@ class SignalTrace final : public ClockObserver {
   /// full recovery story alongside the signal samples.
   void note(Cycle cycle, std::string text) {
     if (!enabled_) return;
-    if (notes_.size() >= max_events_) notes_.pop_front();
-    notes_.emplace_back(cycle, std::move(text));
+    push_note(TraceNote{cycle, store_text(std::move(text)), false, 0});
   }
-  const std::deque<std::pair<Cycle, std::string>>& notes() const noexcept {
-    return notes_;
+
+  /// A note whose text is `prefix` followed by `number` in decimal. The
+  /// prefix is stored once however many notes carry it, so a stream of
+  /// numbered notes over a small prefix vocabulary (the critical path's
+  /// "crit: <class> x<length>") costs one TraceNote each.
+  void note(Cycle cycle, std::string_view prefix, std::uint64_t number) {
+    if (!enabled_) return;
+    push_note(TraceNote{cycle, intern_prefix(prefix), true, number});
+  }
+
+  const std::deque<TraceNote>& notes() const noexcept { return notes_; }
+  /// The stored part of a note's text: all of a plain note's text, the
+  /// prefix of a numbered one.
+  const std::string& note_prefix(const TraceNote& n) const {
+    return texts_[n.text].text;
+  }
+  /// A note's full text.
+  std::string note_text(const TraceNote& n) const {
+    std::string s = note_prefix(n);
+    if (n.numbered) s += std::to_string(n.number);
+    return s;
+  }
+  /// Texts held for the recorded notes; a popped note's text is released
+  /// once no recorded note carries it.
+  std::size_t note_texts() const noexcept {
+    return texts_.size() - free_texts_.size();
   }
 
   /// Dumps the trace as CSV (cycle,signal,value,note). Signal samples
@@ -136,11 +178,11 @@ class SignalTrace final : public ClockObserver {
       ++ev;
     };
     const auto put_note = [&] {
-      out << nt->first << ",note,," << csv_quote(nt->second) << '\n';
+      out << nt->cycle << ",note,," << csv_quote(note_text(*nt)) << '\n';
       ++nt;
     };
     while (ev != events_.end() && nt != notes_.end()) {
-      if (nt->first < ev->cycle) {
+      if (nt->cycle < ev->cycle) {
         put_note();
       } else {
         put_event();
@@ -169,12 +211,12 @@ class SignalTrace final : public ClockObserver {
     const auto emit_notes_up_to = [&](Cycle cycle) {
       // Notes ride along as $comment events at their cycle's timestamp —
       // the only annotation mechanism VCD viewers tolerate mid-dump.
-      for (; nt != notes_.end() && nt->first <= cycle; ++nt) {
-        if (nt->first != current) {
-          current = nt->first;
+      for (; nt != notes_.end() && nt->cycle <= cycle; ++nt) {
+        if (nt->cycle != current) {
+          current = nt->cycle;
           out << '#' << current << '\n';
         }
-        out << "$comment " << vcd_sanitize(nt->second) << " $end\n";
+        out << "$comment " << vcd_sanitize(note_text(*nt)) << " $end\n";
       }
     };
     for (const auto& e : events_) {
@@ -195,6 +237,57 @@ class SignalTrace final : public ClockObserver {
   }
 
  private:
+  /// One entry of the note text table; `refs` counts the recorded notes
+  /// that carry it (0: a free slot).
+  struct NoteText {
+    std::string text;
+    std::uint32_t refs = 0;
+  };
+
+  /// Stores `text` in a free slot (or a new one) for one note.
+  std::uint32_t store_text(std::string text) {
+    std::uint32_t id;
+    if (free_texts_.empty()) {
+      id = static_cast<std::uint32_t>(texts_.size());
+      texts_.emplace_back();
+    } else {
+      id = free_texts_.back();
+      free_texts_.pop_back();
+    }
+    texts_[id].text = std::move(text);
+    texts_[id].refs = 1;
+    return id;
+  }
+
+  /// The id of prefix text `prefix`, stored on first use, with one more
+  /// note counted on it.
+  std::uint32_t intern_prefix(std::string_view prefix) {
+    for (const std::uint32_t id : prefixes_) {
+      if (texts_[id].text == prefix) {
+        ++texts_[id].refs;
+        return id;
+      }
+    }
+    const std::uint32_t id = store_text(std::string(prefix));
+    prefixes_.push_back(id);
+    return id;
+  }
+
+  /// Appends `n`, first dropping the oldest note at the cap and releasing
+  /// its text once no note carries it.
+  void push_note(const TraceNote& n) {
+    if (!notes_.empty() && notes_.size() >= max_events_) {
+      const std::uint32_t id = notes_.front().text;
+      notes_.pop_front();
+      if (--texts_[id].refs == 0) {
+        std::string().swap(texts_[id].text);
+        free_texts_.push_back(id);
+        std::erase(prefixes_, id);
+      }
+    }
+    notes_.push_back(n);
+  }
+
   /// RFC-4180 quoting: the field is wrapped in double quotes and internal
   /// quotes are doubled, so notes with commas/newlines stay one field.
   static std::string csv_quote(const std::string& text) {
@@ -233,7 +326,10 @@ class SignalTrace final : public ClockObserver {
   bool enabled_ = false;
   std::size_t max_events_ = 1u << 20;
   std::deque<TraceEvent> events_;
-  std::deque<std::pair<Cycle, std::string>> notes_;
+  std::deque<TraceNote> notes_;
+  std::vector<NoteText> texts_;            ///< note texts, by TraceNote::text
+  std::vector<std::uint32_t> free_texts_;  ///< released slots of texts_
+  std::vector<std::uint32_t> prefixes_;    ///< texts_ ids of numbered prefixes
   std::vector<std::string> names_;
 
   std::uint16_t sig_scan_ = 0, sig_free_ = 0, sig_gray_ = 0, sig_busy_ = 0;

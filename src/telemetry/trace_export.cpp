@@ -139,6 +139,14 @@ std::string counter_fragment(std::string_view prefix, std::string_view name) {
   return f;
 }
 
+/// Everything of a note event between its timestamp and its number (a
+/// numbered note) or its closing quote.
+std::string note_fragment(std::string_view text) {
+  std::string f = ",\"cat\":\"note\",\"name\":\"";
+  append_escaped(f, text);
+  return f;
+}
+
 /// Longest string in `v`, or 0 for an empty `v`.
 std::size_t max_size(const std::vector<std::string>& v) {
   std::size_t n = 0;
@@ -195,8 +203,8 @@ std::string chrome_trace_json(const TelemetryBus& bus,
   bound += bus.counters().size() * (kEventBound + max_counter_frag);
   if (opt.signals != nullptr) {
     bound += opt.signals->events().size() * (kEventBound + max_signal_frag);
-    for (const auto& note : opt.signals->notes()) {
-      bound += kEventBound + escaped_bound(note.second);
+    for (const TraceNote& n : opt.signals->notes()) {
+      bound += kEventBound + escaped_bound(opt.signals->note_prefix(n));
     }
   }
 
@@ -288,12 +296,24 @@ std::string chrome_trace_json(const TelemetryBus& bus,
       p = put_u64(p, e.value);
       w.commit(put(p, "}},\n"));
     }
-    for (const auto& [cycle, text] : opt.signals->notes()) {
-      char* p = w.room(kEventBound + escaped_bound(text));
+    // A numbered note copies its prefix's fragment, built once per prefix,
+    // and appends the number.
+    std::vector<std::string> prefix_frags;
+    std::string plain_frag;
+    for (const TraceNote& n : opt.signals->notes()) {
+      std::string* frag = &plain_frag;
+      if (n.numbered) {
+        if (n.text >= prefix_frags.size()) prefix_frags.resize(n.text + 1);
+        frag = &prefix_frags[n.text];
+      }
+      if (!n.numbered || frag->empty()) {
+        *frag = note_fragment(opt.signals->note_prefix(n));
+      }
+      char* p = w.room(kEventBound + frag->size());
       p = put(p, "{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":");
-      p = put_u64(p, base + cycle);
-      p = put(p, ",\"cat\":\"note\",\"name\":\"");
-      p = put_escaped(p, text);
+      p = put_u64(p, base + n.cycle);
+      p = put(p, *frag);
+      if (n.numbered) p = put_u64(p, n.number);
       w.commit(put(p, "\"},\n"));
     }
   }

@@ -24,8 +24,9 @@
 //
 // Cost: each distinct string is escaped and rendered once per export — one
 // fragment per interned span name and category (with its `cat` and
-// `cname`), per counter series and per signal — so a span or counter event
-// costs a few integer conversions and one fragment copy. The output string
+// `cname`), per counter series, per signal and per numbered-note prefix —
+// so a span, counter or critical-path note event costs a few integer
+// conversions and one fragment copy. The output string
 // is reserved once, from the event counts, and never reallocated. Events
 // are written into a fixed 64 KB chunk that is appended to it when full,
 // so an event checks for room once instead of once per piece.

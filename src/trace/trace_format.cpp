@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "core/schedule_policy.hpp"
@@ -56,17 +55,6 @@ std::string unquote(const std::string& v) {
   return v;
 }
 
-/// Both loaders read semispace_words as u64 on the wire but store a Word;
-/// reject out-of-range values instead of silently truncating to a tiny
-/// semispace that fails later with a confusing object-does-not-fit error.
-Word checked_semispace_words(std::uint64_t v) {
-  if (v > std::numeric_limits<Word>::max()) {
-    fail("semispace_words " + std::to_string(v) + " out of range (max " +
-         std::to_string(std::numeric_limits<Word>::max()) + ")");
-  }
-  return static_cast<Word>(v);
-}
-
 /// A header field read from its wire width, checked against its declared
 /// range (sim/config.hpp) before it is narrowed: a hostile value fails by
 /// name instead of replaying truncated, exhausting host memory or running
@@ -80,6 +68,10 @@ std::uint64_t checked_field(const char* field, std::uint64_t v,
   return v;
 }
 
+Word checked_semispace_words(std::uint64_t v) {
+  return static_cast<Word>(
+      checked_field("semispace_words", v, 1, kMaxSemispaceWords));
+}
 std::uint32_t checked_cores(std::uint64_t v) {
   return static_cast<std::uint32_t>(checked_field("cores", v, 1, kMaxCores));
 }
@@ -89,6 +81,10 @@ std::uint32_t checked_fifo(std::uint64_t v) {
 }
 Cycle checked_jitter(std::uint64_t v) {
   return checked_field("jitter", v, 0, kMaxLatencyJitter);
+}
+/// A collector feature switch: 0 or 1, nothing else.
+bool checked_flag(const char* field, std::uint64_t v) {
+  return checked_field(field, v, 0, 1) != 0;
 }
 
 bool parse_kind(const std::string& name, TraceOp::Kind& out) {
@@ -132,13 +128,15 @@ const char* to_string(TraceOp::Kind k) noexcept {
 }
 
 HarnessConfig TraceHeader::harness_config() const {
+  // A header built in code meets the loaders' bounds too.
+  (void)checked_semispace_words(semispace_words);
   HarnessConfig hc;
-  hc.threads = cores;
-  hc.header_fifo_capacity = header_fifo_capacity;
+  hc.threads = checked_cores(cores);
+  hc.header_fifo_capacity = checked_fifo(header_fifo_capacity);
   hc.schedule = schedule;
   hc.schedule_seed = schedule_seed;
   hc.torture.seed = schedule_seed;
-  hc.latency_jitter = latency_jitter;
+  hc.latency_jitter = checked_jitter(latency_jitter);
   hc.subobject_copy = subobject_copy;
   hc.markbit_early_read = markbit_early_read;
   return hc;
@@ -491,8 +489,10 @@ Trace trace_from_jsonl(const std::string& text) {
       }
       h.schedule_seed = need_u64(kv, "schedule_seed", where);
       h.latency_jitter = checked_jitter(need_u64(kv, "jitter", where));
-      h.subobject_copy = need_u64(kv, "subobject", where) != 0;
-      h.markbit_early_read = need_u64(kv, "earlyread", where) != 0;
+      h.subobject_copy =
+          checked_flag("subobject", need_u64(kv, "subobject", where));
+      h.markbit_early_read =
+          checked_flag("earlyread", need_u64(kv, "earlyread", where));
       declared_events =
           static_cast<std::size_t>(need_u64(kv, "events", where));
       declared_digest = need_u64(kv, "digest", where);
@@ -634,8 +634,8 @@ Trace trace_from_binary(const std::string& bytes) {
   h.schedule = static_cast<SchedulePolicyKind>(sched);
   h.schedule_seed = r.u64();
   h.latency_jitter = checked_jitter(r.u64());
-  h.subobject_copy = r.u8() != 0;
-  h.markbit_early_read = r.u8() != 0;
+  h.subobject_copy = checked_flag("subobject", r.u8());
+  h.markbit_early_read = checked_flag("earlyread", r.u8());
   const std::uint64_t declared_events = r.u64();
   const std::uint64_t declared_digest = r.u64();
   for (std::uint64_t seq = 0; seq < declared_events; ++seq) {

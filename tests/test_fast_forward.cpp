@@ -160,8 +160,9 @@ void expect_traces_equal(const SignalTrace& t, const SignalTrace& f) {
   }
   ASSERT_EQ(t.notes().size(), f.notes().size());
   for (std::size_t i = 0; i < t.notes().size(); ++i) {
-    EXPECT_EQ(t.notes()[i].first, f.notes()[i].first) << "note " << i;
-    EXPECT_EQ(t.notes()[i].second, f.notes()[i].second) << "note " << i;
+    EXPECT_EQ(t.notes()[i].cycle, f.notes()[i].cycle) << "note " << i;
+    EXPECT_EQ(t.note_text(t.notes()[i]), f.note_text(f.notes()[i]))
+        << "note " << i;
   }
 }
 

@@ -380,14 +380,13 @@ std::uint64_t fnv1a64(const std::string& s) {
 /// One configuration of the observed Fig. 6 grid (jflex, 4 cores, +20
 /// latency) with the bus, profiler and signal trace attached and the
 /// critical path annotated.
-std::string fig6_config_trace(TelemetryBus& bus) {
+std::string fig6_config_trace(TelemetryBus& bus, SignalTrace& signals) {
   Workload w = make_benchmark(BenchmarkId::kJflex, 0.01);
   SimConfig cfg;
   cfg.coprocessor.num_cores = 4;
   cfg.memory.latency += 20;
   cfg.memory.header_latency += 20;
   cfg.heap.semispace_words = w.heap->layout().semispace_words();
-  SignalTrace signals;
   CycleProfiler profiler;
   Coprocessor(cfg, *w.heap)
       .collect(&signals, nullptr, nullptr, &bus, &profiler);
@@ -402,9 +401,45 @@ std::string fig6_config_trace(TelemetryBus& bus) {
 // on the hand-built golden recordings.
 TEST(ChromeTrace, Fig6ConfigExportIsPinned) {
   TelemetryBus bus;
-  const std::string json = fig6_config_trace(bus);
+  SignalTrace signals;
+  const std::string json = fig6_config_trace(bus, signals);
   EXPECT_EQ(json.size(), 4575828u);
   EXPECT_EQ(fnv1a64(json), 9168496858699701717ull);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// The same configuration on a bus capped at 2^14 events, pinned with the
+// signal trace's CSV and VCD dumps (critical-path notes included): the
+// span storage reserved by enable() holds the cap without moving, the
+// events past it are dropped and counted, and every dump keeps its bytes.
+TEST(ChromeTrace, CappedFig6ConfigExportIsPinned) {
+  TelemetryBus bus;
+  bus.enable(1 << 14);
+  const TelemetrySpan* const spans = bus.spans().data();
+  SignalTrace signals;
+  const std::string json = fig6_config_trace(bus, signals);
+  EXPECT_EQ(bus.spans().data(), spans);
+  EXPECT_EQ(bus.dropped(), 22223u);
+  EXPECT_EQ(json.size(), 2662990u);
+  EXPECT_EQ(fnv1a64(json), 14009007722604171869ull);
+
+  const std::string csv_path = ::testing::TempDir() + "/hwgc_fig6_capped.csv";
+  const std::string vcd_path = ::testing::TempDir() + "/hwgc_fig6_capped.vcd";
+  ASSERT_TRUE(signals.write_csv(csv_path));
+  ASSERT_TRUE(signals.write_vcd(vcd_path));
+  const std::string csv = read_file(csv_path);
+  const std::string vcd = read_file(vcd_path);
+  std::remove(csv_path.c_str());
+  std::remove(vcd_path.c_str());
+  EXPECT_EQ(csv.size(), 423427u);
+  EXPECT_EQ(fnv1a64(csv), 7856340575289857389ull);
+  EXPECT_EQ(vcd.size(), 901828u);
+  EXPECT_EQ(fnv1a64(vcd), 4424944407397700390ull);
 }
 
 GcCycleStats mini_stats(Cycle total) {

@@ -47,6 +47,38 @@ TEST(SignalTrace, BoundedRingDropsOldest) {
   EXPECT_EQ(trace.events().back().cycle, 9u);
 }
 
+TEST(SignalTrace, NoteRingKeepsTheLastTextsAndReleasesPoppedOnes) {
+  SignalTrace trace;
+  trace.enable(/*max_events=*/4);
+  trace.note(0, "fault: first");
+  trace.note(1, "crit: busy x", 7);
+  trace.note(2, "crit: idle x", 3);
+  trace.note(3, "fault: second");
+  trace.note(4, "crit: busy x", 12);
+  trace.note(5, "recovery: done");
+  ASSERT_EQ(trace.notes().size(), 4u);
+  std::vector<std::string> texts;
+  for (const TraceNote& n : trace.notes()) texts.push_back(trace.note_text(n));
+  EXPECT_EQ(texts, (std::vector<std::string>{"crit: idle x3", "fault: second",
+                                             "crit: busy x12",
+                                             "recovery: done"}));
+  EXPECT_EQ(trace.notes().front().cycle, 2u);
+  // "fault: first" is gone; "crit: busy x" is still carried by cycle 4.
+  EXPECT_EQ(trace.note_texts(), 4u);
+
+  // Numbered notes under one new prefix push every other text out.
+  for (Cycle t = 6; t < 10; ++t) trace.note(t, "crit: scan x", t);
+  EXPECT_EQ(trace.note_texts(), 1u);
+  EXPECT_EQ(trace.note_text(trace.notes().back()), "crit: scan x9");
+  trace.note(10, "plain");
+  trace.note(11, "crit: max x", ~std::uint64_t{0});
+  EXPECT_EQ(trace.note_texts(), 3u);
+  EXPECT_EQ(trace.note_text(trace.notes().back()),
+            "crit: max x18446744073709551615");
+  trace.clear();
+  EXPECT_EQ(trace.note_texts(), 0u);
+}
+
 TEST(SignalTrace, WritesCsv) {
   SignalTrace trace;
   const auto sig = trace.register_signal("scan");

@@ -408,6 +408,25 @@ TEST(TraceLoader, JitterOutOfRangeFailsByName) {
                       "jitter 2147483648 out of range [0, 4096]");
 }
 
+// A semispace past kMaxSemispaceWords used to reach the heap allocation
+// (2^31 and 2^32-1 ended in std::bad_alloc), and a feature switch other
+// than 0/1 replayed as "on".
+TEST(TraceLoader, SemispaceWordsPastTheCapFailByName) {
+  expect_load_failure(
+      with_header_field("semispace_words", "2147483648"),
+      "semispace_words 2147483648 out of range [1, 16777216]");
+  expect_load_failure(
+      with_header_field("semispace_words", "4294967295"),
+      "semispace_words 4294967295 out of range [1, 16777216]");
+}
+
+TEST(TraceLoader, FeatureFlagsOtherThanZeroOrOneFailByName) {
+  expect_load_failure(with_header_field("subobject", "2"),
+                      "subobject 2 out of range [0, 1]");
+  expect_load_failure(with_header_field("earlyread", "2"),
+                      "earlyread 2 out of range [0, 1]");
+}
+
 /// Loads the binary trace with the little-endian `width`-byte header field
 /// at `offset` past the name set to `value`; expects the named error.
 void expect_binary_field_failure(std::size_t offset, std::size_t width,
@@ -445,6 +464,48 @@ TEST(TraceLoader, BinaryFifoOutOfRangeFailsByName) {
 TEST(TraceLoader, BinaryJitterOutOfRangeFailsByName) {
   expect_binary_field_failure(25, 8, 2147483648u,
                               "jitter 2147483648 out of range [0, 4096]");
+}
+
+TEST(TraceLoader, BinarySemispaceWordsPastTheCapFailByName) {
+  expect_binary_field_failure(
+      0, 8, 2147483648u,
+      "semispace_words 2147483648 out of range [1, 16777216]");
+  expect_binary_field_failure(
+      0, 8, 4294967295u,
+      "semispace_words 4294967295 out of range [1, 16777216]");
+}
+
+// subobject u8 (33), earlyread u8 (34).
+TEST(TraceLoader, BinaryFeatureFlagsOtherThanZeroOrOneFailByName) {
+  expect_binary_field_failure(33, 1, 2, "subobject 2 out of range [0, 1]");
+  expect_binary_field_failure(34, 1, 2, "earlyread 2 out of range [0, 1]");
+}
+
+// A header built in code gets the loaders' bounds from harness_config().
+TEST(TraceLoader, HarnessConfigAppliesTheLoaderBounds) {
+  const auto expect_rejected = [](const TraceHeader& h,
+                                  const std::string& must_contain) {
+    try {
+      (void)h.harness_config();
+      FAIL() << "expected TraceError containing \"" << must_contain << "\"";
+    } catch (const TraceError& e) {
+      EXPECT_NE(std::string(e.what()).find(must_contain), std::string::npos)
+          << e.what();
+    }
+  };
+  TraceHeader h;
+  h.semispace_words = Word{1} << 31;
+  expect_rejected(h, "semispace_words 2147483648 out of range");
+  h = TraceHeader{};
+  h.cores = 0;
+  expect_rejected(h, "cores 0 out of range");
+  h = TraceHeader{};
+  h.header_fifo_capacity = kMaxHeaderFifoCapacity + 1;
+  expect_rejected(h, "fifo 1048577 out of range");
+  h = TraceHeader{};
+  h.latency_jitter = kMaxLatencyJitter + 1;
+  expect_rejected(h, "jitter 4097 out of range");
+  EXPECT_EQ(TraceHeader{}.harness_config().threads, TraceHeader{}.cores);
 }
 
 TEST(TraceLoader, VersionSkewFails) {
