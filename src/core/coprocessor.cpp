@@ -89,7 +89,8 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
 
   // Done bookkeeping, kept by the step loop: kDone is absorbing, so a
   // per-core flag plus a count tells when every core has halted, and
-  // (fault-free) lets the step loop skip finished cores entirely.
+  // lets the step loop drop finished cores (under a fault plan they park
+  // until the next boundary instead).
   std::vector<std::uint8_t> core_done(n, 0);
   std::uint32_t done_count = 0;
 
@@ -98,22 +99,29 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   // stopped making progress — a fail-stopped core misses its clock.
   std::vector<Cycle> last_change(n, 0);
 
-  // Parked cores (DESIGN.md §13). A fault-free core that waits on an
-  // in-flight load repeats that stall, touching nothing, until the load
-  // retires; one that only polled SyncBlock state (a spin on an empty
-  // worklist, a wait for a held lock or at the start barrier) repeats the
-  // poll until the SyncBlock fires the wake channel of what it polled
-  // (GcCore::poll_channel). Either is parked from the next cycle on
-  // (`parked_since`) and leaves the step walk until the memory system's
-  // wake list names it or its channel sets its bit in the walk's set. The
-  // skipped cycles are charged at its next turn in one absorb(k), and an
-  // observer sees none of them: the core's run simply lasts. Fault runs
-  // keep consulting every core's fate every cycle, and fast_forward=false
-  // stays the pure ticked reference.
+  // Parked cores (DESIGN.md §13). A core whose next steps repeat its record,
+  // touching nothing, leaves the step walk from the next cycle on
+  // (`parked_since`) until the event that ends the repeat:
+  //   * a wait on an in-flight load, until the memory system's wake list
+  //     names it;
+  //   * a poll of SyncBlock state (a spin on an empty worklist, a wait for
+  //     a held lock or at the start barrier), until the SyncBlock fires the
+  //     wake channel of what it polled (GcCore::poll_channel);
+  //   * under a fault plan, an injected fate (fail-stop, a core-stall
+  //     window), a lock grant an injected delay withholds, or a finished
+  //     core, until the plan's next cycle boundary. At that boundary, and
+  //     on every cycle an armed event is due, every parked core rejoins
+  //     the walk, so each consult that can fire an event happens on the
+  //     cycle a ticked run makes it.
+  // The skipped cycles are charged at its next turn in one absorb(k), and an
+  // observer sees none of them: the core's run simply lasts.
+  // fast_forward=false stays the pure ticked reference.
   constexpr Cycle kAwake = ~Cycle{0};
-  const bool park_active = cfg_.coprocessor.fast_forward && fault == nullptr;
+  const bool park_active = cfg_.coprocessor.fast_forward;
   std::vector<Cycle> parked_since(n, kAwake);
-  std::vector<std::uint8_t> on_load(n, 0);  // parked on a load, not a channel
+  std::vector<std::uint8_t> on_load(n, 0);  // parked on a load
+  // The first cycle at which a parked core must rejoin: a fault boundary.
+  Cycle rejoin_at = 0;
 
   // The step loop walks only the runnable cores, in step order: as set bits
   // in index order under the fixed policy, through step_order otherwise. A
@@ -127,8 +135,15 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     const std::uint64_t bit = std::uint64_t{1} << (c % 64);
     runnable[c / 64] = on ? runnable[c / 64] | bit : runnable[c / 64] & ~bit;
   };
-  const auto in_walk = [&](CoreId c) {
-    return (runnable[c / 64] >> (c % 64) & 1) != 0;
+  const auto walk_empty = [&]() {
+    for (const std::uint64_t word : runnable) {
+      if (word != 0) return false;
+    }
+    return true;
+  };
+  const auto park = [&](CoreId c) {
+    parked_since[c] = now + 1;
+    set_runnable(c, false);
   };
   // A core parked on its load leaves the walk, unless the stall it parked
   // with is still to be published: then it stays for one more turn.
@@ -139,28 +154,60 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   };
   // A polling core's record of this cycle is out already: it leaves now.
   const auto park_on_channel = [&](CoreId c, SyncBlock::Channel ch) {
-    parked_since[c] = now + 1;
+    park(c);
     sb.wait_on(c, ch);
-    set_runnable(c, false);
   };
-  const auto wake = [&](CoreId c) {
-    cores[c].absorb(now - parked_since[c]);
+  // Charges the cycles a parked core skipped before `until`; a core that
+  // was clocked through them (any record but kOff) was last clocked in
+  // the cycle before.
+  const auto wake = [&](CoreId c, Cycle until) {
+    cores[c].absorb(until - parked_since[c]);
+    if (cores[c].cycle().activity != CoreActivity::kOff) {
+      last_change[c] = until - 1;
+    }
     parked_since[c] = kAwake;
     on_load[c] = 0;
+  };
+  // A fault boundary: every parked core is back in the walk, off any
+  // channel, and is stepped (or charged) at its turn.
+  const auto rejoin_all = [&]() {
+    sb.wake_all();
+    for (CoreId c = 0; c < n; ++c) {
+      if (parked_since[c] != kAwake) {
+        on_load[c] = 0;
+        set_runnable(c, true);
+      }
+    }
+  };
+  // A fault run's record that repeats until the plan's next boundary: a
+  // fail-stopped or finished core (kOff), an injected stall, or a wait for
+  // an ownerless lock whose grant an injected delay withheld.
+  const auto waits_for_boundary = [&](CoreCycle rec) {
+    if (rec.activity == CoreActivity::kOff) return true;
+    if (rec.activity != CoreActivity::kStall) return false;
+    switch (rec.reason) {
+      case StallReason::kFault:
+        return true;
+      case StallReason::kScanLock:
+        return sb.scan_owner() == SyncBlock::kNoOwner && sb.scan_withheld();
+      case StallReason::kFreeLock:
+        return sb.free_owner() == SyncBlock::kNoOwner && sb.free_withheld();
+      default:
+        return false;
+    }
   };
 
   bool cores_halted = false;
   Cycle halted_at = 0;
   bool in_scan_phase = false;
   bool worklist_empty = false;  // Table I condition of the last cycle
-  bool busy_recorded = false;   // some core's record of the last cycle: kBusy
 
-  // Watchdog expiry (shared by the ticked path and the fast-forward jump
-  // to the budget boundary). Localize a suspect before aborting. First
-  // preference: a ScanState bit that reads busy while the core's
-  // architectural bit is clear (stuck-at-1 fault). Second: the unfinished
-  // core that has missed its clock the longest — a core that missed it
-  // for an eighth of the whole budget is fail-stopped, not slow.
+  // Watchdog expiry (shared by the ticked path and the jump to the budget
+  // boundary). Localize a suspect before aborting. First preference: a
+  // ScanState bit that reads busy while the core's architectural bit is
+  // clear (stuck-at-1 fault). Second: the unfinished core that has missed
+  // its clock the longest — a core that missed it for an eighth of the
+  // whole budget is fail-stopped, not slow.
   const auto watchdog_abort = [&]() {
     CoreId suspect = kNoCore;
     for (CoreId c = 0; c < n && suspect == kNoCore; ++c) {
@@ -170,9 +217,11 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
       Cycle worst = cfg_.coprocessor.watchdog_cycles / 8;
       for (CoreId c = 0; c < n; ++c) {
         if (cores[c].done()) continue;
-        // A parked core is clocked every cycle, stepped or not.
-        const Cycle seen =
-            parked_since[c] != kAwake ? now - 1 : last_change[c];
+        // A parked core is clocked every cycle, stepped or not, unless it
+        // parked fail-stopped (kOff).
+        const bool clocked = parked_since[c] != kAwake &&
+                             cores[c].cycle().activity != CoreActivity::kOff;
+        const Cycle seen = clocked ? now - 1 : last_change[c];
         const Cycle stale = now - seen;
         if (stale > worst) {
           worst = stale;
@@ -190,30 +239,18 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
                           suspect, now);
   };
 
-  // The cycle just observed repeats k more times: the per-core counters
-  // and the Table-I counter fold it in bulk. A parked core is charged on
-  // wake for every cycle since it parked, jumps included.
-  const auto absorb = [&](Cycle k) {
-    stats.fast_forwarded_cycles += k;
-    for (CoreId c = 0; c < n; ++c) {
-      if (parked_since[c] == kAwake) cores[c].absorb(k);
-    }
-    if (worklist_empty) stats.worklist_empty_cycles += k;
-  };
-
-  // Lost-wake guard: no core in the walk, the cores not halted and nothing
-  // in flight. No event can end such a wait — a missing channel firing, a
-  // simulator bug rather than a hardware fault — so it throws here instead
-  // of running to the watchdog. It is checked where it costs nothing per
-  // cycle: before a jump under the fixed order (that state's jump target
-  // is the watchdog budget), and before each cycle's order under the
-  // others.
+  // Lost-wake guard: a fault-free run with no core in the walk, the cores
+  // not halted and nothing in flight. No event can end such a wait — a
+  // missing channel firing, a simulator bug rather than a hardware fault —
+  // so it throws here instead of running to the watchdog. (In a fault run
+  // the same state is a dropped reply or a dead lock holder, and the
+  // watchdog names it.) It is checked where it costs nothing per cycle:
+  // before a jump under the fixed order (that state's jump target is the
+  // watchdog budget), and before each cycle's order under the others.
   const auto check_lost_wake = [&]() {
-    if (cores_halted) return;
-    for (const std::uint64_t word : runnable) {
-      if (word != 0) return;
+    if (fault != nullptr || cores_halted || !walk_empty() || !mem.idle()) {
+      return;
     }
-    if (!mem.idle()) return;
     std::string parked;
     for (CoreId c = 0; c < n; ++c) {
       if (core_done[c] != 0) continue;
@@ -228,87 +265,40 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
                            parked);
   };
 
-  // Event-driven fast-forward (DESIGN.md §13): when every component is
-  // quiescent — memory ticks are pure waiting, every core's next steps
-  // repeat its record of the cycle just observed — jump the clock to the
-  // next event (memory completion, fault boundary or watchdog budget)
-  // instead of ticking, and absorb the skipped cycles. Restricted to the
-  // fixed-priority schedule: the other policies mutate per-cycle state in
-  // order().
-  const bool ff_active = cfg_.coprocessor.fast_forward && fixed_order;
-  std::vector<GcCore::FfPoll> polls(n);
-  const auto try_fast_forward = [&]() -> Cycle {
-    // A busy record never repeats: no steady poll below can match it.
-    if (busy_recorded) return 0;
-    // Memory gate: nothing acceptable queued, no completion due this cycle.
-    if (!mem.ff_quiescent()) return 0;
+  // The one jump rule (DESIGN.md §13), under the fixed order only: the
+  // other policies publish and draw a step order every cycle. With no core
+  // in the walk — every unfinished core parked — and memory pure waiting
+  // (nothing acceptable queued, no completion due now), nothing changes
+  // until the next completion, fault boundary or the watchdog budget, so
+  // the clock jumps there. Parked cores are charged when they wake; in the
+  // drain phase the halted cores miss their clock. A fault run never jumps
+  // over a cycle on which an armed event is due.
+  const bool jumps = cfg_.coprocessor.fast_forward && fixed_order;
+  const auto jump = [&]() {
+    if (cores_halted ? now - 1 == halted_at : !walk_empty()) return;
+    if (!mem.ff_quiescent()) return;
     const Cycle completion = mem.next_completion();
-    if (completion <= now) return 0;
+    if (completion <= now) return;
     if (completion == MemorySystem::kNever) check_lost_wake();
-    // Fault gate: no armed event may be due (it would fire on a consult
-    // this cycle) and no steady state may change before the jump target.
-    if (fault != nullptr && fault->ff_blocked(now)) return 0;
+    if (fault != nullptr && fault->ff_blocked(now)) return;
     Cycle target = cfg_.coprocessor.watchdog_cycles;
     if (completion < target) target = completion;
     if (fault != nullptr) {
       const Cycle boundary = fault->next_cycle_boundary(now);
       if (boundary < target) target = boundary;
     }
-    if (target <= now) return 0;
-
-    if (cores_halted) {
-      // The halting cycle clocked the cores; only a drain cycle repeats.
-      return now - 1 == halted_at ? 0 : target - now;
+    if (target <= now) return;
+    stats.fast_forwarded_cycles += target - now;
+    if (worklist_empty) stats.worklist_empty_cycles += target - now;
+    now = target;
+    if (now >= cfg_.coprocessor.watchdog_cycles) {
+      // Mirror the ticked run exactly: its last begin_clock() before the
+      // expiry was for the final (here: skipped) cycle, and the suspect
+      // scan's busy() consults run against that clock.
+      edge = now - 1;
+      if (fault != nullptr) fault->begin_clock(now - 1);
+      watchdog_abort();
     }
-    // Every core must be steady, repeating its record of the last cycle.
-    // An injected fate (fail-stop, latched stall window) overrides the
-    // state machine, exactly as core_fate() does before step().
-    const bool all_idle_steady = sb.busy_count() == 0;
-    for (CoreId c = 0; c < n; ++c) {
-      GcCore::FfPoll& p = polls[c];
-      const CoreFate fate =
-          fault != nullptr ? fault->steady_fate(c, now) : CoreFate::kRun;
-      if (fate != CoreFate::kRun) {
-        p = GcCore::FfPoll{};
-        p.steady = true;  // fail-stopped: kOff
-        if (fate == CoreFate::kStall) {
-          p.cycle = {CoreActivity::kStall, StallReason::kFault};
-        }
-      } else if (parked_since[c] != kAwake && (on_load[c] || !in_walk(c))) {
-        // Waiting on its load, or on a channel that has not fired: steady
-        // by construction (a channel-parked idle core cannot observe
-        // termination, whose onset fires the worklist channel). A core
-        // whose channel fired is back in the walk and polled below.
-        p = GcCore::FfPoll{};
-        p.steady = true;
-        p.cycle = cores[c].cycle();
-      } else {
-        p = cores[c].ff_poll();
-        if (p.cycle.activity == CoreActivity::kIdle && all_idle_steady &&
-            sb.stripes_idle()) {
-          return 0;  // the spin ends: this core observes termination now
-        }
-        if (!p.steady && p.if_suppressed != StallReason::kNone &&
-            fault != nullptr &&
-            fault->lock_suppressed_steady(
-                p.if_suppressed == StallReason::kScanLock ? LockKind::kScan
-                                                          : LockKind::kFree,
-                now)) {
-          p.steady = true;
-          p.cycle = {CoreActivity::kStall, p.if_suppressed};
-        }
-      }
-      if (!p.steady || p.cycle != cores[c].cycle()) return 0;
-    }
-    // A lock waiter is steady only while the holder is: the holder must
-    // itself be stalled (memory wait, fault stall) or fail-stopped.
-    for (const GcCore::FfPoll& p : polls) {
-      if (p.blocker != kNoCore &&
-          polls[p.blocker].cycle.activity == CoreActivity::kIdle) {
-        return 0;
-      }
-    }
-    return target - now;
   };
 
   // An abort thrown inside a cycle (`cycle_open`) closes it for the
@@ -326,29 +316,15 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     }
   };
 
+  const bool fault_parks = park_active && fault != nullptr;
   try {
   while (true) {
-    if (ff_active) {
-      const Cycle skipped = try_fast_forward();
-      if (skipped > 0) {
-        absorb(skipped);
-        now += skipped;
-        // The jump repeated every record, so no core finished; each core
-        // clocked in the observed cycle was clocked through the jump too.
-        for (CoreId c = 0; c < n; ++c) {
-          if (cores[c].cycle().activity != CoreActivity::kOff) {
-            last_change[c] = now - 1;
-          }
-        }
-        if (now >= cfg_.coprocessor.watchdog_cycles) {
-          // Mirror the ticked run exactly: its last begin_clock() before
-          // the expiry was for the final (here: skipped) cycle, and the
-          // suspect scan's busy() consults run against that clock.
-          edge = now - 1;
-          if (fault != nullptr) fault->begin_clock(now - 1);
-          watchdog_abort();
-        }
-      }
+    if (fault_parks && (now >= rejoin_at || fault->ff_blocked(now))) {
+      rejoin_all();
+    }
+    if (jumps) {
+      jump();
+      if (fault_parks && now >= rejoin_at) rejoin_all();
     }
     edge = now;
     cycle_open = true;
@@ -368,13 +344,12 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     mem.tick(now);
     for (CoreId c : mem.woken()) {
       if (on_load[c] != 0) {
-        wake(c);
+        wake(c, now);
         set_runnable(c, true);
       }
     }
     if (!cores_halted) {
       sb.begin_cycle();
-      busy_recorded = false;
       // The walk over the runnable cores. Stepping a core changes its own
       // runnable bit and, through a fired wake channel, others' bits. The
       // walk re-reads the set at every turn, past the core it stepped last:
@@ -412,7 +387,7 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
             set_runnable(c, false);
             continue;
           }
-          wake(c);  // its wake channel fired: step it
+          wake(c, now);  // its wake channel fired, or a boundary: step it
         }
         walking = c;
         if (fault != nullptr) {
@@ -433,7 +408,6 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
         const CoreCycle rec = core.cycle();
         show(c, now, rec);
         if (rec.activity != CoreActivity::kOff) last_change[c] = now;
-        if (rec.activity == CoreActivity::kBusy) busy_recorded = true;
         if (core_done[c] == 0 && core.done()) {
           core_done[c] = 1;
           ++done_count;
@@ -441,7 +415,9 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
         // Park once this cycle's record is out. A core that just issued
         // the load it waits on parks too: its next step would stall.
         if (park_active) {
-          if (core.park_on_load()) {
+          if (fault != nullptr && waits_for_boundary(rec)) {
+            park(c);
+          } else if (core.park_on_load()) {
             park_on_load(c);
           } else if (const SyncBlock::Channel ch = core.poll_channel();
                      ch != SyncBlock::kNoChannel) {
@@ -471,14 +447,19 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
         }
       }
       if (cores_halted) {
-        // Store drain: from here on every core misses its clock.
+        // Store drain: from here on every core misses its clock. A core
+        // still parked (a finished core in a fault-stall window) is
+        // charged through this cycle first.
         halted_at = now;
-        for (GcCore& core : cores) core.miss_clock();
-        busy_recorded = false;
+        for (CoreId c = 0; c < n; ++c) {
+          if (parked_since[c] != kAwake) wake(c, now + 1);
+          cores[c].miss_clock();
+        }
       }
     } else if (obs != nullptr && now == halted_at + 1) {
       obs->on_sample({now, true});
     }
+    if (fault_parks) rejoin_at = fault->next_cycle_boundary(now);
     ++now;
     cycle_open = false;
     if (cores_halted && (mem.stores_drained() ||
@@ -488,6 +469,7 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
     if (now >= cfg_.coprocessor.watchdog_cycles) watchdog_abort();
   }
   } catch (const CollectionAbort& abort) {
+    fast_forwarded_ = stats.fast_forwarded_cycles;
     if (obs != nullptr) {
       close_aborted_cycle();
       obs->on_collection_end(now, &abort);
@@ -501,6 +483,7 @@ GcCycleStats Coprocessor::collect(SignalTrace* trace,
   heap_.set_alloc_ptr(free_final);
   if (obs != nullptr) obs->on_collection_end(now, nullptr);
 
+  fast_forwarded_ = stats.fast_forwarded_cycles;
   stats.total_cycles = now;
   stats.drain_cycles = now - halted_at;
   stats.restart_stores_drained = mem.stores_drained();

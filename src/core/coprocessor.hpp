@@ -51,18 +51,22 @@ class Coprocessor {
   /// Cores are stepped each cycle in the order produced by the configured
   /// SchedulePolicy (cfg.coprocessor.schedule; fixed index order — the
   /// prototype's static prioritization — by default). With
-  /// cfg.coprocessor.fast_forward and no fault injector, a core waiting on
-  /// a load, spinning on an empty worklist, waiting for a held lock or at
-  /// the start barrier is parked off the step walk until its load retires
-  /// or the SyncBlock fires the wake channel of what it polled
-  /// (DESIGN.md §13), with an identical result. A parked run in which no
-  /// core can run and nothing is in flight is a lost wake, a simulator
-  /// bug: it throws std::logic_error naming the parked cores and their
-  /// channels.
+  /// cfg.coprocessor.fast_forward, a core waiting on a load, spinning on an
+  /// empty worklist, waiting for a held lock or at the start barrier is
+  /// parked off the step walk until its load retires or the SyncBlock
+  /// fires the wake channel of what it polled; under a fault plan a core
+  /// with an injected fate, one whose lock grant an injected delay
+  /// withholds and a finished core park until the plan's next cycle
+  /// boundary. While no core is in the walk, the fixed order jumps the
+  /// clock to the next event (DESIGN.md §13). Either way the result is
+  /// identical. A fault-free parked run in which no core can run and
+  /// nothing is in flight is a lost wake, a simulator bug: it throws
+  /// std::logic_error naming the parked cores and their channels.
   ///
   /// `fault`, when non-null, is threaded through to the SyncBlock and the
-  /// memory scheduler and consulted for each core's fate every cycle; the
-  /// caller (normally RecoveringCollector) must have called begin_attempt.
+  /// memory scheduler and consulted for the fate of each core the walk
+  /// steps; the caller (normally RecoveringCollector) must have called
+  /// begin_attempt.
   ///
   /// The other four pointers are optional subscribers of the clock loop's
   /// one event stream, published per change (sim/clock_observer.hpp):
@@ -88,9 +92,14 @@ class Coprocessor {
 
   const SimConfig& config() const noexcept { return cfg_; }
 
+  /// Cycles the last collect() skipped by jumping the clock, also when it
+  /// aborted (a completed one reports them in its GcCycleStats too).
+  Cycle fast_forwarded_cycles() const noexcept { return fast_forwarded_; }
+
  private:
   SimConfig cfg_;
   Heap& heap_;
+  Cycle fast_forwarded_ = 0;
 };
 
 }  // namespace hwgc

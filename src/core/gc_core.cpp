@@ -14,92 +14,6 @@ GcCore::GcCore(CoreId id, GcContext& ctx)
       state_(id == 0 ? State::kRootInit : State::kStartBarrier),
       start_barrier_gen_(ctx.sb.barrier_generation()) {}
 
-GcCore::FfPoll GcCore::ff_poll() const {
-  FfPoll p;  // not steady: execute the cycle normally
-  const auto steady = [&p](CoreCycle c, CoreId blocker = kNoCore) {
-    p.steady = true;
-    p.cycle = c;
-    p.blocker = blocker;
-    return p;
-  };
-  const auto stalled = [](StallReason r) {
-    return CoreCycle{CoreActivity::kStall, r};
-  };
-  switch (state_) {
-    case State::kDone:
-      return steady(CoreCycle{});
-    case State::kStartBarrier:
-      // Steady only once this core's arrival is registered (re-arrival is
-      // idempotent) and the barrier has not released; the first arrival
-      // and the release transition must run live.
-      if (ctx_.sb.barrier_generation() > start_barrier_gen_) return p;
-      if (!ctx_.sb.barrier_arrived(id_)) return p;
-      return steady(stalled(StallReason::kBarrier));
-    case State::kFetchWork: {
-      if (ctx_.sb.worklist_empty()) {
-        // An idle poll would grab dispensed stripe work — progress.
-        if (ctx_.cfg.subobject_copy && ctx_.sb.stripe_work_available()) {
-          return p;
-        }
-        // Spin on the empty worklist. The caller vetoes this when the
-        // termination condition holds (the spin would end right now) —
-        // that needs the fault-steady view of the busy bits.
-        return steady(CoreCycle{CoreActivity::kIdle});
-      }
-      const CoreId owner = ctx_.sb.scan_owner();
-      if (owner != SyncBlock::kNoOwner && owner != id_) {
-        // Scan lock held across cycles: the owner sits in kFetchHeaderWait
-        // (FIFO-miss header read under the lock). Steady while the owner is.
-        return steady(stalled(StallReason::kScanLock), owner);
-      }
-      if (owner == SyncBlock::kNoOwner) {
-        // Would acquire and make progress — unless an injected grant
-        // suppression is steadily withholding the lock.
-        p.if_suppressed = StallReason::kScanLock;
-      }
-      return p;
-    }
-    case State::kFetchHeaderWait:
-    case State::kChildPeekWait:
-    case State::kChildHeaderWait:
-    case State::kPtrLoadWait:
-    case State::kDataLoadWait:
-    case State::kStripeLoadWait: {
-      // The store-buffer-busy sub-cases of the body waits never coexist
-      // with a fast-forward window: a waiting store sits in the scheduler
-      // queue and is acceptable, which already fails the memory gate.
-      const StallReason r = load_wait();
-      if (r == StallReason::kNone) return p;
-      return steady(stalled(r));
-    }
-    case State::kChildLock: {
-      const CoreId holder =
-          ctx_.sb.header_lock_holder(id_, attributes_addr(child_));
-      if (holder == SyncBlock::kNoOwner) return p;
-      return steady(stalled(StallReason::kHeaderLock), holder);
-    }
-    case State::kEvacuate: {
-      if (ctx_.mem.store_slots_free(id_, Port::kHeader) < 2) {
-        return p;  // waiting stores fail the memory gate anyway: run live
-      }
-      const CoreId owner = ctx_.sb.free_owner();
-      if (owner != SyncBlock::kNoOwner && owner != id_) {
-        // Free lock held across cycles only by a fail-stopped core that
-        // died at the grant; the blocker check confirms it is dead.
-        return steady(stalled(StallReason::kFreeLock), owner);
-      }
-      if (owner == SyncBlock::kNoOwner) {
-        p.if_suppressed = StallReason::kFreeLock;
-      }
-      return p;
-    }
-    default:
-      // Issue / store / blacken / publish / root states advance every
-      // cycle (or depend on store buffers, which the memory gate covers).
-      return p;
-  }
-}
-
 void GcCore::step(Cycle now) {
   now_ = now;
   cycle_ = {};  // a finished core's step is a no-op: it stays kOff

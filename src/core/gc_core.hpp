@@ -97,20 +97,21 @@ class GcCore {
   /// SyncBlock wake channel that fires on the change. Those polls are
   ///   * a spin on an empty worklist while termination does not hold and
   ///     no stripe work waits: kWorklistChannel;
-  ///   * a wait for a scan lock another core holds across cycles (not one
-  ///     merely granted this cycle, which is free again next cycle without
-  ///     a release): kScanLockChannel;
+  ///   * a wait for a scan or free lock another core holds across cycles
+  ///     (not one merely granted this cycle, which is free again next cycle
+  ///     without a release): kScanLockChannel or kFreeLockChannel;
   ///   * a wait for a header lock: the holder's header_lock_channel;
   ///   * a wait at the start barrier after this core's arrival (re-arrival
   ///     is idempotent until the last arrival releases it):
   ///     kBarrierChannel.
-  /// kNoChannel otherwise. Fault-free runs only (all_idle() would consult
-  /// the injector, and an injected grant suppression ends on its own).
+  /// kNoChannel otherwise. Pure: the termination test reads busy_count(),
+  /// which consults no fault hook, so deciding to park fires nothing.
   SyncBlock::Channel poll_channel() const noexcept {
     const SyncBlock& sb = ctx_.sb;
     if (cycle_.activity == CoreActivity::kIdle) {
       const bool spins =
-          sb.worklist_empty() && !(sb.all_idle() && sb.stripes_idle()) &&
+          sb.worklist_empty() &&
+          !(sb.busy_count() == 0 && sb.stripes_idle()) &&
           !(ctx_.cfg.subobject_copy && sb.stripe_work_available());
       return spins ? SyncBlock::kWorklistChannel : SyncBlock::kNoChannel;
     }
@@ -120,6 +121,12 @@ class GcCore {
         const CoreId owner = sb.scan_owner();
         return owner != SyncBlock::kNoOwner && owner != id_
                    ? SyncBlock::kScanLockChannel
+                   : SyncBlock::kNoChannel;
+      }
+      case StallReason::kFreeLock: {
+        const CoreId owner = sb.free_owner();
+        return owner != SyncBlock::kNoOwner && owner != id_
+                   ? SyncBlock::kFreeLockChannel
                    : SyncBlock::kNoChannel;
       }
       case StallReason::kHeaderLock: {
@@ -142,33 +149,6 @@ class GcCore {
 
   CoreId id() const noexcept { return id_; }
   const CoreCounters& counters() const noexcept { return counters_; }
-
-  // --- fast-forward support (DESIGN.md §13) -------------------------------
-
-  /// Core-local quiescence classification. A core is `steady` when every
-  /// upcoming step() until some external event repeats with the record
-  /// `cycle`:
-  ///   kOff   — done: step() is a no-op;
-  ///   kStall — stalls for the same reason every cycle; when the stall is
-  ///            on a lock, `blocker` names the holder, who must be steady
-  ///            too for the wait to be;
-  ///   kIdle  — spins on an empty worklist; the caller must still rule out
-  ///            the termination transition and stripe work (they need
-  ///            fault-steady global views).
-  /// Not steady: the next step makes progress or mutates shared state, so
-  /// the cycle must be executed normally. Pure: consults no fault hooks and
-  /// mutates nothing. Fault fates (stall windows, fail-stop) override this
-  /// in the clock loop.
-  struct FfPoll {
-    bool steady = false;
-    CoreCycle cycle;
-    CoreId blocker = kNoCore;
-    /// Set while an uncontended scan/free lock acquisition is the only
-    /// obstacle: an injected steady grant suppression turns the core into
-    /// a steady kScanLock/kFreeLock stall.
-    StallReason if_suppressed = StallReason::kNone;
-  };
-  FfPoll ff_poll() const;
 
  private:
   enum class State : std::uint8_t {

@@ -40,6 +40,7 @@ bool SyncBlock::try_lock_scan(CoreId core) {
   if (scan_owner_ == core) return true;
   if (scan_owner_ != kNoOwner || scan_acquired_this_cycle_) return false;
   if (fault_ != nullptr && fault_->lock_grant_suppressed(LockKind::kScan)) {
+    scan_withheld_this_cycle_ = true;
     return false;  // injected arbitration glitch: grant withheld this cycle
   }
   audit(core, Acquiring::kScan);
@@ -62,6 +63,7 @@ bool SyncBlock::try_lock_free(CoreId core) {
   if (free_owner_ == core) return true;
   if (free_owner_ != kNoOwner || free_acquired_this_cycle_) return false;
   if (fault_ != nullptr && fault_->lock_grant_suppressed(LockKind::kFree)) {
+    free_withheld_this_cycle_ = true;
     return false;
   }
   if (fault_ != nullptr && fault_->free_grant_fatal(core)) {
@@ -86,6 +88,7 @@ void SyncBlock::unlock_free(CoreId core) {
   assert(free_owner_ == core && "unlock by non-owner");
   (void)core;
   free_owner_ = kNoOwner;
+  fire(kFreeLockChannel);
   if (obs_ != nullptr) obs_->on_lock_released(SbLock::kFree, core);
 }
 
@@ -218,6 +221,7 @@ std::string SyncBlock::channel_name(Channel ch) {
     case kWorklistChannel: return "worklist";
     case kScanLockChannel: return "scan lock";
     case kBarrierChannel: return "barrier";
+    case kFreeLockChannel: return "free lock";
     default:
       return "header lock of core " +
              std::to_string(ch - header_lock_channel(0));

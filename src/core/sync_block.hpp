@@ -23,9 +23,10 @@
 //
 // Wake channels (simulator side, DESIGN.md §13): a stalled core waits in
 // hardware until a release or a register write frees it. The SB models
-// that with four kinds of channel (worklist, scan lock, one per header-lock
-// holder, barrier); the clock loop parks a polling core on the channel of
-// what it polled and steps it again only once that channel fires.
+// that with five kinds of channel (worklist, scan lock, free lock, one per
+// header-lock holder, barrier); the clock loop parks a polling core on the
+// channel of what it polled and steps it again only once that channel
+// fires.
 #pragma once
 
 #include <array>
@@ -90,6 +91,8 @@ class SyncBlock {
   void begin_cycle() noexcept {
     scan_acquired_this_cycle_ = false;
     free_acquired_this_cycle_ = false;
+    scan_withheld_this_cycle_ = false;
+    free_withheld_this_cycle_ = false;
     stripe_grabbed_this_cycle_ = false;
   }
 
@@ -113,10 +116,16 @@ class SyncBlock {
   static constexpr CoreId kNoOwner = ~CoreId{0};
 
   /// Current scan-/free-lock owner, kNoOwner when free. Pure reads for the
-  /// clock loop's quiescence classification (fast-forward): a core stalled
-  /// on one of these locks is quiescent exactly while the owner is.
+  /// wake-channel choice of a core that waits on one of these locks.
   CoreId scan_owner() const noexcept { return scan_owner_; }
   CoreId free_owner() const noexcept { return free_owner_; }
+
+  /// True when an injected grant suppression withheld the scan/free lock
+  /// in this cycle. Every consult in a cycle answers alike, and a
+  /// suppression holds until its window closes, so a waiter that got no
+  /// grant from an ownerless lock repeats that stall until then.
+  bool scan_withheld() const noexcept { return scan_withheld_this_cycle_; }
+  bool free_withheld() const noexcept { return free_withheld_this_cycle_; }
 
   /// CAM lookup without acquisition: which other core's header-lock
   /// register holds `addr`? kNoOwner when none (the acquisition would
@@ -163,7 +172,8 @@ class SyncBlock {
 
   /// Number of ScanState bits set as a monitor tap sees them: the
   /// architectural bits plus any stuck-at-1 fault already latched. Unlike
-  /// busy() it consults no fault hook, so observing it fires nothing.
+  /// busy() it consults no fault hook, so observing it (or deciding
+  /// whether a spin parks) fires nothing.
   std::uint32_t busy_count() const {
     return fault_ == nullptr ? busy_bits_ : busy_count_latched();
   }
@@ -270,9 +280,13 @@ class SyncBlock {
   static constexpr Channel kScanLockChannel = 1;
   /// The barrier's release: what an arrived barrier wait reads.
   static constexpr Channel kBarrierChannel = 2;
+  /// unlock_free: what a wait for a free lock held across cycles reads.
+  /// Only a core that died at its grant holds it that long, and a fatal
+  /// grant releases nothing, so its waiters wait out the watchdog.
+  static constexpr Channel kFreeLockChannel = 3;
   /// unlock_header(holder): what a wait for `holder`'s header lock reads.
   static constexpr Channel header_lock_channel(CoreId holder) noexcept {
-    return 3 + holder;
+    return 4 + holder;
   }
   static constexpr Channel kNoChannel = ~Channel{0};
 
@@ -284,13 +298,22 @@ class SyncBlock {
   /// mask must be set).
   void wait_on(CoreId core, Channel ch);
 
+  /// Fires every channel: each waiter's bit is set and it leaves its
+  /// channel (a fault boundary, where every parked core rejoins the walk).
+  void wake_all() noexcept {
+    for (Channel ch = 0; waiters_ != 0 && ch < channel_head_.size(); ++ch) {
+      fire(ch);
+    }
+  }
+
   /// Number of cores waiting on any channel.
   std::uint32_t waiters() const noexcept { return waiters_; }
 
   /// The channel `core` waits on, kNoChannel when it waits on none.
   Channel waiting_on(CoreId core) const noexcept { return waiting_on_[core]; }
 
-  /// "worklist", "scan lock", "barrier" or "header lock of core H".
+  /// "worklist", "scan lock", "free lock", "barrier" or "header lock of
+  /// core H".
   static std::string channel_name(Channel ch);
 
   // --- lock-order audit ----------------------------------------------------
@@ -323,6 +346,8 @@ class SyncBlock {
   CoreId free_owner_ = kNoOwner;
   bool scan_acquired_this_cycle_ = false;
   bool free_acquired_this_cycle_ = false;
+  bool scan_withheld_this_cycle_ = false;
+  bool free_withheld_this_cycle_ = false;
   bool stripe_grabbed_this_cycle_ = false;
   std::array<StripeJob, kStripeSlots> stripe_slots_{};
   std::array<bool, kStripeSlots> stripe_slot_active_{};

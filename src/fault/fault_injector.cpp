@@ -202,25 +202,6 @@ Cycle FaultInjector::next_cycle_boundary(Cycle now) const noexcept {
   return next;
 }
 
-CoreFate FaultInjector::steady_fate(CoreId logical, Cycle now) const noexcept {
-  if (logical >= logical_to_physical_.size()) return CoreFate::kRun;
-  const CoreId physical = logical_to_physical_[logical];
-  CoreFate fate = CoreFate::kRun;
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    const FaultEvent& e = plan_.events[i];
-    if (e.target_core != physical || !state_[i].latched) continue;
-    if (e.kind == FaultKind::kCoreStall) {
-      if (now >= e.trigger && now < e.trigger + e.param &&
-          fate == CoreFate::kRun) {
-        fate = CoreFate::kStall;
-      }
-    } else if (e.kind == FaultKind::kCoreFailStop) {
-      fate = CoreFate::kStopped;  // same precedence as core_fate()
-    }
-  }
-  return fate;
-}
-
 bool FaultInjector::stuck_busy_steady(CoreId logical) const noexcept {
   if (logical >= logical_to_physical_.size()) return false;
   const CoreId physical = logical_to_physical_[logical];
@@ -228,18 +209,6 @@ bool FaultInjector::stuck_busy_steady(CoreId logical) const noexcept {
     const FaultEvent& e = plan_.events[i];
     if (e.kind == FaultKind::kStuckBusy && e.target_core == physical &&
         state_[i].latched) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool FaultInjector::lock_suppressed_steady(LockKind lock,
-                                           Cycle now) const noexcept {
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    const FaultEvent& e = plan_.events[i];
-    if (e.kind == FaultKind::kLockDelay && e.lock == lock &&
-        state_[i].latched && now >= e.trigger && now < e.trigger + e.param) {
       return true;
     }
   }

@@ -7,7 +7,7 @@
 //     attached WordMemory (the functional store), bypassing the ECC shadow.
 //   * SyncBlock asks lock_grant_suppressed() before granting the scan or
 //     free lock, and busy_stuck() when reading the ScanState register.
-//   * Coprocessor asks core_fate() before stepping each core.
+//   * Coprocessor asks core_fate() before stepping each core in its walk.
 //
 // Core identities: fault events target PHYSICAL cores; the hardware modules
 // pass LOGICAL core indices of the current attempt. begin_attempt() installs
@@ -89,38 +89,30 @@ class FaultInjector {
   /// fail-stop events conditioned on the free critical section.
   CoreFate core_fate(CoreId logical, bool holds_free);
 
-  // --- pure steady-state views (fast-forward classification) --------------
+  // --- pure views (parking and the clock jump) ----------------------------
   //
-  // The clock loop's fast-forward must decide whether upcoming cycles are
-  // observationally steady WITHOUT consulting the mutating hooks above
-  // (a consult can fire an event, which is itself observable). These const
-  // views expose only latched state plus the future cycle boundaries at
-  // which the steady state would change; the classification refuses to
-  // skip any cycle on which an armed event could fire (ff_blocked) and
-  // clamps every jump to the next boundary, so armed events always fire on
-  // normally executed cycles — at exactly the cycle a ticked run fires
-  // them.
+  // The clock loop parks a core whose fate or lock grant only a fault
+  // boundary can change, and jumps the clock while every core is parked.
+  // Neither may consult the mutating hooks above (a consult can fire an
+  // event, which is itself observable). These const views expose the
+  // boundaries instead: every parked core rejoins the walk at the next
+  // boundary and on every cycle ff_blocked() holds, and no jump crosses a
+  // boundary, so armed events always fire on stepped cycles, at exactly
+  // the cycle a ticked run fires them, in the same order.
 
   /// True when some armed, not-yet-fired cycle-triggered event is already
-  /// due at `now` (it would fire on the next consult): the current cycle
-  /// must be executed normally, never skipped.
+  /// due at `now` (it would fire on the next consult): every core must be
+  /// stepped this cycle, and the cycle must not be skipped.
   bool ff_blocked(Cycle now) const noexcept;
 
   /// Next cycle boundary strictly after `now` at which any cycle-triggered
-  /// event's steady behavior changes: an armed trigger (window entry /
-  /// fail-stop / stuck-busy onset) or a window exit of an armed-or-latched
-  /// kCoreStall / kLockDelay. ~Cycle{0} when none.
+  /// event's behavior changes: an armed trigger (window entry / fail-stop /
+  /// stuck-busy onset) or a window exit of an armed-or-latched kCoreStall /
+  /// kLockDelay. ~Cycle{0} when none.
   Cycle next_cycle_boundary(Cycle now) const noexcept;
-
-  /// core_fate() restricted to latched events — the fate every consult in
-  /// [now, next boundary) returns, with no event able to fire (pure).
-  CoreFate steady_fate(CoreId logical, Cycle now) const noexcept;
 
   /// busy_stuck() restricted to latched events (pure).
   bool stuck_busy_steady(CoreId logical) const noexcept;
-
-  /// lock_grant_suppressed() restricted to latched events (pure).
-  bool lock_suppressed_steady(LockKind lock, Cycle now) const noexcept;
 
   // --- accounting ----------------------------------------------------------
 

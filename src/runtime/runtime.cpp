@@ -1,6 +1,7 @@
 #include "runtime/runtime.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "core/coprocessor.hpp"
 
@@ -40,7 +41,10 @@ Runtime::Ref Runtime::alloc(Word pi, Word delta) {
     obj = heap_.allocate(pi, delta);
     if (obj == kNullPtr) {
       throw std::runtime_error(
-          "Runtime: heap exhausted even after a collection cycle");
+          "Runtime: heap exhausted even after a collection cycle (requested " +
+          std::to_string(object_words(pi, delta)) + " words, " +
+          std::to_string(heap_.capacity_words() - heap_.used_words()) +
+          " free after the cycle)");
     }
   }
   const Ref ref(take_slot(obj));

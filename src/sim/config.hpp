@@ -130,15 +130,16 @@ struct CoprocessorConfig {
   /// Record a per-cycle signal trace (costly; for debugging/inspection).
   bool enable_trace = false;
 
-  /// Event-driven fast-forward of the clock loop: when every core is
-  /// quiescent (done, fail-stopped, or stalled on a condition only a
-  /// future memory completion / fault window / watchdog boundary can
-  /// change) the clock jumps to the next such event instead of ticking.
-  /// It also parks cores whose next steps repeat their record.
-  /// Observationally invisible — GcCycleStats and every observer's output
-  /// are bit-identical to the ticked run (enforced by
-  /// tests/test_fast_forward.cpp; invariants in DESIGN.md §13). A non-fixed
-  /// schedule policy bypasses the jump (parking still applies).
+  /// Event-driven clock: a core whose next steps repeat its record parks
+  /// off the step walk until the event that ends the repeat (its load
+  /// retires, a SyncBlock wake channel fires, or a fault plan's next cycle
+  /// boundary), and while no core is in the walk and memory only waits the
+  /// clock jumps to the next memory completion, fault boundary or watchdog
+  /// budget instead of ticking. Observationally invisible — GcCycleStats
+  /// and every observer's output are bit-identical to the ticked run
+  /// (enforced by tests/test_fast_forward.cpp; invariants in DESIGN.md
+  /// §13). A non-fixed schedule policy ticks the empty cycles instead of
+  /// jumping (parking still applies). false is the pure ticked reference.
   bool fast_forward = true;
 
   /// Watchdog: abort a collection cycle that exceeds this many clock

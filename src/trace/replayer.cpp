@@ -3,6 +3,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "trace/recorder.hpp"
 
@@ -181,7 +182,14 @@ ReplayResult replay_trace(const Trace& trace, const ReplayConfig& cfg) {
   if (cfg.rerecord) rerec.attach(rt);
 
   TraceCursor cursor(&trace, /*wrap=*/false);
-  result.ops_applied = cursor.apply(rt, trace.ops.size());
+  try {
+    result.ops_applied = cursor.apply(rt, trace.ops.size());
+  } catch (const std::runtime_error& e) {
+    // Every collector replays on the header's semispace, and their tospace
+    // waste differs: an exhausted heap names the collector it ran under.
+    throw std::runtime_error(std::string(to_string(cfg.collector)) + ": " +
+                             e.what());
+  }
   result.read_mismatches = cursor.read_mismatches();
   result.explicit_collects = cursor.explicit_collects();
   result.live_ids = cursor.live_ids();

@@ -10,11 +10,13 @@
 // the abort cycle, suspect core and fired-event log. Every observer is
 // attached to every run, so none of them may keep the clock from jumping
 // or make a jump visible. The flag also parks cores waiting on a load, a
-// held lock or an empty worklist, observed or not: the step loop walks
-// only the runnable cores, and observers are told only of changes. The fault
-// cases in particular pin the ISSUE requirement that watchdog budgets
-// account for skipped cycles: a hang detected by jumping straight to the
-// watchdog boundary must abort at exactly the cycle a ticked run aborts.
+// held lock or an empty worklist, observed or not, and under a fault plan
+// cores whose fate or lock grant only the plan's next cycle boundary can
+// change: the step loop walks only the runnable cores, and observers are
+// told only of changes. The fault cases in particular pin the requirement
+// that watchdog budgets account for skipped cycles: a hang detected by
+// jumping straight to the watchdog boundary must abort at exactly the
+// cycle a ticked run aborts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -98,6 +100,7 @@ RunOutcome run_once(const GraphPlan& plan, SimConfig cfg, bool fast_forward,
       out.reason = abort.reason();
       out.suspect = abort.suspect();
       out.abort_at = abort.at();
+      out.stats.fast_forwarded_cycles = coproc.fast_forwarded_cycles();
       out.fault_log = inj.log();
       observe();
       return out;
@@ -190,15 +193,18 @@ void expect_same_text(const std::string& a, const std::string& b,
 }
 
 /// Runs the plan ticked and fast-forwarded, asserts full observational
-/// equality, and returns the ticked outcome for extra assertions.
+/// equality, and returns the ticked outcome for extra assertions (and the
+/// fast-forwarded one through `fast`, when given).
 RunOutcome expect_equivalent(const GraphPlan& plan, SimConfig cfg,
-                             const FaultPlan* faults = nullptr) {
+                             const FaultPlan* faults = nullptr,
+                             RunOutcome* fast = nullptr) {
   SignalTrace trace_t, trace_f;
   ScheduleTrace sched_t, sched_f;
   const RunOutcome ticked =
       run_once(plan, cfg, /*fast_forward=*/false, trace_t, sched_t, faults);
   const RunOutcome ffwd =
       run_once(plan, cfg, /*fast_forward=*/true, trace_f, sched_f, faults);
+  if (fast != nullptr) *fast = ffwd;
   EXPECT_EQ(ticked.aborted, ffwd.aborted);
   if (ticked.aborted && ffwd.aborted) {
     EXPECT_EQ(ticked.reason, ffwd.reason);
@@ -671,13 +677,23 @@ TEST(FastForward, MemDropHangAbortsAtIdenticalWatchdogCycle) {
   e.op = MemOp::kLoad;
   e.trigger = 1;
   plan.events.push_back(e);
-  SimConfig cfg = config_with_cores(4);
-  cfg.coprocessor.watchdog_cycles = 20'000;
-  const RunOutcome t = expect_equivalent(
-      make_benchmark_plan(BenchmarkId::kJlisp, 0.05), cfg, &plan);
-  ASSERT_TRUE(t.aborted);
-  EXPECT_EQ(t.reason, AbortReason::kWatchdog);
-  EXPECT_EQ(t.abort_at, cfg.coprocessor.watchdog_cycles);
+  // The collection stalls within its first 6000 cycles: past that, every
+  // core parks on its load or poll, so the hang is jumped, not ticked, and
+  // the jump covers nine tenths of a ten times larger budget.
+  for (const Cycle budget : {Cycle{20'000}, Cycle{200'000}}) {
+    SCOPED_TRACE("watchdog=" + std::to_string(budget));
+    SimConfig cfg = config_with_cores(4);
+    cfg.coprocessor.watchdog_cycles = budget;
+    RunOutcome ff;
+    const RunOutcome t = expect_equivalent(
+        make_benchmark_plan(BenchmarkId::kJlisp, 0.05), cfg, &plan, &ff);
+    ASSERT_TRUE(t.aborted);
+    EXPECT_EQ(t.reason, AbortReason::kWatchdog);
+    EXPECT_EQ(t.abort_at, cfg.coprocessor.watchdog_cycles);
+    if (budget == 200'000) {
+      EXPECT_GE(ff.stats.fast_forwarded_cycles, budget * 9 / 10);
+    }
+  }
 }
 
 TEST(FastForward, StuckBusyHangAbortsIdentically) {
@@ -729,11 +745,17 @@ TEST(FastForward, FailStopHoldingFreeLockHangsIdentically) {
   plan.events.push_back(e);
   SimConfig cfg = config_with_cores(4);
   cfg.coprocessor.watchdog_cycles = 20'000;
+  RunOutcome ff;
   const RunOutcome t = expect_equivalent(
-      make_benchmark_plan(BenchmarkId::kJlisp, 0.05), cfg, &plan);
+      make_benchmark_plan(BenchmarkId::kJlisp, 0.05), cfg, &plan, &ff);
   ASSERT_TRUE(t.aborted);
   EXPECT_EQ(t.reason, AbortReason::kWatchdog);
   EXPECT_EQ(t.abort_at, cfg.coprocessor.watchdog_cycles);
+  // The dead core parks fail-stopped and the others park on the free-lock
+  // channel (which a fatal grant never fires), a header lock, the worklist
+  // or a load: the hang jumps to the watchdog by parking alone.
+  EXPECT_GE(ff.stats.fast_forwarded_cycles,
+            cfg.coprocessor.watchdog_cycles * 9 / 10);
 }
 
 TEST(FastForward, CombinedFaultPlanIdentical) {
@@ -764,6 +786,168 @@ TEST(FastForward, CombinedFaultPlanIdentical) {
       make_benchmark_plan(BenchmarkId::kJlisp, 0.05), config_with_cores(4),
       &plan);
   EXPECT_FALSE(t.aborted);
+}
+
+// --- fault-run parking -------------------------------------------------------
+//
+// Under a fault plan a core also parks on an injected fate, on a lock grant
+// an injected delay withholds, and once it has finished; every parked core
+// rejoins the walk at the plan's next cycle boundary (and on every cycle an
+// armed event is due), so each consult that can fire an event is made on
+// the cycle the ticked run makes it. Each case below needs that boundary
+// wake: without it the event fires late or never, and the run differs.
+
+/// The record `core` repeats in cycle `at` of an observed fault-free run,
+/// as the bus's span name ("stall:body-load", "idle", ...).
+std::string record_at(const GraphPlan& plan, const SimConfig& cfg,
+                      CoreId core, Cycle at) {
+  Workload w = materialize(plan);
+  TelemetryBus bus;
+  Coprocessor(cfg, *w.heap).collect(nullptr, nullptr, nullptr, &bus);
+  const std::uint32_t track = bus.track("core " + std::to_string(core));
+  for (const TelemetrySpan& span : bus.spans()) {
+    if (span.track == track && span.begin <= at && at < span.end) {
+      return bus.span_name(span);
+    }
+  }
+  return "off";
+}
+
+/// True when some entry of `log` was fired at cycle `at`.
+bool logged_at(const std::vector<std::string>& log, Cycle at) {
+  const std::string needle = " cycle " + std::to_string(at) + ":";
+  for (const std::string& entry : log) {
+    if (entry.find(needle) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(FastForward, CoreStallTriggerWhileLoadParked) {
+  // Long memory latency: core 1 spends most cycles parked on a load. The
+  // stall window opens in the middle of one such wait, so the trigger
+  // must wake the parked core for its fate consult at exactly that cycle.
+  SimConfig cfg = config_with_cores(2);
+  cfg.memory.latency = 300;
+  cfg.memory.header_latency = 300;
+  const GraphPlan plan = make_benchmark_plan(BenchmarkId::kJlisp, 0.02);
+  for (const Cycle trigger : {Cycle{2'000}, Cycle{20'000}, Cycle{61'000}}) {
+    SCOPED_TRACE("trigger=" + std::to_string(trigger));
+    const std::string rec = record_at(plan, cfg, 1, trigger);
+    ASSERT_EQ(rec.rfind("stall:", 0), 0u) << rec;
+    ASSERT_NE(rec.find("-load"), std::string::npos) << rec;
+    FaultPlan faults;
+    FaultEvent e;
+    e.kind = FaultKind::kCoreStall;
+    e.target_core = 1;
+    e.trigger = trigger;
+    e.param = 450;
+    faults.events.push_back(e);
+    const RunOutcome t = expect_equivalent(plan, cfg, &faults);
+    EXPECT_FALSE(t.aborted);
+    ASSERT_EQ(t.fault_log.size(), 1u);
+    EXPECT_TRUE(logged_at(t.fault_log, trigger)) << t.fault_log[0];
+    EXPECT_GT(t.stats.per_core[1].stall(StallReason::kFault), 0u);
+  }
+}
+
+TEST(FastForward, LockDelayWaitersParkToWindowExit) {
+  // A latched scan-lock delay withholds every grant for 3000 cycles. The
+  // cores that want the lock park until the window's exit boundary, the
+  // rest finish their objects and park too, and the clock jumps to the
+  // exit, where the waiters rejoin and the lock is granted again.
+  for (LockKind lock : {LockKind::kScan, LockKind::kFree}) {
+    SCOPED_TRACE(lock == LockKind::kScan ? "scan" : "free");
+    FaultPlan faults;
+    FaultEvent e;
+    e.kind = FaultKind::kLockDelay;
+    e.lock = lock;
+    e.trigger = 300;
+    e.param = 3'000;
+    faults.events.push_back(e);
+    RunOutcome ff;
+    const RunOutcome t =
+        expect_equivalent(make_benchmark_plan(BenchmarkId::kJlisp, 0.05),
+                          config_with_cores(4), &faults, &ff);
+    EXPECT_FALSE(t.aborted);
+    EXPECT_EQ(t.fault_log.size(), 1u);
+    EXPECT_GT(ff.stats.fast_forwarded_cycles, Cycle{2'500});
+  }
+}
+
+TEST(FastForward, FailStopAfterItsCoreFinishedLogsOnTime) {
+  // Core 2 is frozen from cycle 1 (after its barrier arrival, never busy),
+  // so cores 0 and 1 finish the collection alone and leave the walk. The
+  // fail-stop trigger for the finished core 1 then lands in core 2's
+  // window: the finished core must rejoin for its fate consult, which
+  // logs the event at the trigger cycle, as the ticked run's does. So
+  // must the finished core 0 for a stall window of its own, which is still
+  // open when core 2 finishes: its stall is charged through the halt.
+  FaultPlan faults;
+  FaultEvent stall;
+  stall.kind = FaultKind::kCoreStall;
+  stall.target_core = 2;
+  stall.trigger = 1;
+  stall.param = 40'000;
+  faults.events.push_back(stall);
+  FaultEvent stop;
+  stop.kind = FaultKind::kCoreFailStop;
+  stop.target_core = 1;
+  stop.trigger = 30'000;
+  faults.events.push_back(stop);
+  FaultEvent late;
+  late.kind = FaultKind::kCoreStall;
+  late.target_core = 0;
+  late.trigger = 35'000;
+  late.param = 10'000;
+  faults.events.push_back(late);
+  RunOutcome ff;
+  const RunOutcome t =
+      expect_equivalent(make_benchmark_plan(BenchmarkId::kJlisp, 0.05),
+                        config_with_cores(3), &faults, &ff);
+  ASSERT_FALSE(t.aborted);  // core 1 had finished: its death hangs nothing
+  ASSERT_EQ(t.fault_log.size(), 3u);
+  EXPECT_TRUE(logged_at({t.fault_log[1]}, stop.trigger)) << t.fault_log[1];
+  EXPECT_TRUE(logged_at({t.fault_log[2]}, late.trigger)) << t.fault_log[2];
+  EXPECT_GT(t.stats.total_cycles, stall.trigger + stall.param);
+  EXPECT_LT(t.stats.total_cycles, late.trigger + late.param);
+  EXPECT_EQ(t.stats.per_core[0].stall(StallReason::kFault),
+            t.stats.total_cycles - t.stats.drain_cycles - late.trigger + 1);
+  EXPECT_GT(ff.stats.fast_forwarded_cycles, Cycle{25'000});
+}
+
+TEST(FastForward, FailStopWhileParkedCountsAsClockedUntilItDies) {
+  // Core 3 parks on a 2000-cycle header read and fail-stops in that wait,
+  // ten cycles before the watchdog expires. It was clocked (parked, not
+  // stepped) until it died, so it has not missed its clock for an eighth
+  // of the budget, and the watchdog names no suspect, as in the ticked run.
+  SimConfig cfg = config_with_cores(4);
+  cfg.memory.header_latency = 2'000;
+  const GraphPlan plan = make_benchmark_plan(BenchmarkId::kJlisp, 0.05);
+  Workload w = materialize(plan);
+  TelemetryBus bus;
+  Coprocessor(cfg, *w.heap).collect(nullptr, nullptr, nullptr, &bus);
+  const std::uint32_t track = bus.track("core 3");
+  Cycle wait_begin = 0;
+  for (const TelemetrySpan& span : bus.spans()) {
+    if (span.track == track && span.end - span.begin >= 1'500 &&
+        bus.span_name(span) == "stall:header-load") {
+      wait_begin = span.begin;
+      break;
+    }
+  }
+  ASSERT_GT(wait_begin, 0u);
+  cfg.coprocessor.watchdog_cycles = wait_begin + 1'400;
+  FaultPlan faults;
+  FaultEvent stop;
+  stop.kind = FaultKind::kCoreFailStop;
+  stop.target_core = 3;
+  stop.trigger = cfg.coprocessor.watchdog_cycles - 10;
+  faults.events.push_back(stop);
+  ASSERT_LT(cfg.coprocessor.watchdog_cycles / 8, Cycle{1'400});
+  const RunOutcome t = expect_equivalent(plan, cfg, &faults);
+  ASSERT_TRUE(t.aborted);
+  EXPECT_EQ(t.reason, AbortReason::kWatchdog);
+  EXPECT_EQ(t.suspect, kNoCore);
 }
 
 TEST(FastForward, SeededFaultPlansIdentical) {

@@ -200,14 +200,17 @@ TEST(SyncBlock, LockOrderAuditorFlagsViolations) {
 
 // --- wake channels -----------------------------------------------------------
 
-// Seven cores, one waiter per channel kind: core 2 on the worklist, core 3
+// Eight cores, one waiter per channel kind: core 2 on the worklist, core 3
 // on the scan lock, core 4 on the barrier, cores 5 and 6 on the header
-// locks of cores 0 and 1.
+// locks of cores 0 and 1, core 7 on the free lock.
 constexpr CoreId kOnWorklist = 2;
 constexpr CoreId kOnScanLock = 3;
 constexpr CoreId kOnBarrier = 4;
 constexpr CoreId kOnHeader0 = 5;
 constexpr CoreId kOnHeader1 = 6;
+constexpr CoreId kOnFreeLock = 7;
+constexpr std::uint32_t kChannelCores = 8;
+constexpr std::uint32_t kChannelWaiters = 6;
 
 void park_one_per_channel(SyncBlock& sb) {
   sb.wait_on(kOnWorklist, SyncBlock::kWorklistChannel);
@@ -215,6 +218,7 @@ void park_one_per_channel(SyncBlock& sb) {
   sb.wait_on(kOnBarrier, SyncBlock::kBarrierChannel);
   sb.wait_on(kOnHeader0, SyncBlock::header_lock_channel(0));
   sb.wait_on(kOnHeader1, SyncBlock::header_lock_channel(1));
+  sb.wait_on(kOnFreeLock, SyncBlock::kFreeLockChannel);
 }
 
 // The cores whose bits firing set in a one-word wake mask.
@@ -300,24 +304,27 @@ TEST(SyncBlockWake, EachMutatorFiresExactlyItsChannel) {
        [](SyncBlock& sb) { sb.unlock_header(1); }, {kOnHeader1}},
       {"barrier release",
        [](SyncBlock& sb) {
-         for (CoreId c = 0; c < 6; ++c) sb.barrier_arrive(c);
+         for (CoreId c = 0; c + 1 < kChannelCores; ++c) sb.barrier_arrive(c);
        },
-       [](SyncBlock& sb) { sb.barrier_arrive(6); }, {kOnBarrier}},
+       [](SyncBlock& sb) { sb.barrier_arrive(kChannelCores - 1); },
+       {kOnBarrier}},
       {"barrier arrival short of release", nothing,
        [](SyncBlock& sb) { sb.barrier_arrive(0); }, {}},
-      {"lock acquisitions and unlock_free", nothing,
+      {"unlock_free",
+       [](SyncBlock& sb) { ASSERT_TRUE(sb.try_lock_free(0)); },
+       [](SyncBlock& sb) { sb.unlock_free(0); }, {kOnFreeLock}},
+      {"lock acquisitions", nothing,
        [](SyncBlock& sb) {
          ASSERT_TRUE(sb.try_lock_scan(0));
          ASSERT_TRUE(sb.try_lock_header(0, 0x100));
          ASSERT_TRUE(sb.try_lock_free(0));
-         sb.unlock_free(0);
          sb.set_alloc_top(500);
        },
        {}},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    SyncBlock sb(7);
+    SyncBlock sb(kChannelCores);
     std::uint64_t mask = 0;
     sb.set_wake_mask(&mask);
     sb.begin_cycle();
@@ -325,11 +332,97 @@ TEST(SyncBlockWake, EachMutatorFiresExactlyItsChannel) {
     park_one_per_channel(sb);
     c.mutate(sb);
     EXPECT_EQ(woken(mask), c.woken);
-    EXPECT_EQ(sb.waiters(), 5u - c.woken.size());
+    EXPECT_EQ(sb.waiters(), kChannelWaiters - c.woken.size());
     for (const CoreId v : c.woken) {
       EXPECT_EQ(sb.waiting_on(v), SyncBlock::kNoChannel);
     }
   }
+}
+
+// A core that dies at its free-lock grant keeps the lock forever: the
+// fatal grant is an acquisition, not a release, so it fires nothing, and
+// the lock's waiters stay parked until the watchdog. Only unlock_free
+// fires the free-lock channel.
+TEST(SyncBlockWake, FatalFreeGrantFiresNothing) {
+  FaultPlan plan;
+  FaultEvent e;
+  e.kind = FaultKind::kCoreFailStop;
+  e.target_core = 1;
+  e.when_holding_free = true;
+  plan.events.push_back(e);
+  FaultInjector inj(plan);
+  inj.begin_attempt(0, {0, 1, 2});
+  SyncBlock sb(3, &inj);
+  std::uint64_t mask = 0;
+  sb.set_wake_mask(&mask);
+  sb.begin_cycle();
+  sb.wait_on(2, SyncBlock::kFreeLockChannel);
+  EXPECT_FALSE(sb.try_lock_free(1));  // dies at the grant
+  EXPECT_EQ(sb.free_owner(), 1u);
+  EXPECT_EQ(mask, 0u);
+  EXPECT_EQ(sb.waiting_on(2), SyncBlock::kFreeLockChannel);
+  sb.begin_cycle();
+  EXPECT_FALSE(sb.try_lock_free(0));  // held by the dead core
+  EXPECT_EQ(mask, 0u);
+  EXPECT_EQ(inj.fired_total(), 1u);
+
+  // A live holder's release wakes the waiter.
+  SyncBlock live(3);
+  live.set_wake_mask(&mask);
+  live.begin_cycle();
+  ASSERT_TRUE(live.try_lock_free(1));
+  live.wait_on(2, SyncBlock::kFreeLockChannel);
+  live.unlock_free(1);
+  EXPECT_EQ(woken(mask), (std::vector<CoreId>{2}));
+  EXPECT_EQ(live.waiters(), 0u);
+}
+
+// A fault boundary wakes every waiter, whatever channel it waits on, and
+// empties the registry.
+TEST(SyncBlockWake, WakeAllEmptiesEveryChannel) {
+  SyncBlock sb(kChannelCores);
+  std::uint64_t mask = 0;
+  sb.set_wake_mask(&mask);
+  park_one_per_channel(sb);
+  sb.wake_all();
+  EXPECT_EQ(woken(mask), (std::vector<CoreId>{kOnWorklist, kOnScanLock,
+                                              kOnBarrier, kOnHeader0,
+                                              kOnHeader1, kOnFreeLock}));
+  EXPECT_EQ(sb.waiters(), 0u);
+  for (CoreId c = 0; c < kChannelCores; ++c) {
+    EXPECT_EQ(sb.waiting_on(c), SyncBlock::kNoChannel);
+  }
+}
+
+// An injected grant suppression is visible for the rest of its cycle, so
+// the clock loop can tell a withheld grant from one handed to another core
+// earlier in the cycle.
+TEST(SyncBlock, WithheldGrantIsVisibleForTheCycle) {
+  FaultPlan plan;
+  FaultEvent e;
+  e.kind = FaultKind::kLockDelay;
+  e.lock = LockKind::kScan;
+  e.trigger = 10;
+  e.param = 5;
+  plan.events.push_back(e);
+  FaultInjector inj(plan);
+  inj.begin_attempt(0, {0, 1});
+  SyncBlock sb(2, &inj);
+  inj.begin_clock(9);
+  sb.begin_cycle();
+  ASSERT_TRUE(sb.try_lock_scan(0));
+  sb.unlock_scan(0);
+  EXPECT_FALSE(sb.try_lock_scan(1));  // one acquisition per cycle
+  EXPECT_FALSE(sb.scan_withheld());
+  inj.begin_clock(10);
+  sb.begin_cycle();
+  EXPECT_FALSE(sb.try_lock_scan(0));
+  EXPECT_TRUE(sb.scan_withheld());
+  EXPECT_FALSE(sb.free_withheld());
+  inj.begin_clock(15);  // the window has closed
+  sb.begin_cycle();
+  EXPECT_FALSE(sb.scan_withheld());
+  EXPECT_TRUE(sb.try_lock_scan(0));
 }
 
 // A channel fires once per registration: its waiters leave it, so firing
@@ -369,6 +462,8 @@ TEST(SyncBlockWake, ChannelNames) {
   EXPECT_EQ(SyncBlock::channel_name(SyncBlock::kScanLockChannel),
             "scan lock");
   EXPECT_EQ(SyncBlock::channel_name(SyncBlock::kBarrierChannel), "barrier");
+  EXPECT_EQ(SyncBlock::channel_name(SyncBlock::kFreeLockChannel),
+            "free lock");
   EXPECT_EQ(SyncBlock::channel_name(SyncBlock::header_lock_channel(5)),
             "header lock of core 5");
 }

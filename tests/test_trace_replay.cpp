@@ -652,6 +652,32 @@ TEST(TraceTransform, ShrinkDropsOutOfRangeStoresAndRederivesDigests) {
   EXPECT_EQ(r.read_mismatches, 0u);
 }
 
+// A semispace too small for the trace's live set fails by name: the
+// collector the replay ran under, the words the allocation asked for and
+// the words the collection left free.
+TEST(TraceReplayExhaustion, ErrorNamesCollectorRequestAndFreeWords) {
+  Trace t;
+  t.header.name = "too-small";
+  t.header.semispace_words = 64;
+  t.ops = {
+      {TraceOp::Kind::kAlloc, 0, 0, 20},  // 22 words
+      {TraceOp::Kind::kAlloc, 1, 0, 20},  // 22 words, 44 live
+      {TraceOp::Kind::kAlloc, 2, 0, 30},  // 32 words: collect, then 20 free
+  };
+  ASSERT_TRUE(check_trace(t).empty());
+  ReplayConfig cfg;
+  cfg.collector = CollectorId::kChunked;
+  cfg.threads = 1;
+  try {
+    (void)replay_trace(t, cfg);
+    FAIL() << "the replay must exhaust the semispace";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "chunked: Runtime: heap exhausted even after a collection "
+              "cycle (requested 32 words, 20 free after the cycle)");
+  }
+}
+
 TEST(TraceTransform, RejectsNonPositiveFactor) {
   const Trace t;
   EXPECT_THROW(scale_trace_sizes(t, 0.0), std::invalid_argument);
