@@ -13,7 +13,7 @@
 // (the fast-forward and parallel-conductor equivalence the test suite
 // enforces); the harness exits nonzero if they diverge, and, with
 // --min-speedup, if the tuned engine's simulated-cycles/sec gain falls
-// short. Records land as hwgc-bench-v1 JSONL (schema fields from
+// short. Records land as hwgc-bench-v2 JSONL (schema fields from
 // MetricsRegistry plus appended host_* / *_per_sec throughput fields —
 // the schema is append-only, so bench_validate accepts them).
 #include <benchmark/benchmark.h>
@@ -207,7 +207,7 @@ SweepResult run_sweep(const ServiceConfig& cfg, std::uint64_t requests) {
 }
 
 /// Inserts extra fields into each JSONL line just before its closing '}',
-/// keyed by the line's "benchmark" value. The hwgc-bench-v1 schema is
+/// keyed by the line's "benchmark" value. The hwgc-bench-v2 schema is
 /// append-only, so the validator accepts the result.
 std::string append_fields(
     const std::string& jsonl,
@@ -296,7 +296,7 @@ int run_perf_baseline(const SweepOptions& opt) {
               speedup, static_cast<unsigned long long>(base.collections),
               static_cast<unsigned long long>(base.sim_gc_cycles));
 
-  // hwgc-bench-v1 records: one per engine, aggregated over every
+  // hwgc-bench-v2 records: one per engine, aggregated over every
   // collection on every shard, with appended throughput fields.
   MetricsRegistry reg;
   const auto record_all = [&reg](const char* name, const ServiceConfig& cfg,

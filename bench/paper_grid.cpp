@@ -2,7 +2,7 @@
 // prints one row per shape and config override with its columns once per
 // core count, then the paper's numbers for its cells. Collections that the
 // selected experiments share (same shape, config and cores) run once.
-// --json writes an experiment's hwgc-bench-v1 suite, --profile-json fig5's
+// --json writes an experiment's hwgc-bench-v2 suite, --profile-json fig5's
 // per-cell hwgc-profile-v1 attribution (source "<bench>/<N>c").
 #include <algorithm>
 #include <cstdio>
@@ -254,7 +254,7 @@ int main(int argc, char** argv) {
          cli::one_of(all, [](const Experiment* e) { return e->name; }));
   add_options(p, opt);
   p.optional("--json[=PATH]", out.json, out.json_path,
-             "also write the metrics as hwgc-bench-v1 JSONL\n"
+             "also write the metrics as hwgc-bench-v2 JSONL\n"
              "(default path BENCH_<suite>.json)")
       .optional("--profile-json[=PATH]", out.profile, out.profile_path,
                 "write per-configuration stall attribution as\n"
@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
       p.fail("--bench: experiment " + name + " runs fixed synthetic shapes");
     }
     if (out.json && e->suite.empty()) {
-      p.fail("--json: experiment " + name + " writes no hwgc-bench-v1 suite");
+      p.fail("--json: experiment " + name + " writes no hwgc-bench-v2 suite");
     }
     if (out.profile && !e->profiled) {
       p.fail("--profile-json: experiment " + name + " is not profiled");

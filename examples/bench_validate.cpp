@@ -1,7 +1,7 @@
 // bench_validate — schema gate for hwgc JSONL metric files.
 //
 // Validates every line of every file named on the command line against the
-// stable schema its "schema" field names: hwgc-bench-v1
+// stable schema its "schema" field names: hwgc-bench-v2
 // (telemetry/metrics.hpp) or hwgc-service-v1
 // (service/service_metrics.hpp). Required keys present and correctly
 // typed, fractions within [0, 1], percentile ordering, and — for service

@@ -101,7 +101,7 @@ CliOptions parse(int argc, char** argv) {
   p.section("output:")
       .value("--json PATH", o.json_path,
              "the session's aggregated metrics (min/mean/p50/p99\n"
-             "across all cycles) as hwgc-bench-v1 JSONL")
+             "across all cycles) as hwgc-bench-v2 JSONL")
       .value("--trace-json PATH", o.trace_json,
              "the session timeline as Chrome-trace JSON");
   p.section("keys: the dashboard is frame-driven, not keyboard-driven; the\n"

@@ -97,7 +97,7 @@ CliOptions parse(int argc, char** argv) {
       .value("--trace-json PATH", o.trace_json,
              "export the cycle's timeline as Chrome-trace JSON")
       .value("--bench-json PATH", o.bench_json,
-             "emit the run's metrics as hwgc-bench-v1 JSONL");
+             "emit the run's metrics as hwgc-bench-v2 JSONL");
   p.parse(argc, argv);
   return o;
 }

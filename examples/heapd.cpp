@@ -146,7 +146,7 @@ void parse_args(int argc, char** argv, Options& opt) {
              cli::range<std::uint32_t>(1, UINT32_MAX));
   p.section("output:")
       .value("--json PATH", opt.json_path,
-             "hwgc-bench-v1 (per-shard GC aggregates) +\n"
+             "hwgc-bench-v2 (per-shard GC aggregates) +\n"
              "hwgc-service-v1 (latency/SLO) JSONL sections")
       .value("--trace-json PATH", opt.trace_json,
              "Chrome-trace timeline of the FIRST configuration")

@@ -41,9 +41,6 @@ struct Options {
   std::uint64_t seed_base = 1;
   std::vector<std::uint32_t> threads = {1, 2, 4, 8, 16};
   std::uint32_t nodes = 96;
-  /// Mutator-thread ladder for the snapshot collector; other collectors
-  /// ignore the knob (their mutators are simulated, not real threads).
-  std::vector<std::uint32_t> mutator_threads = {2};
   std::uint64_t torture_seed = 0;  // 0 = derive per case
   bool torture = true;
   bool idempotence = true;
@@ -57,7 +54,7 @@ void parse_args(int argc, char** argv, Options& opt) {
   p.option("--collectors LIST",
            "comma-separated collector names or 'all'\n"
            "(coprocessor, sequential, naive, chunked,\n"
-           " packets, stealing, concurrent, snapshot)",
+           " packets, stealing, concurrent)",
            [&opt](const std::string& what, const std::string& token) {
              if (token != "all") {
                return cli::parse_list<CollectorId>(
@@ -68,17 +65,6 @@ void parse_args(int argc, char** argv, Options& opt) {
              opt.collectors = all_collectors();
              return std::string();
            })
-      .flag("--concurrent-mutator",
-            [&opt] {
-              opt.collectors = {CollectorId::kSnapshot};
-              opt.mutator_threads = {1, 2, 4};
-            },
-            "preset: the SATB snapshot collector only,\n"
-            "sweeping real mutator threads 1,2,4 against\n"
-            "every (seed, worker) cell")
-      .list("--mutator-threads LIST", opt.mutator_threads,
-            "mutator-thread counts for the snapshot\n"
-            "collector (default 2)")
       .value("--seeds N", opt.seeds,
              "graph seeds per (collector, threads) cell (default 4)",
              cli::range<std::uint32_t>(1, UINT32_MAX))
@@ -110,11 +96,10 @@ void parse_args(int argc, char** argv, Options& opt) {
 }
 
 std::string repro_line(const Options& opt, CollectorId id, std::uint64_t seed,
-                       std::uint32_t threads, std::uint32_t mutators) {
+                       std::uint32_t threads) {
   std::ostringstream os;
   os << "torture_gc --collectors " << to_string(id) << " --seed-base " << seed
      << " --seeds 1 --threads " << threads << " --nodes " << opt.nodes;
-  if (id == CollectorId::kSnapshot) os << " --mutator-threads " << mutators;
   if (!opt.torture) os << " --no-torture";
   if (opt.torture_seed != 0) os << " --torture-seed " << opt.torture_seed;
   return os.str();
@@ -144,53 +129,41 @@ int main(int argc, char** argv) {
     std::vector<std::uint32_t> widths = opt.threads;
     if (id == CollectorId::kSequential) widths = {1};
 
-    // Only the snapshot collector spawns real mutator threads; everything
-    // else runs the ladder's single default width once.
-    const std::vector<std::uint32_t> mutator_widths =
-        traits.concurrent_mutator ? opt.mutator_threads
-                                  : std::vector<std::uint32_t>{0};
-
     for (std::uint32_t threads : widths) {
-      for (std::uint32_t mutators : mutator_widths) {
-        for (std::uint32_t k = 0; k < opt.seeds; ++k) {
-          const std::uint64_t seed = opt.seed_base + k;
-          RandomGraphConfig g;
-          g.nodes = opt.nodes;
-          ConformanceCase c;
-          c.plan = make_random_plan(seed, g);
-          c.harness.threads = threads;
-          c.harness.schedule_seed = seed ^ (threads * 0x9e3779b9ULL);
-          c.harness.mutator_seed = seed * 31 + threads;
-          c.harness.mutator_op_spacing = 1;
-          if (traits.concurrent_mutator) c.harness.mutator_threads = mutators;
-          c.check_idempotence = opt.idempotence;
-          c.cross_compare = opt.cross;
-          if (opt.torture && traits.threaded) {
-            c.harness.torture.seed =
-                opt.torture_seed != 0
-                    ? opt.torture_seed
-                    : seed * 2654435761ULL + threads;
-            c.harness.torture.yield_period = 3;
-          }
+      for (std::uint32_t k = 0; k < opt.seeds; ++k) {
+        const std::uint64_t seed = opt.seed_base + k;
+        RandomGraphConfig g;
+        g.nodes = opt.nodes;
+        ConformanceCase c;
+        c.plan = make_random_plan(seed, g);
+        c.harness.threads = threads;
+        c.harness.schedule_seed = seed ^ (threads * 0x9e3779b9ULL);
+        c.harness.mutator_seed = seed * 31 + threads;
+        c.harness.mutator_op_spacing = 1;
+        c.check_idempotence = opt.idempotence;
+        c.cross_compare = opt.cross;
+        if (opt.torture && traits.threaded) {
+          c.harness.torture.seed = opt.torture_seed != 0
+                                       ? opt.torture_seed
+                                       : seed * 2654435761ULL + threads;
+          c.harness.torture.yield_period = 3;
+        }
 
-          ++cases;
-          const ConformanceVerdict v = run_conformance_case(id, c);
-          if (!v.ok) {
-            ++failures;
-            std::cerr << "FAIL " << to_string(id) << " seed=" << seed
-                      << " threads=" << threads << " mutators=" << mutators
-                      << "\n  " << v.summary() << "\n  repro: "
-                      << repro_line(opt, id, seed, threads, mutators) << "\n";
-            if (repro) {
-              repro << repro_line(opt, id, seed, threads, mutators) << "\n";
-            }
-          } else if (opt.verbose) {
-            std::cout << "ok   " << to_string(id) << " seed=" << seed
-                      << " threads=" << threads << " live=" << v.live_objects
-                      << " copied=" << v.report.objects_copied
-                      << " wasted=" << v.report.wasted_words
-                      << " sync=" << v.report.sync_ops << "\n";
-          }
+        ++cases;
+        const ConformanceVerdict v = run_conformance_case(id, c);
+        if (!v.ok) {
+          ++failures;
+          std::cerr << "FAIL " << to_string(id) << " seed=" << seed
+                    << " threads=" << threads << "\n  " << v.summary()
+                    << "\n  repro: " << repro_line(opt, id, seed, threads)
+                    << "\n";
+          if (repro) repro << repro_line(opt, id, seed, threads) << "\n";
+        } else if (opt.verbose) {
+          std::cout << "ok   " << to_string(id) << " seed=" << seed
+                    << " threads=" << threads << " live=" << v.live_objects
+                    << " copied=" << v.report.objects_copied
+                    << " wasted=" << v.report.wasted_words
+                    << " sync=" << v.report.sync_ops << "\n";
         }
       }
     }

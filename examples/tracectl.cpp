@@ -11,10 +11,13 @@
 //   tracectl minimize --seed N --out t.jsonl            # fuzz -> trace bridge
 //   tracectl transform t.jsonl --scale-sizes 2 --out big.jsonl
 //
-// replay exit status is 0 only if every cycle passed the conformance
-// post-structure oracle, every read probe matched its recorded digest, and
-// (under --all) every collector produced the same live-graph digest.
+// replay exit status is 0 only if every collector replayed the trace to
+// the end, every cycle passed the conformance post-structure oracle, every
+// read probe matched its recorded digest, and (under --all) every
+// collector produced the same live-graph digest. A collector that throws
+// prints "<collector> FAIL: <message>" and the rest still replay.
 #include <cstdio>
+#include <exception>
 #include <map>
 #include <optional>
 #include <string>
@@ -121,17 +124,28 @@ int cmd_replay(int argc, char** argv) {
   }
 
   bool ok = true;
+  // The first collector that replays to the end sets the reference; a
+  // collector that throws is reported and left out of the cross-check.
   std::optional<std::uint64_t> reference_digest;
+  CollectorId reference = ids.front();
   for (CollectorId id : ids) {
     cfg.collector = id;
-    const ReplayResult r = replay_trace(trace, cfg);
+    ReplayResult r;
+    try {
+      r = replay_trace(trace, cfg);
+    } catch (const std::exception& e) {
+      std::printf("%s FAIL: %s\n", to_string(id), e.what());
+      ok = false;
+      continue;
+    }
     std::printf("%-12s %s\n", to_string(id), r.summary().c_str());
     if (!r.ok) ok = false;
     if (!reference_digest) {
       reference_digest = r.live_graph_digest;
+      reference = id;
     } else if (*reference_digest != r.live_graph_digest) {
       std::printf("%-12s DIVERGES from %s's live-graph digest\n",
-                  to_string(id), to_string(ids.front()));
+                  to_string(id), to_string(reference));
       ok = false;
     }
   }

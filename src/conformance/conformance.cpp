@@ -35,21 +35,16 @@ bool check_forwarding_map(const char* who, const HeapSnapshot& pre,
 }
 
 /// Injectivity and shape survival over the forwarded snapshot objects, in
-/// slot order. With `total` (SATB) an unforwarded object is a defect too.
-/// Returns false at the first defect that makes later checks unsound.
+/// slot order; an unforwarded object was disconnected mid-cycle, which is
+/// allowed. Returns false at the first defect that makes later checks
+/// unsound.
 bool check_copies(const char* who, const HeapSnapshot& pre, const Heap& post,
-                  const ForwardingTable& fwd, bool total,
+                  const ForwardingTable& fwd,
                   std::vector<std::string>& errors) {
   using Link = ForwardingTable::Link;
   for (std::size_t s = 0; s < pre.objects.size(); ++s) {
     const HeapSnapshot::ObjectRecord& rec = pre.objects[s];
-    if (fwd.link[s] == Link::kMissing) {
-      if (!total) continue;  // disconnected mid-cycle: allowed
-      errors.push_back(std::string(who) + ": snapshot-live object " +
-                       hex(rec.addr) +
-                       " was never evacuated (SATB totality violated)");
-      return false;
-    }
+    if (fwd.link[s] == Link::kMissing) continue;
     if (fwd.link[s] == Link::kShared) {
       errors.push_back(std::string(who) +
                        ": forwarding map not injective at copy " +
@@ -67,7 +62,7 @@ bool check_copies(const char* who, const HeapSnapshot& pre, const Heap& post,
 }
 
 /// The original root slots (the prefix before the mutator registers, which
-/// the mutators never write) must be redirected through the forwarding
+/// the mutator never writes) must be redirected through the forwarding
 /// table, which check_copies found injective.
 void check_root_prefix(const char* who, const HeapSnapshot& pre,
                        const Heap& post, const ForwardingTable& fwd,
@@ -98,7 +93,7 @@ void check_concurrent_structure(const char* who, const HeapSnapshot& pre,
                                 const Heap& post, const ForwardingTable& fwd,
                                 const CycleReport& report,
                                 std::vector<std::string>& errors) {
-  if (!check_copies(who, pre, post, fwd, /*total=*/false, errors)) return;
+  if (!check_copies(who, pre, post, fwd, errors)) return;
 
   // The evacuated copies must tile [base, alloc_ptr) exactly — evacuation
   // stays dense even while the mutator bump-allocates from the top.
@@ -129,100 +124,6 @@ void check_concurrent_structure(const char* who, const HeapSnapshot& pre,
                      std::to_string(forwarded) + " forwarded objects");
   }
   check_root_prefix(who, pre, post, fwd, errors);
-}
-
-/// The SATB snapshot collector's checks. SATB gives a *stronger*
-/// property than the incremental-update concurrent cycle: every object live
-/// at the snapshot is evacuated (totality), even if the racing mutators
-/// dropped their last reference mid-cycle. The evacuation extent also holds
-/// copies of mid-cycle allocations that became root-reachable, so instead
-/// of tiling the extent with snapshot copies the oracle walks it header by
-/// header and verifies it is closed: every copy is complete (black), every
-/// pointer field lands on a copy start or null, every root slot does too,
-/// and the collector's counters agree with the walk.
-void check_snapshot_structure(const char* who, const HeapSnapshot& pre,
-                              const Heap& post, const ForwardingTable& fwd,
-                              const CycleReport& report,
-                              std::vector<std::string>& errors) {
-  const WordMemory& mem = post.memory();
-  const Addr base = post.layout().current_base();
-  const Addr end = post.alloc_ptr();
-
-  // SATB totality + injectivity + shape survival over the snapshot set.
-  if (!check_copies(who, pre, post, fwd, /*total=*/true, errors)) return;
-
-  // Walk the dense evacuation extent [base, alloc_ptr): snapshot copies
-  // interleave with copies of newly reachable mid-cycle allocations.
-  std::vector<std::uint8_t> starts(
-      std::clamp<std::size_t>(end, base, mem.size()) - base, 0);
-  auto is_start = [&](Addr v) {
-    return v >= base && v - base < starts.size() && starts[v - base] != 0;
-  };
-  std::uint64_t walked = 0;
-  Addr a = base;
-  while (a < end) {
-    const Word attrs = mem.load(attributes_addr(a));
-    if (!is_black(attrs)) {
-      errors.push_back(std::string(who) + ": copy at " + hex(a) +
-                       " missing the copy-complete (black) bit");
-      return;
-    }
-    starts[a - base] = 1;
-    ++walked;
-    a += object_words(attrs);
-  }
-  if (a != end) {
-    errors.push_back(std::string(who) + ": evacuation extent walk overruns "
-                     "the published alloc pointer at " + hex(a));
-    return;
-  }
-  fwd.for_each_image([&](Addr copy) {
-    if (!is_start(copy)) {
-      errors.push_back(std::string(who) + ": snapshot copy " + hex(copy) +
-                       " lies outside the evacuation extent");
-    }
-    return true;
-  });
-  // Closure: no pointer field of any copy may dangle outside the extent.
-  for (Addr c = base; c < end;) {
-    const Word attrs = mem.load(attributes_addr(c));
-    for (Word i = 0; i < pi_of(attrs); ++i) {
-      const Addr v = mem.load(pointer_field_addr(c, i));
-      if (v != kNullPtr && !is_start(v)) {
-        errors.push_back(std::string(who) + ": field " + std::to_string(i) +
-                         " of copy " + hex(c) + " dangles to " + hex(v));
-      }
-    }
-    c += object_words(attrs);
-  }
-
-  if (report.evacuations != walked) {
-    errors.push_back(std::string(who) + ": evacuation count " +
-                     std::to_string(report.evacuations) + " != " +
-                     std::to_string(walked) + " copies in the extent");
-  }
-  if (report.objects_copied != walked) {
-    errors.push_back(std::string(who) + ": objects_copied counter " +
-                     std::to_string(report.objects_copied) + " != " +
-                     std::to_string(walked) + " copies in the extent");
-  }
-  if (report.words_copied != end - base) {
-    errors.push_back(std::string(who) + ": words_copied counter " +
-                     std::to_string(report.words_copied) + " != " +
-                     std::to_string(end - base) + " extent words");
-  }
-
-  // Original root slots are redirected through the snapshot map; every
-  // slot, mutator registers included, must land inside the extent.
-  check_root_prefix(who, pre, post, fwd, errors);
-  const auto& roots = post.roots();
-  for (std::size_t i = 0; i < roots.size(); ++i) {
-    if (roots[i] != kNullPtr && !is_start(roots[i])) {
-      errors.push_back(std::string(who) + ": root " + std::to_string(i) +
-                       " points outside the evacuation extent: " +
-                       hex(roots[i]));
-    }
-  }
 }
 
 }  // namespace
@@ -301,11 +202,6 @@ double conformance_heap_factor(CollectorId id, const ConformanceCase& c) {
         static_cast<double>(std::max<std::uint64_t>(1, c.plan.live_words()));
     factor += static_cast<double>(c.harness.threads) * 64.0 / live;
   }
-  if (t.concurrent_mutator) {
-    // Real mutator threads bump-allocate fromspace while the cycle runs;
-    // give them room to make progress before they hit the backoff path.
-    factor += 1.0;
-  }
   return factor * c.extra_heap_factor;
 }
 
@@ -357,10 +253,6 @@ std::optional<ForwardingTable> check_post_structure(
 
   // Every check below reads this one table.
   std::optional<ForwardingTable> fwd(std::in_place, pre, post);
-  if (t.concurrent_mutator) {
-    check_snapshot_structure(who, pre, post, *fwd, report, errors);
-    return fwd;
-  }
   if (!t.preserves_image) {
     check_concurrent_structure(who, pre, post, *fwd, report, errors);
     return fwd;

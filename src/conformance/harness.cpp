@@ -19,7 +19,6 @@ const char* to_string(CollectorId id) noexcept {
     case CollectorId::kPackets: return "packets";
     case CollectorId::kStealing: return "stealing";
     case CollectorId::kConcurrent: return "concurrent";
-    case CollectorId::kSnapshot: return "snapshot";
     case CollectorId::kCount: break;
   }
   return "?";
@@ -70,12 +69,6 @@ CollectorTraits traits_of(CollectorId id) noexcept {
       break;
     case CollectorId::kConcurrent:
       t.preserves_image = false;
-      break;
-    case CollectorId::kSnapshot:
-      t.deterministic = false;
-      t.preserves_image = false;
-      t.threaded = true;
-      t.concurrent_mutator = true;
       break;
     case CollectorId::kCount:
       break;
@@ -259,32 +252,6 @@ class ConcurrentHarness final : public CollectorHarness {
   ConcurrentCycle::Config cfg_;
 };
 
-class SnapshotHarness final : public CollectorHarness {
- public:
-  explicit SnapshotHarness(const HarnessConfig& cfg) {
-    cfg_.threads = cfg.threads;
-    cfg_.mutator_threads = cfg.mutator_threads;
-    cfg_.mutator_registers = cfg.mutator_registers;
-    cfg_.mutator_seed = cfg.mutator_seed;
-    cfg_.torture = cfg.torture;
-  }
-  CollectorId id() const noexcept override { return CollectorId::kSnapshot; }
-  CycleReport collect(Heap& heap) override {
-    const SnapshotGcStats s = SnapshotCollector(cfg_).collect(heap);
-    CycleReport r;
-    r.objects_copied = s.objects_copied;
-    r.words_copied = s.words_copied;
-    r.sync_ops = s.cas_ops;
-    r.evacuations = s.objects_copied;
-    r.validation_mismatches = s.validation_mismatches;
-    r.snapshot = s;
-    return r;
-  }
-
- private:
-  SnapshotCollector::Config cfg_;
-};
-
 }  // namespace
 
 std::unique_ptr<CollectorHarness> make_harness(CollectorId id,
@@ -304,8 +271,6 @@ std::unique_ptr<CollectorHarness> make_harness(CollectorId id,
       return std::make_unique<StealingHarness>(cfg);
     case CollectorId::kConcurrent:
       return std::make_unique<ConcurrentHarness>(cfg);
-    case CollectorId::kSnapshot:
-      return std::make_unique<SnapshotHarness>(cfg);
     case CollectorId::kCount:
       break;
   }
@@ -314,7 +279,6 @@ std::unique_ptr<CollectorHarness> make_harness(CollectorId id,
 
 HarnessPlugin::HarnessPlugin(CollectorId id, HarnessConfig cfg) : id_(id) {
   if (id == CollectorId::kConcurrent) cfg.mutator_registers = 0;
-  if (id == CollectorId::kSnapshot) cfg.mutator_threads = 0;
   harness_ = make_harness(id, cfg);
 }
 
@@ -325,13 +289,6 @@ GcCycleStats HarnessPlugin::collect(Heap& heap) {
   stats.objects_copied = last_.objects_copied;
   stats.words_copied = last_.words_copied;
   stats.lock_order_violations = last_.lock_order_violations;
-  if (last_.snapshot.has_value()) {
-    // The barrier/reconciliation counters ride the coprocessor stat block
-    // into hwgc-bench-v1.
-    stats.snapshot_stores = last_.snapshot->snapshot_stores;
-    stats.reconciliation_repairs = last_.snapshot->reconciliation_repairs;
-    stats.safe_point_waits = last_.snapshot->safe_point_waits;
-  }
   // Software collectors run outside the coprocessor clock; the stats they
   // cannot fill stay zero and restart_stores_drained stays true (their
   // stores are plain memory writes, committed before collect() returns).

@@ -1,7 +1,7 @@
 // Collector-agnostic harness: every collector in the repository behind one
 // `collect(Heap&) -> CycleReport` entry point.
 //
-// The eight collectors have eight different front doors — the coprocessor
+// The seven collectors have seven different front doors — the coprocessor
 // takes a SimConfig and optional traces, the sequential reference is a
 // static function, the four software baselines each carry their own Config
 // struct, and the concurrent cycle owns a mutator simulation. The
@@ -22,7 +22,6 @@
 
 #include "baselines/parallel_common.hpp"
 #include "baselines/sequential_cheney.hpp"
-#include "concurrent_mutator/snapshot_collector.hpp"
 #include "core/concurrent_cycle.hpp"
 #include "fault/recovery.hpp"
 #include "heap/heap.hpp"
@@ -43,8 +42,6 @@ enum class CollectorId : std::uint8_t {
   kPackets,       ///< Ossia et al. work packets
   kStealing,      ///< Flood et al. work stealing with LABs
   kConcurrent,    ///< coprocessor + read-barrier mutator running during GC
-  kSnapshot,      ///< SATB double-pointer collector, real mutator
-                  ///< threads (src/concurrent_mutator/)
   kCount
 };
 
@@ -79,11 +76,6 @@ struct CollectorTraits {
   bool preserves_image = true;
   /// Runs real std::threads (so it is interesting under TSan and torture).
   bool threaded = false;
-  /// Real mutator threads allocate and mutate *while the cycle runs* (the
-  /// snapshot collector only). Implies !preserves_image; the
-  /// oracle switches to the snapshot-subset check plus the collector's own
-  /// shadow-graph cross-validation of mutations that raced the cycle.
-  bool concurrent_mutator = false;
 };
 
 CollectorTraits traits_of(CollectorId id) noexcept;
@@ -117,7 +109,6 @@ struct CycleReport {
   std::optional<SequentialGcStats> sequential;
   std::optional<ParallelGcStats> parallel;
   std::optional<ConcurrentStats> concurrent;
-  std::optional<SnapshotGcStats> snapshot;
 };
 
 /// Knobs shared across the whole matrix; each harness picks out what its
@@ -143,14 +134,10 @@ struct HarnessConfig {
   /// Concurrent cycle: mutator program seed and op spacing.
   std::uint64_t mutator_seed = 1;
   std::uint32_t mutator_op_spacing = 3;
-  /// Concurrent cycle + snapshot collector: mutator register-file size.
-  /// 0 runs the cycle quiescent (no mutator roots, no mutator operations)
-  /// — the trace replayer's mode, where the recorded op stream is the only
-  /// mutator.
+  /// Concurrent cycle: mutator register-file size. 0 runs the cycle
+  /// quiescent (no mutator roots, no mutator operations) — the trace
+  /// replayer's mode, where the recorded op stream is the only mutator.
   std::uint32_t mutator_registers = 16;
-  /// Snapshot collector only: real mutator threads spawned for the cycle.
-  /// 0 is quiescent, same convention as mutator_registers.
-  std::uint32_t mutator_threads = 2;
 };
 
 /// One collector behind the uniform entry point. Stateless between calls:
@@ -193,10 +180,9 @@ std::unique_ptr<CollectorHarness> make_harness(CollectorId id,
 /// Runtime::CollectorPlugin adapter over a CollectorHarness: routes the
 /// runtime's collection cycles (explicit and exhaustion-triggered) through
 /// any collector in the inventory. The concurrent collector runs quiescent
-/// (mutator_registers forced to 0) and the snapshot collector spawns no
-/// mutator threads (mutator_threads forced to 0): the runtime's own
-/// mutator — a replayed op stream, a heapd shard's sessions — is the only
-/// one, so its reads and data must not be perturbed by a synthetic one.
+/// (mutator_registers forced to 0): the runtime's own mutator — a
+/// replayed op stream, a heapd shard's sessions — is the only one, so its
+/// reads and data must not be perturbed by a synthetic one.
 class HarnessPlugin final : public CollectorPlugin {
  public:
   HarnessPlugin(CollectorId id, HarnessConfig cfg);

@@ -1,6 +1,5 @@
 #include "heap/heap.hpp"
 
-#include <atomic>
 #include <cassert>
 
 namespace hwgc {
@@ -25,33 +24,6 @@ Addr Heap::allocate(Word pi, Word delta) {
     mem_.store(data_field_addr(obj, pi, j), 0);
   }
   ++allocated_;
-  return obj;
-}
-
-Addr Heap::allocate_shared(Word pi, Word delta) {
-  assert(pi <= kMaxPi && delta <= kMaxDelta);
-  const Word need = object_words(pi, delta);
-  std::atomic_ref<Addr> alloc(alloc_);
-  Addr obj;
-  Addr cur = alloc.load(std::memory_order_relaxed);
-  do {
-    if (cur + need > layout_.current_end()) return kNullPtr;
-    obj = cur;
-  } while (!alloc.compare_exchange_weak(cur, cur + need,
-                                        std::memory_order_relaxed));
-  mem_.store_atomic(attributes_addr(obj), make_attributes(pi, delta),
-                    std::memory_order_relaxed);
-  mem_.store_atomic(link_addr(obj), kNullPtr, std::memory_order_relaxed);
-  for (Word i = 0; i < pi; ++i) {
-    mem_.store_atomic(pointer_field_addr(obj, i), kNullPtr,
-                      std::memory_order_relaxed);
-  }
-  for (Word j = 0; j < delta; ++j) {
-    mem_.store_atomic(data_field_addr(obj, pi, j), 0,
-                      std::memory_order_relaxed);
-  }
-  std::atomic_ref<std::uint64_t>(allocated_).fetch_add(
-      1, std::memory_order_relaxed);
   return obj;
 }
 

@@ -25,15 +25,6 @@ class Heap {
   /// runtime would trigger a collection; see runtime/).
   Addr allocate(Word pi, Word delta);
 
-  /// Thread-safe variant of allocate() for real concurrent mutator threads
-  /// (src/concurrent_mutator/): the bump pointer is advanced with a CAS
-  /// loop and the object is initialized through the atomic word interface,
-  /// so concurrent allocators never hand out overlapping extents and the
-  /// collector may observe the header under the language memory model.
-  /// Returns kNullPtr when the space is exhausted — concurrent callers are
-  /// expected to back off, not to trigger a collection themselves.
-  Addr allocate_shared(Word pi, Word delta);
-
   Word attributes(Addr obj) const { return mem_.load(attributes_addr(obj)); }
   Word pi(Addr obj) const { return pi_of(attributes(obj)); }
   Word delta(Addr obj) const { return delta_of(attributes(obj)); }

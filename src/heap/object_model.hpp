@@ -79,13 +79,4 @@ constexpr Addr data_field_addr(Addr obj, Word pi, Word j) noexcept {
   return obj + kHeaderWords + pi + j;
 }
 
-/// True when the body word at `offset` (words from the object header) is a
-/// pointer slot under `attributes`. The snapshot collector's reconciliation
-/// pass logs raw (object, offset) pairs during a cycle and needs to decide
-/// afterwards whether the slot takes part in the double-pointer encoding
-/// (pointer slots are paired with a snapshot half) or is plain data.
-constexpr bool offset_is_pointer_field(Word attributes, Word offset) noexcept {
-  return offset >= kHeaderWords && offset < kHeaderWords + pi_of(attributes);
-}
-
 }  // namespace hwgc

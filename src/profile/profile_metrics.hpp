@@ -19,8 +19,8 @@
 //     begin <= end, parent < span, known name; duplicate (trace, span)
 //     pairs are a *file-level* violation (ProfileSpanChecker).
 //
-// Flat and append-only exactly like hwgc-bench-v1 / hwgc-service-v1:
-// tooling may add fields, never rename or remove them. bench_validate
+// Flat like hwgc-bench-v2 / hwgc-service-v1: tooling may add fields;
+// renaming or removing one bumps the version. bench_validate
 // dispatches per line on the "schema" field, so one heapd output file can
 // carry bench + service + profile sections.
 //

@@ -298,7 +298,7 @@ LineValidator dispatch_by_schema(const std::string& line) {
   if (line.find("\"schema\":\"hwgc-service-v1\"") != std::string::npos) {
     return &validate_service_jsonl_line;
   }
-  if (line.find("\"schema\":\"hwgc-bench-v1\"") != std::string::npos) {
+  if (line.find("\"schema\":\"hwgc-bench-v2\"") != std::string::npos) {
     return &validate_bench_jsonl_line;
   }
   if (line.find("\"schema\":\"hwgc-profile-v1\"") != std::string::npos) {

@@ -1,10 +1,10 @@
 // hwgc-service-v1 — the heap service's stable JSONL metrics section.
 //
 // One record per shard plus one fleet-wide aggregate (shard = -1), flat
-// and append-only exactly like hwgc-bench-v1 (telemetry/metrics.hpp):
-// tooling may add fields, never rename or remove them. A heapd output
+// like hwgc-bench-v2 (telemetry/metrics.hpp): tooling may add fields;
+// renaming or removing one bumps the version. A heapd output
 // file typically carries BOTH sections — per-shard collection-cycle
-// aggregates as hwgc-bench-v1 lines and request-latency/SLO accounting as
+// aggregates as hwgc-bench-v2 lines and request-latency/SLO accounting as
 // hwgc-service-v1 lines — so validation dispatches per line on the
 // "schema" field (validate_metrics_jsonl_file), which is what the
 // bench_validate gate runs in CI.
@@ -35,7 +35,7 @@ std::string service_report_jsonl(const HeapService& service,
                                  const std::string& suite);
 
 /// Appends service_report_jsonl() to `path` when `append` (so one file can
-/// hold an hwgc-bench-v1 section followed by the service section);
+/// hold an hwgc-bench-v2 section followed by the service section);
 /// truncates otherwise. Returns false on I/O failure.
 bool write_service_jsonl(const HeapService& service, const std::string& path,
                          const std::string& suite, bool append = false);
@@ -60,7 +60,7 @@ bool write_profile_jsonl(const HeapService& service, const std::string& path,
                          const std::string& suite, bool append = false);
 
 /// Mixed-schema gate: validates every line of `path` against the schema its
-/// "schema" field names (hwgc-bench-v1, hwgc-service-v1 or
+/// "schema" field names (hwgc-bench-v2, hwgc-service-v1 or
 /// hwgc-profile-v1); unknown or missing schemas are violations, and
 /// duplicate profile span ids are caught file-wide. This is what
 /// examples/bench_validate runs over CI artifacts.

@@ -139,12 +139,6 @@ struct GcCycleStats {
   /// ticking. Host-side only: every other field is identical either way.
   Cycle fast_forwarded_cycles = 0;
 
-  /// Snapshot collector (src/concurrent_mutator/) barrier and
-  /// reconciliation counters; zero for every other collector family.
-  std::uint64_t snapshot_stores = 0;       ///< stores diverted mid-cycle
-  std::uint64_t reconciliation_repairs = 0;  ///< log records replayed
-  std::uint64_t safe_point_waits = 0;      ///< mutator park events served
-
   std::vector<CoreCounters> per_core;
 
   /// Lock-order audit findings; must be empty (DESIGN.md invariant 6).

@@ -67,9 +67,6 @@ void MetricsRegistry::record(const Key& key, const SimConfig& cfg,
   a.fifo_overflows += s.fifo_overflows;
   a.faults_fired += s.faults_fired;
   a.drain_cycles += s.drain_cycles;
-  a.snapshot_stores += s.snapshot_stores;
-  a.reconciliation_repairs += s.reconciliation_repairs;
-  a.safe_point_waits += s.safe_point_waits;
 }
 
 void MetricsRegistry::set_sequential_baseline(const std::string& benchmark,
@@ -106,7 +103,7 @@ std::string MetricsRegistry::to_jsonl(const std::string& suite) const {
     const double base = baseline_mean(key);
     const double speedup = mean > 0.0 && base > 0.0 ? base / mean : 0.0;
 
-    out += "{\"schema\":\"hwgc-bench-v1\"";
+    out += "{\"schema\":\"hwgc-bench-v2\"";
     out += ",\"suite\":\"" + suite + "\"";
     out += ",\"benchmark\":\"" + key.benchmark + "\"";
     out += ",\"cores\":" + std::to_string(key.cores);
@@ -138,10 +135,6 @@ std::string MetricsRegistry::to_jsonl(const std::string& suite) const {
       out += ",\"" + stall_field(static_cast<StallReason>(r)) +
              "\":" + fmt_double(sorted.empty() ? 0.0 : a.stall_sum[r] / n);
     }
-    out += ",\"snapshot_stores\":" + std::to_string(a.snapshot_stores);
-    out += ",\"reconciliation_repairs\":" +
-           std::to_string(a.reconciliation_repairs);
-    out += ",\"safe_point_waits\":" + std::to_string(a.safe_point_waits);
     out += "}\n";
   }
   return out;
@@ -241,9 +234,9 @@ struct FieldSpec {
   bool is_string;
 };
 
-// The hwgc-bench-v1 schema: required fields and their types, in emission
+// The hwgc-bench-v2 schema: required fields and their types, in emission
 // order. New fields may be appended; none may be renamed or removed.
-constexpr FieldSpec kSchemaV1[] = {
+constexpr FieldSpec kSchemaV2[] = {
     {"schema", true},       {"suite", true},
     {"benchmark", true},    {"cores", false},
     {"scale", false},       {"seed", false},
@@ -270,9 +263,6 @@ constexpr FieldSpec kSchemaV1[] = {
     {"stall_header_store", false},
     {"stall_barrier", false},
     {"stall_fault", false},
-    {"snapshot_stores", false},
-    {"reconciliation_repairs", false},
-    {"safe_point_waits", false},
 };
 
 }  // namespace
@@ -286,7 +276,7 @@ bool validate_bench_jsonl_line(const std::string& line, std::string* error) {
     }
     return nullptr;
   };
-  for (const FieldSpec& f : kSchemaV1) {
+  for (const FieldSpec& f : kSchemaV2) {
     const std::string* v = find(f.name);
     if (v == nullptr) {
       if (error != nullptr) *error = std::string("missing field \"") + f.name + "\"";
@@ -300,8 +290,8 @@ bool validate_bench_jsonl_line(const std::string& line, std::string* error) {
       return false;
     }
   }
-  if (*find("schema") != "\"hwgc-bench-v1\"") {
-    if (error != nullptr) *error = "schema is not hwgc-bench-v1";
+  if (*find("schema") != "\"hwgc-bench-v2\"") {
+    if (error != nullptr) *error = "schema is not hwgc-bench-v2";
     return false;
   }
   const auto num = [&](const char* key) {
@@ -326,15 +316,6 @@ bool validate_bench_jsonl_line(const std::string& line, std::string* error) {
   const double wef = num("worklist_empty_fraction");
   if (wef < 0.0 || wef > 1.0) {
     if (error != nullptr) *error = "worklist_empty_fraction outside [0,1]";
-    return false;
-  }
-  // Snapshot-collector barrier accounting: every reconciliation repair
-  // replays a logged mid-cycle store, so repairs can never exceed the stores
-  // the barrier diverted.
-  if (num("reconciliation_repairs") > num("snapshot_stores")) {
-    if (error != nullptr) {
-      *error = "reconciliation_repairs exceeds snapshot_stores";
-    }
     return false;
   }
   return true;

@@ -9,9 +9,9 @@
 // same workload, which executes the identical algorithm as the software
 // sequential Cheney collector — Section VI-B).
 //
-// The JSONL schema ("hwgc-bench-v1") is flat and append-only: tooling may
-// add fields, never rename or remove them, so CI regression guards and the
-// BENCH_* trajectory stay parseable forever. validate_bench_jsonl() is the
+// The JSONL schema ("hwgc-bench-v2") is flat: tooling may append fields,
+// and renaming or removing one bumps the version, so CI regression guards
+// and the BENCH_* trajectory stay parseable. validate_bench_jsonl() is the
 // single source of truth for the schema and is enforced in tests and CI.
 #pragma once
 
@@ -57,7 +57,7 @@ class MetricsRegistry {
   std::size_t size() const noexcept { return aggregates_.size(); }
   bool empty() const noexcept { return aggregates_.empty(); }
 
-  /// All records as JSONL, one "hwgc-bench-v1" object per line, sorted by
+  /// All records as JSONL, one "hwgc-bench-v2" object per line, sorted by
   /// key (deterministic byte-for-byte for a deterministic run).
   std::string to_jsonl(const std::string& suite) const;
 
@@ -80,11 +80,6 @@ class MetricsRegistry {
     std::uint64_t fifo_overflows = 0;
     std::uint64_t faults_fired = 0;
     Cycle drain_cycles = 0;
-    /// Snapshot collector barrier/reconciliation counters
-    /// (sim/counters.hpp); stay 0 for every other collector family.
-    std::uint64_t snapshot_stores = 0;
-    std::uint64_t reconciliation_repairs = 0;
-    std::uint64_t safe_point_waits = 0;
   };
 
   std::map<Key, Aggregate> aggregates_;
@@ -95,14 +90,14 @@ class MetricsRegistry {
 
 /// Scans one flat one-level JSON object ({"key":value,...}, string or
 /// number values, no nesting) into key/value pairs; string values keep a
-/// leading '"' marker. Shared by the hwgc-bench-v1 validator below and the
+/// leading '"' marker. Shared by the hwgc-bench-v2 validator below and the
 /// hwgc-service-v1 validator (service/service_metrics.hpp). Returns false
 /// with a diagnostic on malformed input.
 bool parse_flat_json_object(
     const std::string& line,
     std::vector<std::pair<std::string, std::string>>& kv, std::string* error);
 
-/// Validates one JSONL line against the hwgc-bench-v1 schema. Returns true
+/// Validates one JSONL line against the hwgc-bench-v2 schema. Returns true
 /// when the line conforms; otherwise false with a diagnostic in `error`.
 bool validate_bench_jsonl_line(const std::string& line, std::string* error);
 

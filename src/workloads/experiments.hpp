@@ -71,7 +71,7 @@ struct PaperTarget {
 struct Experiment {
   std::string_view name;   ///< `paper_grid --experiment=<name>`
   std::string_view title;
-  std::string_view suite;  ///< hwgc-bench-v1 suite of --json; empty: none
+  std::string_view suite;  ///< hwgc-bench-v2 suite of --json; empty: none
   bool profiled = false;   ///< every cell profiled; --profile-json
   bool benchmarks = true;  ///< the --bench benchmarks come before `extra`
   std::vector<Shape> extra;

@@ -8,8 +8,8 @@
 // Regenerate in place with
 //   HWGC_REGEN_GOLDEN=1 ./tests/test_collector_inventory
 // The prose guard goes further: any "<number-word> collector(s)" phrase in
-// either document must name the enum's actual count, which is how the old
-// "seven collectors" drift (pre-kSnapshot) stays fixed.
+// either document must name the enum's actual count, so a stale collector
+// count in the prose fails the suite the day the enum changes.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -32,15 +32,14 @@ const char* yn(bool b) { return b ? "yes" : "—"; }
 
 std::string expected_table() {
   std::ostringstream os;
-  os << "| collector | threaded | concurrent mutator | deterministic | "
-        "dense | cheney order | preserves image |\n"
-     << "|---|---|---|---|---|---|---|\n";
+  os << "| collector | threaded | deterministic | dense | cheney order | "
+        "preserves image |\n"
+     << "|---|---|---|---|---|---|\n";
   for (CollectorId id : all_collectors()) {
     const CollectorTraits t = traits_of(id);
     os << "| `" << to_string(id) << "` | " << yn(t.threaded) << " | "
-       << yn(t.concurrent_mutator) << " | " << yn(t.deterministic) << " | "
-       << yn(t.dense) << " | " << yn(t.cheney_order) << " | "
-       << yn(t.preserves_image) << " |\n";
+       << yn(t.deterministic) << " | " << yn(t.dense) << " | "
+       << yn(t.cheney_order) << " | " << yn(t.preserves_image) << " |\n";
   }
   return os.str();
 }

@@ -1,10 +1,8 @@
 // Cross-collector conformance matrix: every collector in the repository,
 // over a shared random-graph corpus, through the property oracle of
-// src/conformance/conformance.hpp. 240 configurations in total — six
+// src/conformance/conformance.hpp. 216 configurations in total — six
 // stop-the-world collectors x 8 graph seeds x 4 thread counts, plus the
-// concurrent cycle x 8 seeds x 3 core counts, plus the SATB snapshot
-// collector x 8 seeds x 3 worker counts (with real mutator threads racing
-// each cycle).
+// concurrent cycle x 8 seeds x 3 core counts.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -19,7 +17,7 @@ namespace {
 TEST(Harness, NamesRoundTrip) {
   const auto ids = all_collectors();
   ASSERT_EQ(ids.size(), kCollectorCount);
-  ASSERT_EQ(kCollectorCount, 8u);
+  ASSERT_EQ(kCollectorCount, 7u);
   for (CollectorId id : ids) {
     const auto parsed = parse_collector(to_string(id));
     ASSERT_TRUE(parsed.has_value()) << to_string(id);
@@ -39,9 +37,6 @@ TEST(Harness, TraitsMatchCollectorContracts) {
   EXPECT_FALSE(traits_of(CollectorId::kChunked).dense);
   EXPECT_FALSE(traits_of(CollectorId::kStealing).dense);
   EXPECT_FALSE(traits_of(CollectorId::kConcurrent).preserves_image);
-  EXPECT_TRUE(traits_of(CollectorId::kSnapshot).concurrent_mutator);
-  EXPECT_TRUE(traits_of(CollectorId::kSnapshot).threaded);
-  EXPECT_TRUE(traits_of(CollectorId::kSnapshot).dense);
   for (CollectorId id : all_collectors()) {
     const CollectorTraits t = traits_of(id);
     // Only single-threaded collectors can promise Cheney order or
@@ -52,11 +47,6 @@ TEST(Harness, TraitsMatchCollectorContracts) {
     }
     if (t.threaded) {
       EXPECT_FALSE(t.deterministic) << to_string(id);
-    }
-    // Mutators racing the cycle preclude an isomorphic image.
-    if (t.concurrent_mutator) {
-      EXPECT_FALSE(t.preserves_image) << to_string(id);
-      EXPECT_TRUE(t.threaded) << to_string(id);
     }
   }
 }
@@ -121,20 +111,15 @@ std::vector<MatrixParam> matrix_params() {
   // fixed point every width must agree with).
   constexpr std::uint32_t kThreads[] = {1, 2, 4, 8};
   for (CollectorId id : all_collectors()) {
-    if (id == CollectorId::kConcurrent || id == CollectorId::kSnapshot) {
-      continue;
-    }
+    if (id == CollectorId::kConcurrent) continue;
     for (std::uint64_t seed : kSeeds) {
       for (std::uint32_t t : kThreads) params.push_back({id, seed, t});
     }
   }
-  // The concurrent cycle: 1, 2 and 8 GC cores racing the mutator. The
-  // SATB snapshot collector gets the same widths, with two real
-  // mutator threads racing every cycle (the harness default).
+  // The concurrent cycle: 1, 2 and 8 GC cores racing the mutator.
   for (std::uint64_t seed : kSeeds) {
     for (std::uint32_t t : {1u, 2u, 8u}) {
       params.push_back({CollectorId::kConcurrent, seed, t});
-      params.push_back({CollectorId::kSnapshot, seed, t});
     }
   }
   return params;

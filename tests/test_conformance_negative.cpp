@@ -298,6 +298,50 @@ TEST(ConformanceNegative, ShadowMismatchCounterIsNamed) {
   EXPECT_TRUE(has_error(errors, "validation mismatches")) << joined(errors);
 }
 
+TEST(ConformanceNegative, ConcurrentLastOriginalRootNotForwardedIsNamed) {
+  // The root-prefix check must reach the last original root, the slot
+  // right before the mutator registers: point it at another copy.
+  std::size_t last = 0;
+  const auto errors = diagnose(
+      CollectorId::kConcurrent, [&last](const HeapSnapshot& pre, Heap& heap) {
+        ASSERT_FALSE(pre.roots.empty());
+        ASSERT_GT(heap.roots().size(), pre.roots.size())
+            << "the mutator registers follow the original roots";
+        last = pre.roots.size() - 1;
+        ASSERT_NE(pre.root_slots[last], HeapSnapshot::kNoSlot);
+        const ForwardingTable fwd(pre, heap);
+        for (std::size_t s = 0; s < pre.objects.size(); ++s) {
+          if (fwd.link[s] == ForwardingTable::Link::kImage &&
+              fwd.copy[s] != heap.roots()[last]) {
+            heap.roots()[last] = fwd.copy[s];
+            return;
+          }
+        }
+        FAIL() << "no second copy to point the root at";
+      });
+  EXPECT_TRUE(has_error(errors, "concurrent: root " + std::to_string(last) +
+                                    " not forwarded"))
+      << joined(errors);
+}
+
+TEST(ConformanceNegative, ConcurrentCopyShapeChangeIsNamed) {
+  // A copy whose header lost its original's data length.
+  const auto errors = diagnose(
+      CollectorId::kConcurrent, [](const HeapSnapshot& pre, Heap& heap) {
+        const ForwardingTable fwd(pre, heap);
+        for (std::size_t s = 0; s < pre.objects.size(); ++s) {
+          if (fwd.link[s] != ForwardingTable::Link::kImage) continue;
+          WordMemory& mem = heap.memory();
+          const Addr at = attributes_addr(fwd.copy[s]);
+          const Word attrs = mem.load(at);
+          mem.store(at, (attrs & ~kMaxDelta) | (delta_of(attrs) ^ 1));
+          return;
+        }
+        FAIL() << "no copy to corrupt";
+      });
+  EXPECT_TRUE(has_error(errors, "changed shape")) << joined(errors);
+}
+
 /// Runs a fault-injected coprocessor cycle (the report carries the
 /// recovery ladder's account), checks the oracle accepts it as collected,
 /// then corrupts the account and returns the oracle's diagnostics.

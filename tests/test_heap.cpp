@@ -59,6 +59,40 @@ TEST(Heap, AllocationInitializesObject) {
   EXPECT_EQ(heap.data(obj, 2), 0u);
 }
 
+// A semispace is reused two flips later with the previous cycle's words
+// still in it, so allocation itself must clear every field.
+TEST(Heap, AllocationClearsAReusedSpace) {
+  constexpr Word kObjects = 10;
+  Heap heap(kObjects * object_words(2, 3));
+  const Addr base = heap.layout().current_base();
+  Addr prev = kNullPtr;
+  for (Word k = 0; k < kObjects; ++k) {
+    const Addr obj = heap.allocate(2, 3);
+    ASSERT_NE(obj, kNullPtr);
+    heap.set_pointer(obj, 0, obj);
+    heap.set_pointer(obj, 1, prev == kNullPtr ? obj : prev);
+    for (Word j = 0; j < 3; ++j) heap.set_data(obj, j, 0xdead0000 + k * 3 + j);
+    prev = obj;
+  }
+  ASSERT_EQ(heap.allocate(0, 0), kNullPtr) << "the space must be full";
+
+  for (int flips = 0; flips < 2; ++flips) {
+    heap.flip();
+    heap.set_alloc_ptr(heap.layout().current_base());
+  }
+  ASSERT_EQ(heap.layout().current_base(), base);
+
+  for (Word k = 0; k < kObjects; ++k) {
+    const Addr obj = heap.allocate(2, 3);
+    ASSERT_EQ(obj, base + k * object_words(2, 3));
+    EXPECT_EQ(heap.pointer(obj, 0), kNullPtr) << "object " << k;
+    EXPECT_EQ(heap.pointer(obj, 1), kNullPtr) << "object " << k;
+    for (Word j = 0; j < 3; ++j) {
+      EXPECT_EQ(heap.data(obj, j), 0u) << "object " << k << " word " << j;
+    }
+  }
+}
+
 TEST(Heap, AllocationIsDenseAndOrdered) {
   Heap heap(1024);
   const Addr a = heap.allocate(1, 1);

@@ -526,7 +526,7 @@ TEST(MetricsJsonl, EmittedRecordsFromRealRunsValidate) {
 TEST(MetricsJsonl, ValidatorRejectsMalformedLines) {
   std::string err;
   EXPECT_FALSE(validate_bench_jsonl_line("not json at all", &err));
-  EXPECT_FALSE(validate_bench_jsonl_line("{\"schema\":\"hwgc-bench-v1\"}",
+  EXPECT_FALSE(validate_bench_jsonl_line("{\"schema\":\"hwgc-bench-v2\"}",
                                          &err));
   EXPECT_NE(err.find("missing field"), std::string::npos);
 
@@ -546,7 +546,7 @@ TEST(MetricsJsonl, ValidatorRejectsMalformedLines) {
     c.replace(pos, from.size(), to);
     EXPECT_FALSE(validate_bench_jsonl_line(c, &err)) << c;
   };
-  corrupt("\"schema\":\"hwgc-bench-v1\"", "\"schema\":\"hwgc-bench-v2\"");
+  corrupt("\"schema\":\"hwgc-bench-v2\"", "\"schema\":\"hwgc-bench-v1\"");
   corrupt("\"cores\":2", "\"cores\":0");
   corrupt("\"cycles_min\":100", "\"cycles_min\":500");       // > p50
   corrupt("\"worklist_empty_fraction\":0.1", "\"worklist_empty_fraction\":1.5");
